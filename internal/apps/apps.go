@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"chapelfreeride/internal/chapel"
+	"chapelfreeride/internal/core"
 	"chapelfreeride/internal/dataset"
 )
 
@@ -177,6 +178,17 @@ func BoxMatrix(m *dataset.Matrix) *chapel.Array {
 // BoxVector converts a vector into a boxed [1..n] real Chapel array.
 func BoxVector(v []float64) *chapel.Array {
 	return chapel.RealArray(v...)
+}
+
+// gatherRows copies a hot variable with no dense view into flat (elems×width,
+// row-major) one row at a time and returns it; row is the scratch a boxed
+// row is materialized through.
+func gatherRows(sv *core.StateVec, flat, row []float64) []float64 {
+	w := sv.Width()
+	for e := 0; e < sv.Elems(); e++ {
+		copy(flat[e*w:(e+1)*w], sv.Row(e+1, row))
+	}
+	return flat
 }
 
 // UnboxMatrix converts a boxed [1..n] record{field: [1..m] real} or

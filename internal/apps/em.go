@@ -255,9 +255,9 @@ func EMClass(k, dim int, means, variances *chapel.Array) *core.ReductionClass {
 		Kernel: func(elem *core.Vec, hot []*core.StateVec, args *freeride.ReductionArgs) {
 			point := elem.Row(args.Scratch(0, dim))
 			resp := args.Scratch(1, k)
-			mu := args.Scratch(2, k*dim)
-			for c := 1; c <= k; c++ {
-				copy(mu[(c-1)*dim:c*dim], hot[0].Row(c, args.Scratch(3, dim)))
+			mu, ok := hot[0].Dense()
+			if !ok {
+				mu = gatherRows(hot[0], args.Scratch(2, k*dim), args.Scratch(3, dim))
 			}
 			vars := hot[1].Row(1, args.Scratch(4, k))
 			st := emState{means: mu, variances: vars}

@@ -64,8 +64,9 @@ func nearest(point []float64, cents []float64, k, dim int) int {
 	for c := 0; c < k; c++ {
 		var d float64
 		cc := cents[c*dim : (c+1)*dim]
-		for j := 0; j < dim; j++ {
-			diff := point[j] - cc[j]
+		pt := point[:len(cc)] // one check here, none in the loop
+		for j, x := range cc {
+			diff := pt[j] - x
 			d += diff * diff
 		}
 		if d < bestDist {
@@ -220,20 +221,16 @@ func KMeansClass(k, dim int, centroids *chapel.Array) *core.ReductionClass {
 			{Value: centroids, Path: []string{"coords"}},
 		},
 		Kernel: func(elem *core.Vec, hot []*core.StateVec, args *freeride.ReductionArgs) {
-			cents := hot[0]
 			pt := elem.Row(args.Scratch(0, dim))
-			best, bestDist := 0, math.Inf(1)
-			for c := 1; c <= k; c++ {
-				cc := cents.Row(c, args.Scratch(1, dim))
-				var d float64
-				for j := 0; j < dim; j++ {
-					diff := pt[j] - cc[j]
-					d += diff * diff
-				}
-				if d < bestDist {
-					best, bestDist = c-1, d
-				}
+			cents, ok := hot[0].Dense()
+			if !ok {
+				// No dense view — boxed centroids (generated/opt-1) or padded
+				// rows: resolve every centroid row for this point.
+				cents = gatherRows(hot[0], args.Scratch(2, k*dim), args.Scratch(1, dim))
 			}
+			// With linearized centroids (opt-2) this is the same call manual
+			// FREERIDE makes.
+			best := nearest(pt, cents, k, dim)
 			for j := 0; j < dim; j++ {
 				args.Accumulate(best, j, pt[j])
 			}
@@ -249,11 +246,7 @@ func KMeansClass(k, dim int, centroids *chapel.Array) *core.ReductionClass {
 			if !ok {
 				// Non-dense hot layout: materialize a flat k×dim copy once
 				// per split (never hit for kmeans' contiguous centroids).
-				buf := args.Scratch(2, k*dim)
-				for c := 1; c <= k; c++ {
-					copy(buf[(c-1)*dim:(c-1)*dim+dim], hot[0].Row(c, args.Scratch(1, dim)))
-				}
-				cents = buf
+				cents = gatherRows(hot[0], args.Scratch(2, k*dim), args.Scratch(1, dim))
 			}
 			acc := args.Acc()
 			base := view.RowStride*args.Begin + view.RunOff

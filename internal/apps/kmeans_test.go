@@ -2,11 +2,13 @@ package apps
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"chapelfreeride/internal/chapel"
 	"chapelfreeride/internal/cluster"
+	"chapelfreeride/internal/core"
 	"chapelfreeride/internal/dataset"
 	"chapelfreeride/internal/freeride"
 	"chapelfreeride/internal/robj"
@@ -208,51 +210,150 @@ func TestBoxUnboxRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: the fused opt-3 version is bit-identical to per-element opt-2
-// and to manual FREERIDE across schedulers × sharing strategies ×
-// 1/2/4/8 threads (integer inputs keep float addition exact). This is the
-// invariant the fused path must defend: batching accumulation into
-// worker-local buffers flushed once per split must not change a single bit
-// of the result under any execution configuration.
+// Property: generated ≡ opt-1 ≡ opt-2 ≡ opt-3 ≡ manual FREERIDE, bit for
+// bit, across schedulers × sharing strategies × 1/2/3 threads, for k-means,
+// PCA and EM. This is the invariant every binding decision of the translated
+// executor must defend — which access path a level takes, whether
+// accumulation is batched into worker-local buffers — none of it may change
+// a single bit of the result under any execution configuration. Integer
+// inputs keep k-means' float addition exact; PCA additionally gets a
+// power-of-two row count, so the mean and every centered product are exact
+// too. EM's responsibilities are not exact, so its sums depend on the order
+// splits are folded in: the translated levels are compared bit for bit on
+// one thread (one order) and to 1e-9 of manual FREERIDE otherwise.
 func TestPropertyFusedKMeansMatchesOpt2AndManual(t *testing.T) {
 	policies := []sched.Policy{sched.Static, sched.Dynamic, sched.Guided, sched.WorkStealing}
-	strategies := []robj.Strategy{
-		robj.FullReplication, robj.FullLocking, robj.OptimizedFullLocking,
-		robj.FixedLocking, robj.AtomicCAS,
-	}
-	threadChoices := []int{1, 2, 4, 8}
 	f := func(seed int64, pick uint8, nRaw, thrRaw uint8) bool {
 		n := int(nRaw%150) + 20
-		threads := threadChoices[int(thrRaw)%len(threadChoices)]
-		policy := policies[int(pick)%len(policies)]
-		strategy := strategies[int(pick/8)%len(strategies)]
+		engine := freeride.Config{
+			Threads:   int(thrRaw%3) + 1,
+			SplitRows: 16,
+			Scheduler: policies[int(pick)%len(policies)],
+			Strategy:  robj.Strategies()[int(pick/8)%len(robj.Strategies())],
+		}
+		fail := func(app string, v Version, err error) bool {
+			t.Logf("%s: %v diverges from opt-3 (%+v, n %d): %v", app, v, engine, n, err)
+			return false
+		}
 		const k = 3
 		points := intPoints(n, 2, seed)
 		init := initCentroids(points, k)
-		cfg := KMeansConfig{K: k, Iterations: 2, Engine: freeride.Config{
-			Threads: threads, SplitRows: 16, Scheduler: policy, Strategy: strategy,
-		}}
+		cfg := KMeansConfig{K: k, Iterations: 2, Engine: engine}
 		fused, err := KMeans(Opt3, points, init, cfg)
 		if err != nil {
-			t.Log(err)
-			return false
+			return fail("kmeans", Opt3, err)
 		}
-		for _, v := range []Version{Opt2, ManualFR} {
+		for _, v := range []Version{Generated, Opt1, Opt2, ManualFR} {
 			ref, err := KMeans(v, points, init, cfg)
-			if err != nil {
-				t.Log(err)
-				return false
+			if err != nil || !fused.Centroids.Equal(ref.Centroids) || !slices.Equal(fused.Counts, ref.Counts) {
+				return fail("kmeans", v, err)
 			}
-			if !fused.Centroids.Equal(ref.Centroids) {
-				t.Logf("opt-3 diverges from %v (policy %v, strategy %v, threads %d, n %d)",
-					v, policy, strategy, threads, n)
-				return false
+		}
+
+		square := intPoints(64<<(nRaw%3), 3, seed)
+		pcaCfg := PCAConfig{Engine: engine}
+		pcaFused, err := PCA(Opt3, square, pcaCfg)
+		if err != nil {
+			return fail("pca", Opt3, err)
+		}
+		for _, v := range []Version{Generated, Opt1, Opt2, ManualFR} {
+			ref, err := PCA(v, square, pcaCfg)
+			if err != nil || !slices.Equal(pcaFused.Mean, ref.Mean) || !pcaFused.Cov.Equal(ref.Cov) {
+				return fail("pca", v, err)
+			}
+		}
+
+		emCfg := EMConfig{K: k, Iterations: 2, Engine: engine}
+		manual, err := EM(ManualFR, points, init, emCfg)
+		if err != nil {
+			return fail("em", ManualFR, err)
+		}
+		var first *EMResult
+		for _, v := range []Version{Generated, Opt1, Opt2} {
+			got, err := EM(v, points, init, emCfg)
+			if err != nil {
+				return fail("em", v, err)
+			}
+			emClose(t, v.String(), got, manual, 1e-9)
+			if first == nil {
+				first = got
+			}
+			if engine.Threads == 1 && !(got.Means.Equal(first.Means) &&
+				slices.Equal(got.Variances, first.Variances) && slices.Equal(got.Weights, first.Weights)) {
+				return fail("em", v, nil)
 			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(52))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// paddedPoints boxes m as [1..n] record{pad: real; coords: [1..dim] real}:
+// the same values BoxPoints carries, in a layout whose linearized rows are
+// dim+1 words apart, so the variable has contiguous rows but no dense view.
+func paddedPoints(m *dataset.Matrix) *chapel.Array {
+	ty := chapel.ArrayType(chapel.RecordType("PaddedPoint",
+		chapel.Field{Name: "pad", Type: chapel.RealType()},
+		chapel.Field{Name: "coords", Type: chapel.ArrayType(chapel.RealType(), 1, m.Cols)}), 1, m.Rows)
+	arr := chapel.NewArray(ty)
+	for i := 0; i < m.Rows; i++ {
+		coords := arr.At(i + 1).(*chapel.Record).Field("coords").(*chapel.Array)
+		for j := 0; j < m.Cols; j++ {
+			coords.SetAt(j+1, &chapel.Real{Val: m.At(i, j)})
+		}
+	}
+	return arr
+}
+
+// TestNonDenseHotVariableFallback: when the hot variable's linearized layout
+// is not one dense block, the k-means and EM kernels take their Row-based
+// fallbacks (opt-2 per element, opt-3 once per split) — and one pass still
+// produces, at every level, exactly the reduction object the dense layout
+// gives.
+func TestNonDenseHotVariableFallback(t *testing.T) {
+	const n, k, dim = 200, 4, 3
+	points := intPoints(n, dim, 3)
+	cents := initCentroids(points, k)
+	boxed := BoxPoints(points)
+	vars := []float64{1, 2, 3, 4}
+	eng := freeride.New(freeride.Config{Threads: 1, SplitRows: 32})
+	defer eng.Close()
+	onePass := func(cls *core.ReductionClass, opt core.OptLevel) []float64 {
+		t.Helper()
+		tr, err := core.Translate(cls, boxed, opt)
+		if err != nil {
+			t.Fatalf("%s %v: %v", cls.Name, opt, err)
+		}
+		res, err := eng.Run(tr.Spec(), tr.Source())
+		if err != nil {
+			t.Fatalf("%s %v: %v", cls.Name, opt, err)
+		}
+		out := append([]float64(nil), res.Object.Snapshot()...)
+		if err := eng.Release(res); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	sv, err := core.NewWordStateVec(paddedPoints(cents), []string{"coords"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := sv.Dense(); ok {
+		t.Fatal("padded centroids must not have a dense view")
+	}
+	classes := map[string]func(hot *chapel.Array) *core.ReductionClass{
+		"kmeans": func(hot *chapel.Array) *core.ReductionClass { return KMeansClass(k, dim, hot) },
+		"em":     func(hot *chapel.Array) *core.ReductionClass { return EMClass(k, dim, hot, BoxVector(vars)) },
+	}
+	for name, class := range classes {
+		want := onePass(class(BoxPoints(cents)), core.Opt2)
+		for _, opt := range core.OptLevels() {
+			if got := onePass(class(paddedPoints(cents)), opt); !slices.Equal(got, want) {
+				t.Fatalf("%s %v: padded hot variable changes the reduction object", name, opt)
+			}
+		}
 	}
 }
 

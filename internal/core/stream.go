@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -43,20 +42,9 @@ func TranslateStreaming(class *ReductionClass, data *chapel.Array, opt OptLevel,
 	tr.words = make([]float64, tr.rows*tr.cols)
 
 	// Hot variables are prepared eagerly (they are small).
-	t0 := time.Now()
-	for _, hv := range class.HotVars {
-		var sv *StateVec
-		if opt >= Opt2 {
-			sv, err = NewWordStateVec(hv.Value, hv.Path)
-		} else {
-			sv, err = NewBoxedStateVec(hv.Value, hv.Path)
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: hot variable: %w", err)
-		}
-		tr.hot = append(tr.hot, sv)
+	if err := tr.bind(); err != nil {
+		return nil, nil, err
 	}
-	tr.HotLinearizeTime = time.Since(t0)
 
 	// Background linearizer: fill tr.words chunk by chunk, publishing
 	// progress through the stream gate.

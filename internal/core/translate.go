@@ -87,7 +87,9 @@ func (v *Vec) Len() int {
 	return v.meta.InnerLen
 }
 
-// At reads the k-th real (0-based within the run).
+// At reads the k-th real (0-based within the run). The strength-reduced
+// load is the inlined fast path; generated mode leaves through the outlined
+// atMapped.
 func (v *Vec) At(k int) float64 {
 	if v.run != nil {
 		return v.run[k]
@@ -96,26 +98,38 @@ func (v *Vec) At(k int) float64 {
 }
 
 // atMapped is the generated-mode access: Algorithm 3 from the top for every
-// element, Fig. 8's pre-optimization loop body.
+// element, Fig. 8's pre-optimization loop body. Kept out of line so At stays
+// inlinable.
+//
+//go:noinline
 func (v *Vec) atMapped(k int) float64 {
 	idx := [2]int{v.row, v.meta.Lo[1] + k}
 	return v.words[v.meta.ComputeIndex(idx[:]...)]
 }
 
 // Row materializes the element's run as a contiguous slice of length Len().
-// The strength-reduced modes return the run zero-copy; generated mode
-// evaluates ComputeIndex once per element of the run into scratch — exactly
-// the Fig. 8 "after linearization" loop before strength reduction. The
-// per-element evaluations land on the same contiguous run the opt-1 view
-// walks directly (the linearized layout guarantees it), so the two modes
-// return identical values and differ only in cost — generated mode pays the
-// recomputation deliberately, to model the paper's unoptimized output. The
-// equality is pinned by TestGeneratedRowMatchesOpt1Row. scratch must have
-// length at least Len() (use freeride.ReductionArgs.Scratch).
+// The strength-reduced modes return the run zero-copy (the inlined fast
+// path); generated mode evaluates ComputeIndex once per element of the run
+// into scratch — exactly the Fig. 8 "after linearization" loop before
+// strength reduction. The per-element evaluations land on the same
+// contiguous run the opt-1 view walks directly (the linearized layout
+// guarantees it), so the two modes return identical values and differ only
+// in cost — generated mode pays the recomputation deliberately, to model the
+// paper's unoptimized output. The equality is pinned by
+// TestGeneratedRowMatchesOpt1Row. scratch must have length at least Len()
+// (use freeride.ReductionArgs.Scratch).
 func (v *Vec) Row(scratch []float64) []float64 {
 	if v.run != nil {
 		return v.run
 	}
+	return v.rowMapped(scratch)
+}
+
+// rowMapped is Row's generated-mode body, kept out of line so Row stays
+// inlinable.
+//
+//go:noinline
+func (v *Vec) rowMapped(scratch []float64) []float64 {
 	n := v.meta.InnerLen
 	scratch = scratch[:n]
 	for k := 0; k < n; k++ {
@@ -131,21 +145,48 @@ func (v *Vec) Row(scratch []float64) []float64 {
 // in opt-2 mode the variable has been linearized and the access is the
 // mapping algorithm on dense words.
 type StateVec struct {
-	// Opt2 path: flat words plus the two-level mapping constants
-	// (Algorithm 3 specialized to levels=2).
-	flat                   []float64
-	u0, off0, u1, lo0, lo1 int
+	// Opt2 path: flat words plus the two-level mapping constants (Algorithm
+	// 3 specialized to levels=2) with the domain low bounds folded in at
+	// build time: element (i, j) lives at flat[u0*i+u1*j+atOff] and row i
+	// starts at flat[u0*i+rowOff].
+	flat                  []float64
+	u0, u1, rowOff, atOff int
+	// unit is the layout decision bound at build time for the inlined fast
+	// paths of At and Row: linearized with inner stride 1, which is what every
+	// real-array hot variable linearizes to. A one-word flag rather than a
+	// flat != nil test because that is what keeps both methods inside the
+	// inliner's budget (TestHotPathInlines).
+	unit bool
+	// dense is the whole variable as one elems×width row-major block, bound
+	// once at build time when the linearized layout allows it; nil otherwise
+	// (boxed mode, inner stride != 1, padding between rows). refresh rewrites
+	// flat in place, so the view never goes stale.
+	dense []float64
 	// Boxed path (generated/opt-1).
 	boxed *boxedState
-	// shape
-	elems, width int
-	src          *chapel.Array
+	// shape: level-0 length, inner run length, inner domain low bound
+	elems, width, lo1 int
+	src               *chapel.Array
 }
 
-// At reads element (i, j) in the variable's domain indices.
+// At reads element (i, j) in the variable's domain indices. The linearized
+// unit-stride load inlines into the kernel; every other mode leaves through
+// the outlined atSlow.
 func (s *StateVec) At(i, j int) float64 {
+	if s.unit {
+		return s.flat[s.u0*i+j+s.atOff]
+	}
+	return s.atSlow(i, j)
+}
+
+// atSlow is At outside the fast path: the mapping algorithm with an inner
+// stride, or the boxed traversal (generated/opt-1). Kept out of line so At
+// stays inlinable.
+//
+//go:noinline
+func (s *StateVec) atSlow(i, j int) float64 {
 	if s.flat != nil {
-		return s.flat[s.u0*(i-s.lo0)+s.off0+s.u1*(j-s.lo1)]
+		return s.flat[s.u0*i+s.u1*j+s.atOff]
 	}
 	return s.boxed.at(i, j)
 }
@@ -153,33 +194,38 @@ func (s *StateVec) At(i, j int) float64 {
 // Row returns element i's reals as a contiguous slice of length Width(). In
 // opt-2 mode this is a zero-copy view of the linearized words (the mapping
 // arithmetic runs once per row, which is what the paper's generated-then-
-// compiled C achieves through loop-invariant hoisting). In boxed mode the
-// row is materialized into scratch through the boxed structure, paying the
-// per-element traversal cost opt-2 exists to remove; scratch must have
-// length at least Width() (use freeride.ReductionArgs.Scratch).
+// compiled C achieves through loop-invariant hoisting) and inlines into the
+// kernel. In boxed mode the row is materialized into scratch through the
+// boxed structure, paying the per-element traversal cost opt-2 exists to
+// remove; scratch must have length at least Width() (use
+// freeride.ReductionArgs.Scratch).
 func (s *StateVec) Row(i int, scratch []float64) []float64 {
-	if s.flat != nil {
-		base := s.u0*(i-s.lo0) + s.off0
-		return s.flat[base : base+s.width]
+	if s.unit {
+		return s.flat[s.u0*i+s.rowOff:][:s.width]
 	}
+	return s.rowSlow(i, scratch)
+}
+
+// rowSlow is Row outside the fast path: element i gathered into scratch one
+// At at a time. Kept out of line so Row stays inlinable.
+//
+//go:noinline
+func (s *StateVec) rowSlow(i int, scratch []float64) []float64 {
 	scratch = scratch[:s.width]
-	for j := 0; j < s.width; j++ {
-		scratch[j] = s.boxed.at(i, s.boxed.innerLo+j)
+	for j := range scratch {
+		scratch[j] = s.atSlow(i, s.lo1+j)
 	}
 	return scratch
 }
 
 // Dense returns the whole linearized hot variable as one contiguous
-// elems×width row-major block. It is the fully-devirtualized view opt-3
-// block kernels walk: no mapping arithmetic, no branch per access. ok is
-// false in boxed mode (generated/opt-1) or when the linearized layout is
-// not dense (inner unit stride != 1 or padding between rows) — callers fall
-// back to Row/At.
+// elems×width row-major block. It is the fully-devirtualized view kernels
+// fetch once and then walk with no mapping arithmetic and no branch per
+// access. ok is false in boxed mode (generated/opt-1) or when the linearized
+// layout is not dense (inner unit stride != 1 or padding between rows) —
+// callers fall back to Row/At.
 func (s *StateVec) Dense() ([]float64, bool) {
-	if s.flat == nil || s.u1 != 1 || s.u0 != s.width {
-		return nil, false
-	}
-	return s.flat[s.off0 : s.off0+s.elems*s.width], true
+	return s.dense, s.dense != nil
 }
 
 // Elems reports the level-0 domain length.
@@ -198,10 +244,9 @@ func (s *StateVec) refresh() {
 
 // boxedState holds the pre-resolved field index for boxed traversal.
 type boxedState struct {
-	root    *chapel.Array
-	field   int  // record field between the two array levels, or -1
-	vector  bool // [1..n] real addressed as a single 1×n element
-	innerLo int  // inner array's domain low bound
+	root   *chapel.Array
+	field  int  // record field between the two array levels, or -1
+	vector bool // [1..n] real addressed as a single 1×n element
 }
 
 // at walks the boxed structure: array element, optional record field,
@@ -229,7 +274,7 @@ func NewBoxedStateVec(root *chapel.Array, path []string) (*StateVec, error) {
 	switch {
 	case elem.Kind == chapel.KindArray && len(path) == 0:
 		s.width = elem.Len()
-		b.innerLo = elem.Lo
+		s.lo1 = elem.Lo
 	case elem.Kind == chapel.KindRecord && len(path) == 1:
 		f := elem.FieldIndex(path[0])
 		if f < 0 {
@@ -241,11 +286,11 @@ func NewBoxedStateVec(root *chapel.Array, path []string) (*StateVec, error) {
 		}
 		b.field = f
 		s.width = inner.Len()
-		b.innerLo = inner.Lo
+		s.lo1 = inner.Lo
 	case elem.Kind == chapel.KindReal && len(path) == 0:
 		// A flat vector is addressed as one 1×n element.
 		b.vector = true
-		b.innerLo = root.Ty.Lo
+		s.lo1 = root.Ty.Lo
 		s.elems = 1
 		s.width = root.Len()
 	default:
@@ -280,17 +325,22 @@ func NewWordStateVec(root *chapel.Array, path []string) (*StateVec, error) {
 		elems = 1 // vector promoted to 1×n
 	}
 	ap := AffinePlanFromMeta(wmeta, elems, len(words))
-	return &StateVec{
-		flat:  words,
-		u0:    ap.U0,
-		off0:  ap.Off0,
-		u1:    ap.U1,
-		lo0:   wmeta.Lo[0],
-		lo1:   wmeta.Lo[1],
-		elems: elems,
-		width: wmeta.InnerLen,
-		src:   root,
-	}, nil
+	s := &StateVec{
+		flat:   words,
+		u0:     ap.U0,
+		u1:     ap.U1,
+		rowOff: ap.Off0 - ap.U0*wmeta.Lo[0],
+		unit:   ap.U1 == 1,
+		elems:  elems,
+		width:  wmeta.InnerLen,
+		lo1:    wmeta.Lo[1],
+		src:    root,
+	}
+	s.atOff = s.rowOff - ap.U1*s.lo1
+	if s.unit && ap.U0 == s.width {
+		s.dense = words[ap.Off0 : ap.Off0+elems*s.width]
+	}
+	return s, nil
 }
 
 // promoteFlatDataMeta rewrites a 1-level meta ([1..n] of a primitive) as an
@@ -410,6 +460,10 @@ type Translation struct {
 
 	hot []*StateVec
 
+	// spec is the executor for opt, bound once when the translation is built:
+	// every pass of an iterative job runs the same closures.
+	spec freeride.Spec
+
 	// stream is non-nil for TranslateStreaming translations: the source is
 	// gated on the background linearizer.
 	stream *StreamStats
@@ -472,22 +526,31 @@ func TranslateWith(class *ReductionClass, data *chapel.Array, opt OptLevel, o Tr
 	}
 	tr.LinearizeTime = time.Since(t0)
 
-	// Prepare hot-variable access per optimization level.
-	t0 = time.Now()
-	for _, hv := range class.HotVars {
-		var sv *StateVec
-		if opt >= Opt2 {
-			sv, err = NewWordStateVec(hv.Value, hv.Path)
-		} else {
-			sv, err = NewBoxedStateVec(hv.Value, hv.Path)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: hot variable: %w", err)
-		}
-		tr.hot = append(tr.hot, sv)
+	if err := tr.bind(); err != nil {
+		return nil, err
 	}
-	tr.HotLinearizeTime = time.Since(t0)
 	return tr, nil
+}
+
+// bind prepares hot-variable access for the translation's optimization level
+// and builds the executor over them. The words buffer must be allocated (it
+// may still be filling: TranslateStreaming).
+func (t *Translation) bind() error {
+	t0 := time.Now()
+	for _, hv := range t.class.HotVars {
+		build := NewBoxedStateVec
+		if t.opt >= Opt2 {
+			build = NewWordStateVec
+		}
+		sv, err := build(hv.Value, hv.Path)
+		if err != nil {
+			return fmt.Errorf("core: hot variable: %w", err)
+		}
+		t.hot = append(t.hot, sv)
+	}
+	t.HotLinearizeTime = time.Since(t0)
+	t.spec = SpecFromWords(t.class, t.words, t.meta, t.hot, t.opt)
+	return nil
 }
 
 // Opt reports the translation's optimization level.
@@ -528,11 +591,10 @@ func (t *Translation) RefreshHotVars() {
 	t.HotLinearizeTime += time.Since(t0)
 }
 
-// Spec assembles the FREERIDE reduction spec whose Reduction callback is
-// the generated code for the translation's optimization level.
-func (t *Translation) Spec() freeride.Spec {
-	return SpecFromWords(t.class, t.words, t.meta, t.hot, t.opt)
-}
+// Spec returns the FREERIDE reduction spec whose Reduction callback is the
+// generated code for the translation's optimization level. It is assembled
+// once, at translate time; every call returns the same closures.
+func (t *Translation) Spec() freeride.Spec { return t.spec }
 
 // SpecFromWords assembles the optimization-level-specific FREERIDE spec for
 // a reduction class over an already-linearized dataset — the path used when
@@ -558,19 +620,19 @@ func SpecFromWords(class *ReductionClass, words []float64, meta *Meta, hot []*St
 		// Opt-1/Opt-2: strength reduction — "the start point for the
 		// continuous data split is computed before the first iteration,
 		// and an appropriate pre-computed offset is added for each
-		// iteration" (§V). off0 is that pre-computed offset; the constants
-		// come from the shared affine access plan.
+		// iteration" (§V). base is that start point and u0 the per-element
+		// offset; the constants come from the shared affine access plan.
 		ap := AffinePlanFromMeta(meta, 0, len(words))
-		stride := ap.U1
-		inner := ap.Inner
 		u0 := ap.U0
 		off0 := ap.Off0
+		run := ap.Inner * ap.U1
 		spec.Reduction = func(args *freeride.ReductionArgs) error {
 			vec := Vec{}
+			base := u0*args.Begin + off0
 			for i := 0; i < args.NumRows; i++ {
-				base := u0*(args.Begin+i) + off0
-				vec.run = words[base : base+inner*stride]
+				vec.run = words[base : base+run]
 				kernel(&vec, hot, args)
+				base += u0
 			}
 			return nil
 		}

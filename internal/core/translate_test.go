@@ -9,6 +9,7 @@ import (
 	"chapelfreeride/internal/chapel"
 	"chapelfreeride/internal/freeride"
 	"chapelfreeride/internal/robj"
+	"chapelfreeride/internal/sched"
 )
 
 // pointsType is the k-means data shape: [1..n] Point{coords: [1..dim] real}.
@@ -18,16 +19,31 @@ func pointsType(n, dim int) *chapel.Type {
 	return chapel.ArrayType(pt, 1, n)
 }
 
-func makePoints(n, dim int, seed int64) *chapel.Array {
+// paddedPointsType puts a real field in front of coords, so the linearized
+// rows are dim+1 words apart: contiguous runs, but no dense block.
+func paddedPointsType(n, dim int) *chapel.Type {
+	pt := chapel.RecordType("PaddedPoint",
+		chapel.Field{Name: "pad", Type: chapel.RealType()},
+		chapel.Field{Name: "coords", Type: chapel.ArrayType(chapel.RealType(), 1, dim)})
+	return chapel.ArrayType(pt, 1, n)
+}
+
+// fillPoints allocates ty (an array of records with a coords field) and
+// fills every coords run with small integers.
+func fillPoints(ty *chapel.Type, seed int64) *chapel.Array {
 	rng := rand.New(rand.NewSource(seed))
-	data := chapel.NewArray(pointsType(n, dim))
-	for i := 1; i <= n; i++ {
+	data := chapel.NewArray(ty)
+	for i := 1; i <= data.Len(); i++ {
 		c := data.At(i).(*chapel.Record).Field("coords").(*chapel.Array)
-		for j := 1; j <= dim; j++ {
+		for j := 1; j <= c.Len(); j++ {
 			c.SetAt(j, &chapel.Real{Val: float64(rng.Intn(1000))})
 		}
 	}
 	return data
+}
+
+func makePoints(n, dim int, seed int64) *chapel.Array {
+	return fillPoints(pointsType(n, dim), seed)
 }
 
 func makeCentroids(k, dim int, seed int64) *chapel.Array {
@@ -48,9 +64,10 @@ func kmeansClass(k, dim int, centroids *chapel.Array) *ReductionClass {
 		Kernel: func(elem *Vec, hot []*StateVec, args *freeride.ReductionArgs) {
 			cents := hot[0]
 			pt := elem.Row(args.Scratch(0, dim))
+			rowBuf := args.Scratch(1, dim)
 			best, bestDist := 1, math.Inf(1)
 			for c := 1; c <= k; c++ {
-				cc := cents.Row(c, args.Scratch(1, dim))
+				cc := cents.Row(c, rowBuf)
 				var d float64
 				for j := 0; j < dim; j++ {
 					diff := pt[j] - cc[j]
@@ -227,6 +244,68 @@ func TestHotVarShapes(t *testing.T) {
 			t.Fatalf("%v: got %v", opt, got)
 		}
 	}
+	// Record with a field in front of the run: rows are contiguous but the
+	// variable is not one dense block, so kernels that ask for Dense fall
+	// back to Row/At — which must agree with the boxed access at every level.
+	const k, dim = 3, 2
+	padded := fillPoints(paddedPointsType(k, dim), 9)
+	boxed, err := NewBoxedStateVec(padded, []string{"coords"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	word, err := NewWordStateVec(padded, []string{"coords"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := word.Dense(); ok {
+		t.Fatal("padded rows must not claim a dense view")
+	}
+	checkSameAccess(t, "padded", word, boxed, k, dim)
+
+	// Inner stride 2 (an array of two-real records, one field selected):
+	// only the linearized form can address it, through the outlined path.
+	pair := chapel.RecordType("Pair",
+		chapel.Field{Name: "a", Type: chapel.RealType()},
+		chapel.Field{Name: "b", Type: chapel.RealType()})
+	strided := chapel.NewArray(chapel.ArrayType(chapel.ArrayType(pair, 1, dim), 1, k))
+	for i := 1; i <= k; i++ {
+		for j := 1; j <= dim; j++ {
+			rec := strided.At(i).(*chapel.Array).At(j).(*chapel.Record)
+			rec.Fields[0] = &chapel.Real{Val: float64(10*i + j)}
+			rec.Fields[1] = &chapel.Real{Val: -1}
+		}
+	}
+	sv, err := NewWordStateVec(strided, []string{"a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := sv.Dense(); ok {
+		t.Fatal("strided rows must not claim a dense view")
+	}
+	scratch := make([]float64, dim)
+	for i := 1; i <= k; i++ {
+		row := sv.Row(i, scratch)
+		for j := 1; j <= dim; j++ {
+			if want := float64(10*i + j); sv.At(i, j) != want || row[j-1] != want {
+				t.Fatalf("strided (%d,%d): At %v Row %v, want %v", i, j, sv.At(i, j), row[j-1], want)
+			}
+		}
+	}
+}
+
+// checkSameAccess asserts two views of one k×dim hot variable read the same
+// values through At and Row.
+func checkSameAccess(t *testing.T, name string, a, b *StateVec, k, dim int) {
+	t.Helper()
+	sa, sb := make([]float64, dim), make([]float64, dim)
+	for i := 1; i <= k; i++ {
+		ra, rb := a.Row(i, sa), b.Row(i, sb)
+		for j := 1; j <= dim; j++ {
+			if a.At(i, j) != b.At(i, j) || ra[j-1] != rb[j-1] || ra[j-1] != a.At(i, j) {
+				t.Fatalf("%s (%d,%d): At %v/%v Row %v/%v", name, i, j, a.At(i, j), b.At(i, j), ra[j-1], rb[j-1])
+			}
+		}
+	}
 }
 
 func TestRefreshHotVars(t *testing.T) {
@@ -345,37 +424,54 @@ func TestTranslationAccessors(t *testing.T) {
 	}
 }
 
-// Property: all three optimization levels produce identical reduction
-// objects for random k-means inputs (integer coordinates keep float
-// arithmetic exact; the kernel's accumulation order per cell is fixed).
+// Property: every optimization level — generated, opt-1, opt-2 per element,
+// opt-3 fused — produces the reference reduction object bit for bit, for
+// random k-means inputs under a random scheduler × sharing strategy × 1/2/3
+// threads, with the centroids either dense or padded (the Row fallback) and
+// splits short enough that all but the first start at a non-zero Begin
+// (integer coordinates keep float arithmetic exact).
 func TestPropertyOptLevelsEquivalent(t *testing.T) {
-	f := func(seed int64, nRaw uint8, kRaw, dimRaw uint8) bool {
+	policies := []sched.Policy{sched.Static, sched.Dynamic, sched.Guided, sched.WorkStealing}
+	f := func(seed int64, nRaw, kRaw, dimRaw, pick uint8) bool {
 		n := int(nRaw%100) + 10
 		k := int(kRaw%5) + 1
 		dim := int(dimRaw%4) + 1
+		cfg := freeride.Config{
+			Threads:   int(pick%3) + 1,
+			SplitRows: 7,
+			Scheduler: policies[int(pick/3)%len(policies)],
+			Strategy:  robj.Strategies()[int(pick/12)%len(robj.Strategies())],
+		}
 		data := makePoints(n, dim, seed)
 		centroids := makeCentroids(k, dim, seed+1)
+		if pick >= 128 {
+			centroids = fillPoints(paddedPointsType(k, dim), seed+1)
+		}
 		want := kmeansManual(data, centroids, k, dim)
 		for _, opt := range OptLevels() {
-			tr, err := Translate(kmeansClass(k, dim, centroids), data, opt)
+			tr, err := Translate(withBlockKernel(kmeansClass(k, dim, centroids), k, dim), data, opt)
 			if err != nil {
+				t.Log(err)
 				return false
 			}
-			eng := freeride.New(freeride.Config{Threads: 3, SplitRows: 16})
+			eng := freeride.New(cfg)
 			res, err := eng.Run(tr.Spec(), tr.Source())
+			eng.Close()
 			if err != nil {
+				t.Log(err)
 				return false
 			}
 			got := res.Object.Snapshot()
 			for i := range want {
 				if got[i] != want[i] {
+					t.Logf("%v %+v: cell %d = %v, want %v", opt, cfg, i, got[i], want[i])
 					return false
 				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(41))}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(41))}); err != nil {
 		t.Fatal(err)
 	}
 }

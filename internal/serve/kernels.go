@@ -71,6 +71,15 @@ func initialRows(ctx context.Context, src dataset.Source, k int) ([]float64, err
 	return init, nil
 }
 
+// takeCells copies the merged cells out of res and hands its object back to
+// the session pool. Snapshot aliases the pooled object's storage, so a slice
+// kept past Release is overwritten by the next same-shape job on the shared
+// session (TestConcurrentSameShapeJobs).
+func takeCells(eng *freeride.Engine, res *freeride.Result) ([]float64, error) {
+	cells := append([]float64(nil), res.Object.Snapshot()...)
+	return cells, eng.Release(res)
+}
+
 // KMeansOutput is the kmeans kernel's result payload.
 type KMeansOutput struct {
 	// Centroids is the final K×dim centroid matrix, row per cluster.
@@ -126,8 +135,8 @@ func kmeansKernel(ctx context.Context, eng *freeride.Engine, src dataset.Source,
 		if err != nil {
 			return nil, err
 		}
-		sums := res.Object.Snapshot()
-		if err := eng.Release(res); err != nil {
+		sums, err := takeCells(eng, res)
+		if err != nil {
 			return nil, err
 		}
 		next := make([]float64, k*dim)
@@ -182,8 +191,8 @@ func pcaKernel(ctx context.Context, eng *freeride.Engine, src dataset.Source, _ 
 	if err != nil {
 		return nil, err
 	}
-	mean := res.Object.Snapshot()
-	if err := eng.Release(res); err != nil {
+	mean, err := takeCells(eng, res)
+	if err != nil {
 		return nil, err
 	}
 	for j := range mean {
@@ -211,8 +220,8 @@ func pcaKernel(ctx context.Context, eng *freeride.Engine, src dataset.Source, _ 
 	if err != nil {
 		return nil, err
 	}
-	cov := res.Object.Snapshot()
-	if err := eng.Release(res); err != nil {
+	cov, err := takeCells(eng, res)
+	if err != nil {
 		return nil, err
 	}
 	out := &PCAOutput{Mean: mean, Variance: make([]float64, dim)}
@@ -292,8 +301,8 @@ func emKernel(ctx context.Context, eng *freeride.Engine, src dataset.Source, p P
 		if err != nil {
 			return nil, err
 		}
-		sums := res.Object.Snapshot()
-		if err := eng.Release(res); err != nil {
+		sums, err := takeCells(eng, res)
+		if err != nil {
 			return nil, err
 		}
 		next := make([]float64, k*dim)

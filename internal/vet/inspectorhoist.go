@@ -14,8 +14,10 @@ var inspectorBuilders = map[string]bool{
 	"TranslateSparse":  true,
 }
 
-// InspectorHoist flags inspector/index-table construction inside reduction
-// bodies. The inspector–executor contract is that the inspector runs at
+// InspectorHoist flags loop-invariant work left inside reduction bodies:
+// inspector/index-table construction, and args.Scratch look-ups nested in a
+// for (the buffer is the same on every iteration; resolving it once per
+// centroid per point is the call the opt-2 k-means kernel used to pay). The inspector–executor contract is that the inspector runs at
 // translate time — its table proofs (FRV013/FRV014) are what let the
 // executor skip per-element bounds checks — so building a plan inside a
 // Reduction/BlockReduction/Kernel literal re-pays the full sort and
@@ -24,7 +26,7 @@ var inspectorBuilders = map[string]bool{
 // capture the resulting tables instead.
 var InspectorHoist = &Analyzer{
 	Name: "inspectorhoist",
-	Doc:  "inspector plans and index tables must be built at translate time, not inside per-split reduction bodies",
+	Doc:  "inspector plans and index tables must be built at translate time, and scratch buffers fetched above the loop, not inside per-split reduction bodies",
 	Run:  runInspectorHoist,
 }
 
@@ -62,12 +64,30 @@ func runInspectorHoist(pass *Pass) {
 	}
 }
 
-// checkInspectorHoist walks one kernel function literal for inspector
-// construction calls. Matching is syntactic on the callee name (qualified
-// or bare, so dot imports and intra-package calls both hit), consistent
-// with the framework's no-go/types design.
+// checkInspectorHoist walks one kernel function literal for work that
+// belongs above the loop it sits in: inspector construction anywhere in the
+// body, and scratch-buffer look-ups inside a for. Matching is syntactic on
+// the callee name (qualified or bare, so dot imports and intra-package calls
+// both hit), consistent with the framework's no-go/types design.
 func checkInspectorHoist(pass *Pass, field string, fl *ast.FuncLit) {
+	// ast.Inspect reports leaving a node as nil, without saying which: keep
+	// the open nodes' loop flags to know when a for is left.
+	var isLoop []bool
+	loops := 0
 	ast.Inspect(fl.Body, func(n ast.Node) bool {
+		if n == nil {
+			if isLoop[len(isLoop)-1] {
+				loops--
+			}
+			isLoop = isLoop[:len(isLoop)-1]
+			return true
+		}
+		_, isFor := n.(*ast.ForStmt)
+		_, isRange := n.(*ast.RangeStmt)
+		isLoop = append(isLoop, isFor || isRange)
+		if isFor || isRange {
+			loops++
+		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -83,6 +103,9 @@ func checkInspectorHoist(pass *Pass, field string, fl *ast.FuncLit) {
 		}
 		if inspectorBuilders[name] {
 			pass.Report(call, "%s kernel calls %s; inspectors run once at translate time — hoist the plan out of the per-split hot loop and capture its tables", field, name)
+		}
+		if name == "Scratch" && loops > 0 {
+			pass.Report(call, "%s kernel calls Scratch inside a for; loop-invariant scratch look-up: hoist above the loop", field)
 		}
 		return true
 	})

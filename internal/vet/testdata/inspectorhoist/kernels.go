@@ -8,6 +8,8 @@ type Spec struct {
 
 type Args struct{ NumRows int }
 
+func (*Args) Scratch(id, n int) []float64 { return nil }
+
 type core struct{}
 
 func (core) NewInspectorPlan(coo any) any          { return nil }
@@ -36,6 +38,22 @@ func alsoBad(coo any) {
 	_ = s
 }
 
+func scratchInLoop(k, dim int) Spec {
+	return Spec{
+		Reduction: func(args *Args) error {
+			pt := args.Scratch(0, dim)
+			for c := 0; c < k; c++ {
+				cc := args.Scratch(1, dim) //want:inspectorhoist
+				for range pt {
+					_ = args.Scratch(2, dim) //want:inspectorhoist
+				}
+				_ = cc
+			}
+			return nil
+		},
+	}
+}
+
 func good(coo any) Spec {
 	// Hoisted: the plan is built once at translate time, the kernel only
 	// walks the captured tables.
@@ -43,7 +61,9 @@ func good(coo any) Spec {
 	return Spec{
 		Reduction: func(args *Args) error {
 			_ = plan
+			row := args.Scratch(0, 4)
 			for i := 0; i < args.NumRows; i++ {
+				_ = row
 			}
 			return nil
 		},
