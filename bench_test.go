@@ -7,6 +7,7 @@
 package chapelfreeride
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -138,7 +139,7 @@ func BenchmarkAblationRObjStrategies(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Run(spec, src); err != nil {
+				if _, err := eng.RunContext(context.Background(), spec, src); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -166,7 +167,7 @@ func BenchmarkAblationSchedulers(b *testing.B) {
 			eng := freeride.New(freeride.Config{Threads: benchThreads, Scheduler: pol, SplitRows: 2048})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Run(spec, src); err != nil {
+				if _, err := eng.RunContext(context.Background(), spec, src); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -357,7 +358,7 @@ func BenchmarkMicroChapelReduceVsFreeride(b *testing.B) {
 		}
 		src := dataset.NewMemorySource(m)
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.Run(spec, src); err != nil {
+			if _, err := eng.RunContext(context.Background(), spec, src); err != nil {
 				b.Fatal(err)
 			}
 		}

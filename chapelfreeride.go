@@ -16,8 +16,9 @@
 //   - The Map-Reduce baseline (mapreduce) and data layer (dataset).
 //
 // An Engine is a session: its worker pool and object/scheduler pools
-// persist across Runs (hand finished results back with Release to recycle
-// their reduction objects) until Close tears it down.
+// persist across passes (hand finished results back with Release to recycle
+// their reduction objects) until Close tears it down. RunContext is its one
+// entry point; the context cancels the pass.
 //
 // Quick start (see examples/quickstart for the runnable version):
 //
@@ -32,7 +33,9 @@
 //	        return nil
 //	    },
 //	}
-//	res, err := eng.Run(spec, chapelfreeride.NewMemorySource(matrix))
+//	res, err := eng.RunContext(context.Background(), spec, chapelfreeride.NewMemorySource(matrix))
+//	// ... read res.Object, then hand it back for the next pass to reuse:
+//	eng.Release(res)
 package chapelfreeride
 
 import (
@@ -72,9 +75,6 @@ func NewEngine(cfg EngineConfig) *Engine { return freeride.New(cfg) }
 
 // DefaultSplitter is the middleware-provided splitter_t.
 var DefaultSplitter = freeride.DefaultSplitter
-
-// GlobalCombine merges results from several engine runs (all-to-one).
-var GlobalCombine = freeride.GlobalCombine
 
 // Reduction-object strategies and operators (internal/robj).
 type (

@@ -1,6 +1,7 @@
 package chapelfreeride
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -44,7 +45,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 			return nil
 		},
 	}
-	res, err := eng.Run(spec, NewMemorySource(m))
+	res, err := eng.RunContext(context.Background(), spec, NewMemorySource(m))
 	if err != nil {
 		t.Fatal(err)
 	}

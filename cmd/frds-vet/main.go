@@ -2,14 +2,13 @@
 // source tree and prints findings vet-style (file:line:col: analyzer: msg),
 // exiting non-zero when any finding survives.
 //
-//	frds-vet [-analyzers kernelpure,ctxflow,obscount,lockorder,inspectorhoist,rowalias] [dir...]
+//	frds-vet [-analyzers kernelpure,obscount,lockorder,inspectorhoist,rowalias] [dir...]
 //
 // With no directories it analyzes the current directory tree. The analyzers
 // (see internal/vet) check:
 //
 //	kernelpure     — reduction kernels must not write captured state, read
 //	                 time.Now/rand, or spawn goroutines
-//	ctxflow        — internal/ library code must call RunContext/RunIntoContext
 //	obscount       — obs counters registered once at package scope, not in loops
 //	lockorder      — no user callback invoked while a mutex is held
 //	inspectorhoist — inspector plans / index tables built at translate time,

@@ -1,6 +1,7 @@
 package chapelfreeride_test
 
 import (
+	"context"
 	"fmt"
 
 	cf "chapelfreeride"
@@ -27,7 +28,7 @@ func ExampleNewEngine() {
 			return nil
 		},
 	}
-	res, err := eng.Run(spec, cf.NewMemorySource(data))
+	res, err := eng.RunContext(context.Background(), spec, cf.NewMemorySource(data))
 	if err != nil {
 		panic(err)
 	}
@@ -99,7 +100,7 @@ func ExampleTranslate() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := cf.NewEngine(cf.EngineConfig{Threads: 2}).Run(tr.Spec(), tr.Source())
+	res, err := cf.NewEngine(cf.EngineConfig{Threads: 2}).RunContext(context.Background(), tr.Spec(), tr.Source())
 	if err != nil {
 		panic(err)
 	}
@@ -129,7 +130,7 @@ func ExampleNewCluster() {
 			return nil
 		},
 	}
-	res, err := c.Run(spec, cf.NewMemorySource(data))
+	res, err := c.RunContext(context.Background(), spec, cf.NewMemorySource(data))
 	if err != nil {
 		panic(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -37,9 +38,11 @@ func main() {
 		},
 	}
 
-	// Reference: one node (the plain engine).
+	// Reference: one node (the plain engine). The engine and the cluster
+	// take the same context-first call.
+	ctx := context.Background()
 	refEng := cf.NewEngine(cf.EngineConfig{Threads: 2})
-	ref, err := refEng.Run(spec, cf.NewMemorySource(m))
+	ref, err := refEng.RunContext(ctx, spec, cf.NewMemorySource(m))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +61,7 @@ func main() {
 				Transport: tr,
 				Combine:   algo,
 			})
-			res, err := c.Run(spec, cf.NewMemorySource(m))
+			res, err := c.RunContext(ctx, spec, cf.NewMemorySource(m))
 			if err != nil {
 				log.Fatal(err)
 			}

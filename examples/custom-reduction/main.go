@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -68,7 +69,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := eng.Run(tr.Spec(), tr.Source())
+		res, err := eng.RunContext(context.Background(), tr.Spec(), tr.Source())
 		if err != nil {
 			log.Fatal(err)
 		}

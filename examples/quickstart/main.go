@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,8 +18,9 @@ func main() {
 	// 2. FREERIDE: declare a 10-bucket reduction object and a reduction
 	// function that processes each data instance and updates it in place —
 	// map and reduce fused, no intermediate pairs.
-	// The engine is a session: its worker pool persists across Runs until
-	// Close.
+	// The engine is a session: its worker pool persists across passes until
+	// Close. RunContext is its one entry point; the context can cancel the
+	// pass.
 	eng := cf.NewEngine(cf.EngineConfig{Threads: 4})
 	defer eng.Close()
 	spec := cf.Spec{
@@ -31,7 +33,7 @@ func main() {
 			return nil
 		},
 	}
-	res, err := eng.Run(spec, cf.NewMemorySource(data))
+	res, err := eng.RunContext(context.Background(), spec, cf.NewMemorySource(data))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package chapelfreeride
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"testing"
@@ -67,7 +68,7 @@ var points: [1..300] Point;
 		Transport: cluster.TCP,
 		Combine:   cluster.Tree,
 	})
-	res, err := cl.Run(tr.Spec(), tr.Source())
+	res, err := cl.RunContext(context.Background(), tr.Spec(), tr.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestPipelineDiskToKMeans(t *testing.T) {
 				return nil
 			},
 		}
-		res, err := eng.Run(spec, src)
+		res, err := eng.RunContext(context.Background(), spec, src)
 		if err != nil {
 			t.Fatal(err)
 		}

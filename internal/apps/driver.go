@@ -34,9 +34,8 @@ type loopSpec struct {
 // runSessionLoop drives an iterative reduction on a persistent engine
 // session: one RunContext per iteration, the result's reduction object handed
 // back with Release so the next pass reuses it from the session pool. This is
-// the outer loop k-means, EM, and PCA previously each carried a copy of, with
-// manual RunInto object-reuse plumbing in place of the pool. ctx cancels the
-// loop between (and, through the engine, inside) iterations.
+// the one outer loop k-means, EM, and PCA share. ctx cancels the loop
+// between (and, through the engine, inside) iterations.
 func runSessionLoop(ctx context.Context, eng *freeride.Engine, src dataset.Source, timing *Timing, ls loopSpec) error {
 	for it := 0; it < ls.Iterations; it++ {
 		spec := ls.Spec(it)

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -326,7 +327,7 @@ func TestNonDenseHotVariableFallback(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s %v: %v", cls.Name, opt, err)
 		}
-		res, err := eng.Run(tr.Spec(), tr.Source())
+		res, err := eng.RunContext(context.Background(), tr.Spec(), tr.Source())
 		if err != nil {
 			t.Fatalf("%s %v: %v", cls.Name, opt, err)
 		}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -29,7 +30,7 @@ func runPass(t *testing.T, combineSleep time.Duration) {
 	if combineSleep > 0 {
 		spec.Combine = func(o *robj.Object) error { time.Sleep(combineSleep); return nil }
 	}
-	if _, err := freeride.New(freeride.Config{Threads: 2}).Run(spec, dataset.NewMemorySource(m)); err != nil {
+	if _, err := freeride.New(freeride.Config{Threads: 2}).RunContext(context.Background(), spec, dataset.NewMemorySource(m)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -102,10 +102,10 @@ func ensureIngestFiles(dir string, rows int, seed int64) (binPath, csvPath strin
 //	              depth the obs-counter calibration pass chooses
 //	bin-zerocopy  mmap-backed source whose splits alias the page cache
 //
-// — on both the single-engine and the simulated-cluster (RunFile, each node
-// mapping its shard) paths, against a measured memcpy baseline: the cost of
-// just copying the payload once, which bounds what any copying ingestion
-// path can reach. Throughput is rows/sec; the speedup column is vs the
+// — on both the single-engine and the simulated-cluster (RunFileContext,
+// each node mapping its shard) paths, against a measured memcpy baseline:
+// the cost of just copying the payload once, which bounds what any copying
+// ingestion path can reach. Throughput is rows/sec; the speedup column is vs the
 // csv-boxed row at the same thread count.
 func ablIngest(p Params) (*Table, error) {
 	rows := maxInt(4096, int(float64(ingestFullRows)*p.Scale))

@@ -57,13 +57,13 @@ type ReportParams struct {
 // metrics where the experiment provides them plus the printed table, so
 // plotting pipelines and regression trackers can consume either.
 type Report struct {
-	Exp       string       `json:"exp"`
-	Title     string       `json:"title"`
-	Params    ReportParams `json:"params"`
-	Columns   []string     `json:"columns"`
-	Rows      [][]string   `json:"rows"`
-	Metrics   []Metric     `json:"metrics,omitempty"`
-	Notes     []string     `json:"notes,omitempty"`
+	Exp     string       `json:"exp"`
+	Title   string       `json:"title"`
+	Params  ReportParams `json:"params"`
+	Columns []string     `json:"columns"`
+	Rows    [][]string   `json:"rows"`
+	Metrics []Metric     `json:"metrics,omitempty"`
+	Notes   []string     `json:"notes,omitempty"`
 	// PassLatency is the engine pass-latency quantile summary for the
 	// passes this experiment ran (attached by freeride-bench from the
 	// histogram's before/after states); absent when no passes ran.

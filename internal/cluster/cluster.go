@@ -161,16 +161,16 @@ type Result struct {
 	Stats Stats
 }
 
-// ErrClusterClosed reports a Run on a cluster whose session has been closed.
+// ErrClusterClosed reports a pass on a cluster whose session has been closed.
 var ErrClusterClosed = errors.New("cluster: cluster is closed")
 
 // Cluster executes FREERIDE specs across simulated nodes. Like the engine it
 // is built on, a Cluster is a session: each node's freeride.Engine (and its
 // worker pool, scheduler pool, and reduction-object pool) is created on the
-// first Run and reused by every subsequent pass, and with the TCP transport
+// first pass and reused by every subsequent one, and with the TCP transport
 // the global-combination connections are dialed once and kept for the
 // cluster's lifetime. Close releases all of it; a closed cluster rejects
-// further Runs.
+// further passes.
 type Cluster struct {
 	cfg Config
 
@@ -187,7 +187,7 @@ type Cluster struct {
 	runMu sync.Mutex
 }
 
-// New creates a cluster session. Node engines start lazily on the first Run.
+// New creates a cluster session. Node engines start lazily on the first pass.
 func New(cfg Config) *Cluster { return &Cluster{cfg: cfg.withDefaults()} }
 
 // Config returns the effective configuration.
@@ -334,35 +334,39 @@ func nodeSource(src dataset.Source, lo, hi int) dataset.Source {
 	return sub
 }
 
-// globalBegin is the context key-free mechanism by which reduction
-// functions can learn their global row offset: the engine's args.Begin is
-// node-local, so specs that need global indices should add the per-node
-// offset themselves. Run rewrites the spec's Reduction to do this
-// transparently by adding the node's base offset to args.Begin.
+// offsetSpec makes a node pass see global row indices: the engine's Begin
+// is node-local, so both kernel forms are wrapped to add the node's base
+// offset to it for the duration of each call. Kernels that index by Begin
+// (translated fused kernels, sparse executors) then read their own rows,
+// not node 0's.
 func offsetSpec(spec freeride.Spec, base int) freeride.Spec {
-	inner := spec.Reduction
-	spec.Reduction = func(args *freeride.ReductionArgs) error {
-		args.Begin += base
-		err := inner(args)
-		args.Begin -= base
-		return err
+	if inner := spec.Reduction; inner != nil {
+		spec.Reduction = func(args *freeride.ReductionArgs) error {
+			args.Begin += base
+			err := inner(args)
+			args.Begin -= base
+			return err
+		}
+	}
+	if inner := spec.BlockReduction; inner != nil {
+		spec.BlockReduction = func(args *freeride.BlockArgs) error {
+			args.Begin += base
+			err := inner(args)
+			args.Begin -= base
+			return err
+		}
 	}
 	return spec
 }
 
-// Run executes the spec over the dataset across the simulated cluster:
-// block-partition, per-node multicore reduction, then global combination
-// over the configured transport. The spec's Finalize hook, if any, runs
-// once on the combined result, mirroring single-node semantics. Specs using
-// LocalInit state are not supported across nodes (the engine-level API
-// covers that case on one node).
-func (c *Cluster) Run(spec freeride.Spec, src dataset.Source) (*Result, error) {
-	return c.RunContext(context.Background(), spec, src)
-}
-
-// RunContext is Run under a context: every node's engine pass inherits ctx
-// (so one cancellation stops all nodes' workers), and a cancelled cluster
-// run returns ctx.Err() without entering global combination.
+// RunContext executes the spec over the dataset across the simulated
+// cluster: block-partition, per-node multicore reduction, then global
+// combination over the configured transport. The spec's Finalize hook, if
+// any, runs once on the combined result, mirroring single-node semantics.
+// Specs using LocalInit state are not supported across nodes (the engine
+// covers that case on one node). Every node's engine pass inherits ctx (so
+// one cancellation stops all nodes' workers), and a cancelled cluster run
+// returns ctx.Err() without entering global combination.
 func (c *Cluster) RunContext(ctx context.Context, spec freeride.Spec, src dataset.Source) (*Result, error) {
 	if src == nil {
 		return nil, errors.New("cluster: nil data source")
@@ -372,20 +376,16 @@ func (c *Cluster) RunContext(ctx context.Context, spec freeride.Spec, src datase
 	})
 }
 
-// RunFile executes the spec over a binary dataset file
-// (dataset.WriteFileLayout format): each simulated node memory-maps the file
-// locally and reduces over its block partition, so row-major files feed
-// every node's engine zero-copy — the distributed analogue of handing the
-// engine a dataset.MappedFile. This mirrors how FREERIDE nodes read their
-// own disks: the coordinator ships no rows; each node opens its shard
-// itself, and shared pages come from one page-cache copy.
-func (c *Cluster) RunFile(spec freeride.Spec, path string) (*Result, error) {
-	return c.RunFileContext(context.Background(), spec, path)
-}
-
-// RunFileContext is RunFile under a context. Each node's mapping lives
-// exactly as long as its engine pass; when mapping is unavailable the node
-// degrades to positional reads with identical results.
+// RunFileContext executes the spec over a binary dataset file
+// (dataset.WriteFileLayout format), with RunContext's semantics: each
+// simulated node memory-maps the file locally and reduces over its block
+// partition, so row-major files feed every node's engine zero-copy — the
+// distributed analogue of handing the engine a dataset.MappedFile. This
+// mirrors how FREERIDE nodes read their own disks: the coordinator ships no
+// rows; each node opens its shard itself, and shared pages come from one
+// page-cache copy. Each node's mapping lives exactly as long as its engine
+// pass; when mapping is unavailable the node degrades to positional reads
+// with identical results.
 func (c *Cluster) RunFileContext(ctx context.Context, spec freeride.Spec, path string) (*Result, error) {
 	// Probe the header once for the partition row count; each node then
 	// opens its own mapping.
@@ -498,7 +498,7 @@ func (c *Cluster) runContext(ctx context.Context, spec freeride.Spec, totalRows 
 				errs[n] = oerr
 				return
 			}
-			results[n], errs[n] = engines[n].RunContextWithJob(ctx, offsetSpec(spec, lo), nsrc, nodeJobs[n])
+			results[n], errs[n] = engines[n].RunContext(obs.WithJob(ctx, nodeJobs[n]), offsetSpec(spec, lo), nsrc)
 			if closer != nil {
 				if cerr := closer(); cerr != nil && errs[n] == nil {
 					errs[n] = cerr

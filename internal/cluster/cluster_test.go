@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"path/filepath"
@@ -19,6 +20,24 @@ func histSpec(buckets int) freeride.Spec {
 	return freeride.Spec{
 		Object: freeride.ObjectSpec{Groups: buckets, Elems: 2, Op: robj.OpAdd},
 		Reduction: func(a *freeride.ReductionArgs) error {
+			for i := 0; i < a.NumRows; i++ {
+				b := int(a.Row(i)[0])
+				a.Accumulate(b, 0, 1)
+				a.Accumulate(b, 1, float64(a.Begin+i))
+			}
+			return nil
+		},
+	}
+}
+
+// blockHistSpec is histSpec as a fused BlockReduction kernel. Like the
+// translated opt-3 kernels and the sparse executors it relies on
+// BlockArgs.Begin being the global row index, so a node pass that saw its
+// node-local Begin would corrupt the index-sum cells.
+func blockHistSpec(buckets int) freeride.Spec {
+	return freeride.Spec{
+		Object: freeride.ObjectSpec{Groups: buckets, Elems: 2, Op: robj.OpAdd},
+		BlockReduction: func(a *freeride.BlockArgs) error {
 			for i := 0; i < a.NumRows; i++ {
 				b := int(a.Row(i)[0])
 				a.Accumulate(b, 0, 1)
@@ -52,39 +71,48 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 	const n, buckets = 5000, 7
 	m := bucketData(n, buckets)
 	want := expected(m, buckets)
-	for _, transport := range []Transport{InProcess, TCP} {
-		for _, algo := range []CombineAlgo{AllToOne, Tree} {
-			for _, nodes := range []int{1, 2, 3, 4, 8} {
-				c := New(Config{
-					Nodes:     nodes,
-					PerNode:   freeride.Config{Threads: 2, SplitRows: 64},
-					Transport: transport,
-					Combine:   algo,
-				})
-				res, err := c.Run(histSpec(buckets), dataset.NewMemorySource(m))
-				if err != nil {
-					t.Fatalf("%v/%v/nodes=%d: %v", transport, algo, nodes, err)
-				}
-				got := res.Object.Snapshot()
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%v/%v/nodes=%d: cell %d = %v, want %v",
-							transport, algo, nodes, i, got[i], want[i])
+	kernels := []struct {
+		name string
+		spec func(int) freeride.Spec
+	}{{"per-element", histSpec}, {"block", blockHistSpec}}
+	for _, kernel := range kernels {
+		for _, transport := range []Transport{InProcess, TCP} {
+			for _, algo := range []CombineAlgo{AllToOne, Tree} {
+				for _, nodes := range []int{1, 2, 3, 4, 8} {
+					c := New(Config{
+						Nodes:     nodes,
+						PerNode:   freeride.Config{Threads: 2, SplitRows: 64},
+						Transport: transport,
+						Combine:   algo,
+					})
+					res, err := c.RunContext(context.Background(), kernel.spec(buckets), dataset.NewMemorySource(m))
+					if err != nil {
+						t.Fatalf("%s/%v/%v/nodes=%d: %v", kernel.name, transport, algo, nodes, err)
 					}
-				}
-				// Partition stats must cover the dataset exactly.
-				total := 0
-				for _, r := range res.Stats.NodeRows {
-					total += r
-				}
-				if total != n || len(res.Stats.NodeRows) != nodes {
-					t.Fatalf("%v/%v/nodes=%d: partition %v", transport, algo, nodes, res.Stats.NodeRows)
-				}
-				if transport == TCP && nodes > 1 && res.Stats.BytesMoved == 0 {
-					t.Fatalf("TCP with %d nodes moved no bytes", nodes)
-				}
-				if transport == InProcess && res.Stats.BytesMoved != 0 {
-					t.Fatal("in-process transport should move no bytes")
+					got := res.Object.Snapshot()
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%s/%v/%v/nodes=%d: cell %d = %v, want %v",
+								kernel.name, transport, algo, nodes, i, got[i], want[i])
+						}
+					}
+					// Partition stats must cover the dataset exactly.
+					total := 0
+					for _, r := range res.Stats.NodeRows {
+						total += r
+					}
+					if total != n || len(res.Stats.NodeRows) != nodes {
+						t.Fatalf("%s/%v/%v/nodes=%d: partition %v", kernel.name, transport, algo, nodes, res.Stats.NodeRows)
+					}
+					if transport == TCP && nodes > 1 && res.Stats.BytesMoved == 0 {
+						t.Fatalf("TCP with %d nodes moved no bytes", nodes)
+					}
+					if transport == InProcess && res.Stats.BytesMoved != 0 {
+						t.Fatal("in-process transport should move no bytes")
+					}
+					if err := c.Close(); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 		}
@@ -103,7 +131,7 @@ func TestClusterRunFileMatchesMemory(t *testing.T) {
 		}
 		for _, nodes := range []int{1, 2, 3} {
 			c := New(Config{Nodes: nodes, PerNode: freeride.Config{Threads: 2, SplitRows: 128}})
-			res, err := c.RunFile(histSpec(buckets), path)
+			res, err := c.RunFileContext(context.Background(), histSpec(buckets), path)
 			if err != nil {
 				t.Fatalf("%v/nodes=%d: %v", layout, nodes, err)
 			}
@@ -126,7 +154,7 @@ func TestClusterRunFileMatchesMemory(t *testing.T) {
 func TestClusterRunFileMissing(t *testing.T) {
 	c := New(Config{Nodes: 2})
 	defer c.Close()
-	if _, err := c.RunFile(histSpec(2), filepath.Join(t.TempDir(), "nope.frds")); err == nil {
+	if _, err := c.RunFileContext(context.Background(), histSpec(2), filepath.Join(t.TempDir(), "nope.frds")); err == nil {
 		t.Fatal("missing file: want error")
 	}
 }
@@ -149,7 +177,7 @@ func TestClusterRounds(t *testing.T) {
 	}
 	for _, c := range cases {
 		cl := New(Config{Nodes: c.nodes, PerNode: freeride.Config{Threads: 1}, Combine: c.algo})
-		res, err := cl.Run(histSpec(2), dataset.NewMemorySource(m))
+		res, err := cl.RunContext(context.Background(), histSpec(2), dataset.NewMemorySource(m))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +199,7 @@ func TestClusterFinalizeRunsOnceOnCombined(t *testing.T) {
 		return nil
 	}
 	c := New(Config{Nodes: 4, PerNode: freeride.Config{Threads: 1}})
-	if _, err := c.Run(spec, dataset.NewMemorySource(m)); err != nil {
+	if _, err := c.RunContext(context.Background(), spec, dataset.NewMemorySource(m)); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {
@@ -179,7 +207,7 @@ func TestClusterFinalizeRunsOnceOnCombined(t *testing.T) {
 	}
 	// Finalize errors propagate.
 	spec.Finalize = func(r *freeride.Result) error { return errors.New("final boom") }
-	if _, err := c.Run(spec, dataset.NewMemorySource(m)); err == nil {
+	if _, err := c.RunContext(context.Background(), spec, dataset.NewMemorySource(m)); err == nil {
 		t.Fatal("finalize error should propagate")
 	}
 }
@@ -187,16 +215,16 @@ func TestClusterFinalizeRunsOnceOnCombined(t *testing.T) {
 func TestClusterValidation(t *testing.T) {
 	m := bucketData(10, 2)
 	c := New(Config{Nodes: 2})
-	if _, err := c.Run(freeride.Spec{}, dataset.NewMemorySource(m)); !errors.Is(err, freeride.ErrNoReduction) {
+	if _, err := c.RunContext(context.Background(), freeride.Spec{}, dataset.NewMemorySource(m)); !errors.Is(err, freeride.ErrNoReduction) {
 		t.Fatalf("want ErrNoReduction, got %v", err)
 	}
-	if _, err := c.Run(histSpec(2), nil); err == nil {
+	if _, err := c.RunContext(context.Background(), histSpec(2), nil); err == nil {
 		t.Fatal("nil source: want error")
 	}
 	spec := histSpec(2)
 	spec.LocalInit = func() any { return 0 }
 	spec.LocalCombine = func(a, b any) any { return a }
-	if _, err := c.Run(spec, dataset.NewMemorySource(m)); err == nil {
+	if _, err := c.RunContext(context.Background(), spec, dataset.NewMemorySource(m)); err == nil {
 		t.Fatal("LocalInit across nodes: want error")
 	}
 	// Reduction errors on any node propagate.
@@ -210,7 +238,7 @@ func TestClusterValidation(t *testing.T) {
 			return nil
 		},
 	}
-	if _, err := c.Run(spec, dataset.NewMemorySource(m)); !errors.Is(err, boom) {
+	if _, err := c.RunContext(context.Background(), spec, dataset.NewMemorySource(m)); !errors.Is(err, boom) {
 		t.Fatalf("want node error, got %v", err)
 	}
 }
@@ -254,7 +282,7 @@ func TestClusterEmptyNodesTolerated(t *testing.T) {
 	// 3 rows over 8 nodes: five nodes process nothing.
 	m := bucketData(3, 2)
 	c := New(Config{Nodes: 8, PerNode: freeride.Config{Threads: 2}, Transport: TCP})
-	res, err := c.Run(histSpec(2), dataset.NewMemorySource(m))
+	res, err := c.RunContext(context.Background(), histSpec(2), dataset.NewMemorySource(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +311,7 @@ func TestPropertyClusterEqualsSingleNode(t *testing.T) {
 			Transport: transport,
 			Combine:   algo,
 		})
-		res, err := c.Run(histSpec(5), dataset.NewMemorySource(m))
+		res, err := c.RunContext(context.Background(), histSpec(5), dataset.NewMemorySource(m))
 		if err != nil {
 			return false
 		}

@@ -53,7 +53,7 @@ func TestClusterRecoversThroughRetrySource(t *testing.T) {
 			dataset.FaultConfig{Rate: 0.3, Seed: 11, FailCount: 2}),
 		4, 100*time.Microsecond)
 	c := New(Config{Nodes: 3, PerNode: freeride.Config{Threads: 2, SplitRows: 64}, Transport: TCP})
-	res, err := c.Run(histSpec(buckets), faulty)
+	res, err := c.RunContext(context.Background(), histSpec(buckets), faulty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestClusterRecoversThroughRetrySource(t *testing.T) {
 	// Without the retry layer the injected faults surface.
 	bare := dataset.NewFaultSource(dataset.NewMemorySource(m),
 		dataset.FaultConfig{Rate: 0.3, Seed: 11, FailCount: 2})
-	if _, err := c.Run(histSpec(buckets), bare); !errors.Is(err, dataset.ErrInjectedFault) {
+	if _, err := c.RunContext(context.Background(), histSpec(buckets), bare); !errors.Is(err, dataset.ErrInjectedFault) {
 		t.Fatalf("want injected fault to surface, got %v", err)
 	}
 }

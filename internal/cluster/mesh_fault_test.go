@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -50,7 +51,7 @@ func TestMeshFaultBreaksAndRebuilds(t *testing.T) {
 		c.Release(res)
 	}
 
-	res, err := c.Run(histSpec(buckets), src)
+	res, err := c.RunContext(context.Background(), histSpec(buckets), src)
 	if err != nil {
 		t.Fatalf("healthy pass: %v", err)
 	}
@@ -63,7 +64,7 @@ func TestMeshFaultBreaksAndRebuilds(t *testing.T) {
 	dialedBefore := obs.Default.Value("cluster_conns_dialed_total")
 	first.recv[1].Close()
 
-	if _, err := c.Run(histSpec(buckets), src); err == nil {
+	if _, err := c.RunContext(context.Background(), histSpec(buckets), src); err == nil {
 		t.Fatal("pass over a killed connection reported success")
 	}
 	if !first.broken.Load() {
@@ -75,7 +76,7 @@ func TestMeshFaultBreaksAndRebuilds(t *testing.T) {
 
 	// The pass after the fault rebuilds the fabric from scratch and produces
 	// the reference answer again.
-	res, err = c.Run(histSpec(buckets), src)
+	res, err = c.RunContext(context.Background(), histSpec(buckets), src)
 	if err != nil {
 		t.Fatalf("pass after fault: %v", err)
 	}
@@ -97,7 +98,7 @@ func TestBrokenMeshRefusesReuse(t *testing.T) {
 	m := bucketData(400, buckets)
 	c := New(Config{Nodes: 2, PerNode: freeride.Config{Threads: 1}, Transport: TCP})
 	defer c.Close()
-	if res, err := c.Run(histSpec(buckets), dataset.NewMemorySource(m)); err != nil {
+	if res, err := c.RunContext(context.Background(), histSpec(buckets), dataset.NewMemorySource(m)); err != nil {
 		t.Fatal(err)
 	} else {
 		c.Release(res)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -40,7 +41,7 @@ func TestClusterObservabilityTCP(t *testing.T) {
 	defer c.Close()
 
 	src := dataset.NewMemorySource(dataset.UniformMatrix(rows, 2, 7, 0, 1))
-	res, err := c.Run(obsSumSpec(), src)
+	res, err := c.RunContext(context.Background(), obsSumSpec(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestClusterObservabilityInProcess(t *testing.T) {
 	c := New(Config{Nodes: nodes, PerNode: freeride.Config{Threads: 2}})
 	defer c.Close()
 	src := dataset.NewMemorySource(dataset.UniformMatrix(rows, 1, 3, 0, 1))
-	res, err := c.Run(obsSumSpec(), src)
+	res, err := c.RunContext(context.Background(), obsSumSpec(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestClusterEventLogCarriesJob(t *testing.T) {
 	c := New(Config{Nodes: 2, PerNode: freeride.Config{Threads: 1}})
 	defer c.Close()
 	src := dataset.NewMemorySource(dataset.UniformMatrix(200, 1, 5, 0, 1))
-	res, err := c.Run(obsSumSpec(), src)
+	res, err := c.RunContext(context.Background(), obsSumSpec(), src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"testing"
 
 	"chapelfreeride/internal/dataset"
@@ -10,7 +11,7 @@ import (
 )
 
 // TestClusterTCPConnReuse: the TCP mesh dials once and reuses its framed
-// connections across passes — the second and third Run add zero dials and
+// connections across passes — the second and third pass add zero dials and
 // bump the reuse counter instead, and every pass produces the single-node
 // answer.
 func TestClusterTCPConnReuse(t *testing.T) {
@@ -24,7 +25,7 @@ func TestClusterTCPConnReuse(t *testing.T) {
 	reusedBefore := obs.Default.Value("cluster_conn_reuses_total")
 	var dialedAfterFirst int64
 	for pass := 0; pass < 3; pass++ {
-		res, err := c.Run(histSpec(buckets), dataset.NewMemorySource(m))
+		res, err := c.RunContext(context.Background(), histSpec(buckets), dataset.NewMemorySource(m))
 		if err != nil {
 			t.Fatalf("pass %d: %v", pass, err)
 		}
@@ -54,7 +55,7 @@ func TestClusterTCPConnReuse(t *testing.T) {
 func TestClusterClosedRejectsWork(t *testing.T) {
 	m := bucketData(500, 4)
 	c := New(Config{Nodes: 2, PerNode: freeride.Config{Threads: 1}})
-	if _, err := c.Run(histSpec(4), dataset.NewMemorySource(m)); err != nil {
+	if _, err := c.RunContext(context.Background(), histSpec(4), dataset.NewMemorySource(m)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {
@@ -63,8 +64,8 @@ func TestClusterClosedRejectsWork(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if _, err := c.Run(histSpec(4), dataset.NewMemorySource(m)); err != ErrClusterClosed {
-		t.Fatalf("Run after Close = %v, want ErrClusterClosed", err)
+	if _, err := c.RunContext(context.Background(), histSpec(4), dataset.NewMemorySource(m)); err != ErrClusterClosed {
+		t.Fatalf("RunContext after Close = %v, want ErrClusterClosed", err)
 	}
 }
 
@@ -82,7 +83,7 @@ func TestClusterEmptySourceIdentity(t *testing.T) {
 				return nil
 			},
 		}
-		res, err := c.Run(spec, empty)
+		res, err := c.RunContext(context.Background(), spec, empty)
 		if err != nil {
 			t.Fatalf("%v: %v", tr, err)
 		}
@@ -103,7 +104,7 @@ func TestClusterReleaseRecyclesCombined(t *testing.T) {
 	m := bucketData(1000, 4)
 	c := New(Config{Nodes: 2, PerNode: freeride.Config{Threads: 2}})
 	defer c.Close()
-	res1, err := c.Run(histSpec(4), dataset.NewMemorySource(m))
+	res1, err := c.RunContext(context.Background(), histSpec(4), dataset.NewMemorySource(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestClusterReleaseRecyclesCombined(t *testing.T) {
 	if res1.Object != nil {
 		t.Fatal("Release left res.Object set")
 	}
-	res2, err := c.Run(histSpec(4), dataset.NewMemorySource(m))
+	res2, err := c.RunContext(context.Background(), histSpec(4), dataset.NewMemorySource(m))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -68,7 +69,7 @@ func TestOpt3FusedMatchesReference(t *testing.T) {
 	}
 	for _, threads := range []int{1, 4} {
 		eng := freeride.New(freeride.Config{Threads: threads, SplitRows: 32})
-		res, err := eng.Run(spec, tr.Source())
+		res, err := eng.RunContext(context.Background(), spec, tr.Source())
 		if err != nil {
 			t.Fatalf("threads=%d: %v", threads, err)
 		}

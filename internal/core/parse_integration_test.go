@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"chapelfreeride/internal/chapel"
@@ -112,7 +113,7 @@ var points: [1..40] Point;
 			t.Fatalf("%v: %v", opt, err)
 		}
 		eng := freeride.New(freeride.Config{Threads: 2, SplitRows: 8})
-		res, err := eng.Run(tr.Spec(), tr.Source())
+		res, err := eng.RunContext(context.Background(), tr.Spec(), tr.Source())
 		if err != nil {
 			t.Fatal(err)
 		}

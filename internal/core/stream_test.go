@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"chapelfreeride/internal/freeride"
@@ -18,7 +19,7 @@ func TestStreamingTranslationMatchesEager(t *testing.T) {
 				t.Fatalf("%v: %v", opt, err)
 			}
 			eng := freeride.New(freeride.Config{Threads: 3, SplitRows: 64})
-			res, err := eng.Run(tr.Spec(), tr.Source())
+			res, err := eng.RunContext(context.Background(), tr.Spec(), tr.Source())
 			if err != nil {
 				t.Fatalf("%v/chunk=%d: %v", opt, chunkRows, err)
 			}
@@ -49,12 +50,12 @@ func TestStreamingTranslationSecondPassUnblocked(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := freeride.New(freeride.Config{Threads: 2, SplitRows: 32})
-	if _, err := eng.Run(tr.Spec(), tr.Source()); err != nil {
+	if _, err := eng.RunContext(context.Background(), tr.Spec(), tr.Source()); err != nil {
 		t.Fatal(err)
 	}
 	st.Wait()
 	before := st.Waits()
-	if _, err := eng.Run(tr.Spec(), tr.Source()); err != nil {
+	if _, err := eng.RunContext(context.Background(), tr.Spec(), tr.Source()); err != nil {
 		t.Fatal(err)
 	}
 	if st.Waits() != before {

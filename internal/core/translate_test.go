@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -123,7 +124,7 @@ func TestTranslateAllLevelsMatchReference(t *testing.T) {
 		}
 		for _, threads := range []int{1, 4} {
 			eng := freeride.New(freeride.Config{Threads: threads, SplitRows: 64})
-			res, err := eng.Run(tr.Spec(), tr.Source())
+			res, err := eng.RunContext(context.Background(), tr.Spec(), tr.Source())
 			if err != nil {
 				t.Fatalf("%v/threads=%d: %v", opt, threads, err)
 			}
@@ -214,7 +215,7 @@ func TestHotVarShapes(t *testing.T) {
 			t.Fatalf("%v: hot shape %dx%d", opt, tr.hot[0].Elems(), tr.hot[0].Width())
 		}
 		eng := freeride.New(freeride.Config{Threads: 2, SplitRows: 2})
-		res, err := eng.Run(tr.Spec(), tr.Source())
+		res, err := eng.RunContext(context.Background(), tr.Spec(), tr.Source())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +237,7 @@ func TestHotVarShapes(t *testing.T) {
 			t.Fatalf("%v: %v", opt, err)
 		}
 		eng := freeride.New(freeride.Config{Threads: 1})
-		res, err := eng.Run(tr.Spec(), tr.Source())
+		res, err := eng.RunContext(context.Background(), tr.Spec(), tr.Source())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,7 +327,7 @@ func TestRefreshHotVars(t *testing.T) {
 	}
 	eng := freeride.New(freeride.Config{Threads: 1})
 	run := func() float64 {
-		res, err := eng.Run(tr.Spec(), tr.Source())
+		res, err := eng.RunContext(context.Background(), tr.Spec(), tr.Source())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,7 +351,7 @@ func TestRefreshHotVars(t *testing.T) {
 		t.Fatal(err)
 	}
 	weights.SetAt(1, &chapel.Real{Val: 3})
-	res, err := eng.Run(tr1.Spec(), tr1.Source())
+	res, err := eng.RunContext(context.Background(), tr1.Spec(), tr1.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +456,7 @@ func TestPropertyOptLevelsEquivalent(t *testing.T) {
 				return false
 			}
 			eng := freeride.New(cfg)
-			res, err := eng.Run(tr.Spec(), tr.Source())
+			res, err := eng.RunContext(context.Background(), tr.Spec(), tr.Source())
 			eng.Close()
 			if err != nil {
 				t.Log(err)

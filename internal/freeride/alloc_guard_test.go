@@ -3,6 +3,7 @@
 package freeride
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 
 // TestSessionSteadyStateAllocs is the allocation-regression guard for the
 // session architecture (run explicitly in CI): once a session is warm, a
-// Run+Release pass reuses the pooled reduction object, scheduler, split
+// RunContext+Release pass reuses the pooled reduction object, scheduler, split
 // table, and per-worker buffers, so steady-state allocations are a small
 // per-pass constant (observability spans, the Result) — independent of the
 // split count. The raceless build is required because -race instrumentation
@@ -37,7 +38,7 @@ func TestSessionSteadyStateAllocs(t *testing.T) {
 	eng := New(Config{Threads: 4, SplitRows: 64, Scheduler: sched.Dynamic})
 	defer eng.Close()
 	for i := 0; i < 3; i++ { // warm the session pools
-		res, err := eng.Run(spec, src)
+		res, err := eng.RunContext(context.Background(), spec, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +47,7 @@ func TestSessionSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		res, err := eng.Run(spec, src)
+		res, err := eng.RunContext(context.Background(), spec, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +87,7 @@ func TestFusedPassAllocs(t *testing.T) {
 	eng := New(Config{Threads: 4, SplitRows: 64, Scheduler: sched.Dynamic})
 	defer eng.Close()
 	for i := 0; i < 3; i++ { // warm the session pools and worker block buffers
-		res, err := eng.Run(spec, src)
+		res, err := eng.RunContext(context.Background(), spec, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +96,7 @@ func TestFusedPassAllocs(t *testing.T) {
 		}
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		res, err := eng.Run(spec, src)
+		res, err := eng.RunContext(context.Background(), spec, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +141,7 @@ func TestSparseFusedPassAllocs(t *testing.T) {
 	eng := New(Config{Threads: 4, SplitRows: 64, Scheduler: sched.Dynamic})
 	defer eng.Close()
 	for i := 0; i < 3; i++ { // warm the session pools and worker hash maps
-		res, err := eng.Run(spec, src)
+		res, err := eng.RunContext(context.Background(), spec, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +150,7 @@ func TestSparseFusedPassAllocs(t *testing.T) {
 		}
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		res, err := eng.Run(spec, src)
+		res, err := eng.RunContext(context.Background(), spec, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +199,7 @@ func TestZeroCopyPassAllocs(t *testing.T) {
 	eng := New(Config{Threads: 4, SplitRows: 64, Scheduler: sched.Dynamic})
 	defer eng.Close()
 	for i := 0; i < 3; i++ { // warm the session pools
-		res, err := eng.Run(spec, src)
+		res, err := eng.RunContext(context.Background(), spec, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +208,7 @@ func TestZeroCopyPassAllocs(t *testing.T) {
 		}
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		res, err := eng.Run(spec, src)
+		res, err := eng.RunContext(context.Background(), spec, src)
 		if err != nil {
 			t.Fatal(err)
 		}

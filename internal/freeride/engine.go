@@ -36,8 +36,8 @@ func init() {
 		func() float64 { return float64(jobsInflight.Load()) })
 }
 
-// ErrEngineClosed reports a Run or Start on an engine whose session has been
-// closed.
+// ErrEngineClosed reports a RunContext or Start on an engine whose session
+// has been closed.
 var ErrEngineClosed = errors.New("freeride: engine is closed")
 
 // ticket is one unit of pool work: worker slot `slot` of job `j`. A job
@@ -67,13 +67,13 @@ type workerState struct {
 }
 
 // Engine executes reduction Specs over data Sources. It is a session: the
-// first Run (or an explicit Start) spins up a persistent pool of
-// Config.Threads workers, and every Run*, from any goroutine, submits a job
-// to that pool — multiple independent jobs may be in flight concurrently.
-// Schedulers, split tables, and reduction objects are pooled per engine and
-// reused across passes, so steady-state iterative workloads pay no per-pass
-// setup. Close drains in-flight jobs and releases the pool; a closed engine
-// rejects further Runs.
+// first RunContext (or an explicit Start) spins up a persistent pool of
+// Config.Threads workers, and every RunContext, from any goroutine, submits
+// a job to that pool — multiple independent jobs may be in flight
+// concurrently. Schedulers, split tables, and reduction objects are pooled
+// per engine and reused across passes, so steady-state iterative workloads
+// pay no per-pass setup. Close drains in-flight jobs and releases the pool;
+// a closed engine rejects further passes.
 type Engine struct {
 	cfg Config
 
@@ -102,7 +102,7 @@ type Engine struct {
 }
 
 // New creates an engine session with the given configuration. The worker
-// pool starts lazily on the first Run; call Start to front-load it.
+// pool starts lazily on the first RunContext; call Start to front-load it.
 func New(cfg Config) *Engine {
 	return &Engine{cfg: cfg.withDefaults(), objects: robj.NewPool()}
 }
@@ -111,7 +111,7 @@ func New(cfg Config) *Engine {
 func (e *Engine) Config() Config { return e.cfg }
 
 // Start spins up the session's persistent worker pool. It is idempotent;
-// Run calls it implicitly. Start after Close returns ErrEngineClosed.
+// RunContext calls it implicitly. Start after Close returns ErrEngineClosed.
 func (e *Engine) Start() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -193,7 +193,7 @@ func (e *Engine) worker(p int, measureCPU bool) {
 }
 
 // Release returns a finished Result's reduction object to the engine's
-// session pool so the next Run with the same object shape reuses it instead
+// session pool so the next pass with the same object shape reuses it instead
 // of allocating. After Release the caller must not touch the object or any
 // slice obtained from its Snapshot; res.Object is nilled to make accidental
 // reuse fail fast. Releasing a nil result (or one without an object) is a

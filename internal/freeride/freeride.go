@@ -25,9 +25,10 @@
 //
 // The package is organized as a persistent execution service: an Engine is a
 // session owning a long-lived worker pool plus pooled schedulers and
-// reduction objects (engine.go), and each Run submits one job to that pool
-// (job.go). This file holds the API surface shared by both: specs, stats,
-// splitters, and the global combination helpers.
+// reduction objects (engine.go), and each RunContext call submits one job to
+// that pool (job.go). This file holds the API surface shared by both: specs,
+// stats, and splitters. The global combination across nodes lives in
+// internal/cluster.
 package freeride
 
 import (
@@ -44,7 +45,7 @@ import (
 	"chapelfreeride/internal/verify"
 )
 
-// Engine phase names as recorded in the obs layer: each Run emits one span
+// Engine phase names as recorded in the obs layer: each pass emits one span
 // per phase into the run's trace (Stats.Spans, obs.Log) and adds the phase's
 // wall time to the cumulative counter freeride_phase_ns_total{phase=...}.
 // Together with robj's and sched's counters they quantify the paper's three
@@ -299,7 +300,7 @@ func (s Spec) Verify() verify.Diagnostics {
 	})
 }
 
-// Stats is the timing breakdown of a Run.
+// Stats is the timing breakdown of a pass.
 type Stats struct {
 	// Job is the pass's job id (obs.NextJobID, process-unique). Cluster
 	// passes run every node's engine pass under the coordinator's id.
@@ -464,64 +465,4 @@ func validateSplits(splits []sched.Chunk, totalRows int) error {
 		return fmt.Errorf("freeride: splitter covered %d of %d rows", covered, totalRows)
 	}
 	return nil
-}
-
-// GlobalCombine merges the reduction objects produced by several engine runs
-// (e.g. one per node in a cluster) into the first, using the all-to-one
-// combination the paper describes for the global phase. Results that carry
-// only user-managed Local state (LocalInit-only specs leave Object nil) are
-// rejected with a descriptive error — merge those with GlobalCombineLocal.
-func GlobalCombine(results []*Result) (*Result, error) {
-	if len(results) == 0 {
-		return nil, errors.New("freeride: GlobalCombine of no results")
-	}
-	t0 := time.Now()
-	out := results[0]
-	if out == nil || out.Object == nil {
-		return nil, errors.New("freeride: GlobalCombine needs cell-based reduction objects; " +
-			"results carrying only LocalInit state are merged with GlobalCombineLocal")
-	}
-	for i, r := range results[1:] {
-		if r == nil || r.Object == nil {
-			return nil, fmt.Errorf("freeride: GlobalCombine: result %d has no reduction object", i+1)
-		}
-		if err := out.Object.CombineFrom(r.Object); err != nil {
-			return nil, err
-		}
-	}
-	phaseNS[PhaseGlobalCombine].Add(int64(time.Since(t0)))
-	return out, nil
-}
-
-// GlobalCombineLocal merges results carrying user-managed LocalInit state:
-// combine (the spec's LocalCombine) folds every Local into the first
-// result's, in result order. When the results also carry cell-based objects
-// those are folded too, so mixed specs need only one call.
-func GlobalCombineLocal(results []*Result, combine func(dst, src any) any) (*Result, error) {
-	if len(results) == 0 {
-		return nil, errors.New("freeride: GlobalCombineLocal of no results")
-	}
-	if combine == nil {
-		return nil, errors.New("freeride: GlobalCombineLocal needs the spec's LocalCombine function")
-	}
-	t0 := time.Now()
-	out := results[0]
-	if out == nil {
-		return nil, errors.New("freeride: GlobalCombineLocal: nil result 0")
-	}
-	merged := out.Local
-	for i, r := range results[1:] {
-		if r == nil {
-			return nil, fmt.Errorf("freeride: GlobalCombineLocal: nil result %d", i+1)
-		}
-		merged = combine(merged, r.Local)
-		if out.Object != nil && r.Object != nil {
-			if err := out.Object.CombineFrom(r.Object); err != nil {
-				return nil, err
-			}
-		}
-	}
-	out.Local = merged
-	phaseNS[PhaseGlobalCombine].Add(int64(time.Since(t0)))
-	return out, nil
 }

@@ -1,6 +1,7 @@
 package freeride
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -43,7 +44,7 @@ func TestRunSumMatchesSequential(t *testing.T) {
 	want := seqSum(m)
 	for _, threads := range []int{1, 2, 4, 8} {
 		e := New(Config{Threads: threads, SplitRows: 128})
-		res, err := e.Run(sumSpec(), src)
+		res, err := e.RunContext(context.Background(), sumSpec(), src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +68,7 @@ func TestRunAllStrategiesAndSchedulers(t *testing.T) {
 	for _, st := range robj.Strategies() {
 		for _, pol := range sched.Policies() {
 			e := New(Config{Threads: 4, Strategy: st, Scheduler: pol, SplitRows: 100})
-			res, err := e.Run(sumSpec(), src)
+			res, err := e.RunContext(context.Background(), sumSpec(), src)
 			if err != nil {
 				t.Fatalf("%v/%v: %v", st, pol, err)
 			}
@@ -91,7 +92,7 @@ func TestRunFromFileSource(t *testing.T) {
 	}
 	defer src.Close()
 	e := New(Config{Threads: 4, SplitRows: 64})
-	res, err := e.Run(sumSpec(), src)
+	res, err := e.RunContext(context.Background(), sumSpec(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestRunHistogramGroups(t *testing.T) {
 		},
 	}
 	e := New(Config{Threads: 4, SplitRows: 37})
-	res, err := e.Run(spec, dataset.NewMemorySource(m))
+	res, err := e.RunContext(context.Background(), spec, dataset.NewMemorySource(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,15 +132,15 @@ func TestRunHistogramGroups(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	src := dataset.NewMemorySource(dataset.UniformMatrix(10, 1, 1, 0, 1))
 	e := New(Config{Threads: 2})
-	if _, err := e.Run(Spec{Object: ObjectSpec{Groups: 1, Elems: 1}}, src); !errors.Is(err, ErrNoReduction) {
+	if _, err := e.RunContext(context.Background(), Spec{Object: ObjectSpec{Groups: 1, Elems: 1}}, src); !errors.Is(err, ErrNoReduction) {
 		t.Fatalf("want ErrNoReduction, got %v", err)
 	}
-	if _, err := e.Run(sumSpec(), nil); err == nil {
+	if _, err := e.RunContext(context.Background(), sumSpec(), nil); err == nil {
 		t.Fatal("nil source: want error")
 	}
 	bad := sumSpec()
 	bad.Object.Groups = 0
-	if _, err := e.Run(bad, src); err == nil {
+	if _, err := e.RunContext(context.Background(), bad, src); err == nil {
 		t.Fatal("bad object shape: want error")
 	}
 }
@@ -157,7 +158,7 @@ func TestReductionErrorPropagates(t *testing.T) {
 		},
 	}
 	e := New(Config{Threads: 4, SplitRows: 10})
-	if _, err := e.Run(spec, src); !errors.Is(err, boom) {
+	if _, err := e.RunContext(context.Background(), spec, src); !errors.Is(err, boom) {
 		t.Fatalf("want boom, got %v", err)
 	}
 }
@@ -178,7 +179,7 @@ func TestCombineAndFinalizeHooks(t *testing.T) {
 		return nil
 	}
 	e := New(Config{Threads: 2})
-	if _, err := e.Run(spec, src); err != nil {
+	if _, err := e.RunContext(context.Background(), spec, src); err != nil {
 		t.Fatal(err)
 	}
 	if !combined || !finalized {
@@ -186,12 +187,12 @@ func TestCombineAndFinalizeHooks(t *testing.T) {
 	}
 	// Hook errors propagate.
 	spec.Combine = func(o *robj.Object) error { return errors.New("combine fail") }
-	if _, err := e.Run(spec, src); err == nil || err.Error() != "combine fail" {
+	if _, err := e.RunContext(context.Background(), spec, src); err == nil || err.Error() != "combine fail" {
 		t.Fatalf("combine error: %v", err)
 	}
 	spec.Combine = nil
 	spec.Finalize = func(r *Result) error { return errors.New("finalize fail") }
-	if _, err := e.Run(spec, src); err == nil || err.Error() != "finalize fail" {
+	if _, err := e.RunContext(context.Background(), spec, src); err == nil || err.Error() != "finalize fail" {
 		t.Fatalf("finalize error: %v", err)
 	}
 }
@@ -205,7 +206,7 @@ func TestCustomSplitterAndValidation(t *testing.T) {
 		return []sched.Chunk{{Begin: 0, End: 10}, {Begin: 10, End: 95}, {Begin: 95, End: 100}}
 	}
 	e := New(Config{Threads: 3})
-	res, err := e.Run(spec, src)
+	res, err := e.RunContext(context.Background(), spec, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ func TestCustomSplitterAndValidation(t *testing.T) {
 	}
 	for i, bad := range badSplitters {
 		spec.Splitter = bad
-		if _, err := e.Run(spec, src); err == nil {
+		if _, err := e.RunContext(context.Background(), spec, src); err == nil {
 			t.Fatalf("bad splitter %d accepted", i)
 		}
 	}
@@ -254,30 +255,6 @@ func TestDefaultSplitter(t *testing.T) {
 	chunks = DefaultSplitter(5, 0)
 	if len(chunks) != 1 || chunks[0].Len() != 5 {
 		t.Fatalf("chunks = %+v", chunks)
-	}
-}
-
-func TestGlobalCombine(t *testing.T) {
-	m := dataset.UniformMatrix(100, 2, 5, 0, 1)
-	src := dataset.NewMemorySource(m)
-	e := New(Config{Threads: 2})
-	r1, err := e.Run(sumSpec(), src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := e.Run(sumSpec(), src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := GlobalCombine([]*Result{r1, r2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := out.Object.Get(0, 0), 2*seqSum(m); math.Abs(got-want) > 1e-6 {
-		t.Fatalf("got %v want %v", got, want)
-	}
-	if _, err := GlobalCombine(nil); err == nil {
-		t.Fatal("empty GlobalCombine: want error")
 	}
 }
 
@@ -314,7 +291,7 @@ func TestPropertyOrderIndependence(t *testing.T) {
 		}
 		want := seqSum(m)
 		e := New(Config{Threads: threads, SplitRows: splitRows, Scheduler: pol, Strategy: st})
-		res, err := e.Run(sumSpec(), dataset.NewMemorySource(m))
+		res, err := e.RunContext(context.Background(), sumSpec(), dataset.NewMemorySource(m))
 		if err != nil {
 			return false
 		}
@@ -363,7 +340,7 @@ func TestUserManagedLocalState(t *testing.T) {
 	// slice; engine must hand the same args struct to every split.
 	for _, threads := range []int{1, 4} {
 		e := New(Config{Threads: threads, SplitRows: 64})
-		res, err := e.Run(spec, dataset.NewMemorySource(m))
+		res, err := e.RunContext(context.Background(), spec, dataset.NewMemorySource(m))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -385,12 +362,12 @@ func TestLocalStateValidation(t *testing.T) {
 		LocalInit: func() any { return 0 },
 		Reduction: func(a *ReductionArgs) error { return nil },
 	}
-	if _, err := e.Run(spec, src); err == nil {
+	if _, err := e.RunContext(context.Background(), spec, src); err == nil {
 		t.Fatal("missing LocalCombine: want error")
 	}
 	// Neither object shape nor local state.
 	spec = Spec{Reduction: func(a *ReductionArgs) error { return nil }}
-	if _, err := e.Run(spec, src); err == nil {
+	if _, err := e.RunContext(context.Background(), spec, src); err == nil {
 		t.Fatal("no reduction object at all: want error")
 	}
 	// Accumulate without a cell object panics with a clear message.
@@ -407,45 +384,7 @@ func TestLocalStateValidation(t *testing.T) {
 			return nil
 		},
 	}
-	if _, err := e.Run(spec, src); err != nil {
+	if _, err := e.RunContext(context.Background(), spec, src); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRunInto(t *testing.T) {
-	m := dataset.UniformMatrix(1000, 1, 9, 0, 1)
-	src := dataset.NewMemorySource(m)
-	e := New(Config{Threads: 2, SplitRows: 100})
-	first, err := e.Run(sumSpec(), src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := first.Object.Get(0, 0)
-	// Reuse across several passes: same answer, same object.
-	obj := first.Object
-	for pass := 0; pass < 3; pass++ {
-		res, err := e.RunInto(sumSpec(), src, obj)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Object != obj {
-			t.Fatal("RunInto should reuse the given object")
-		}
-		if got := res.Object.Get(0, 0); got != want {
-			t.Fatalf("pass %d: got %v want %v", pass, got, want)
-		}
-	}
-	// Mismatches are rejected.
-	if _, err := e.RunInto(sumSpec(), src, nil); err == nil {
-		t.Fatal("nil reuse: want error")
-	}
-	other := sumSpec()
-	other.Object.Elems = 2
-	if _, err := e.RunInto(other, src, obj); err == nil {
-		t.Fatal("shape mismatch: want error")
-	}
-	e2 := New(Config{Threads: 4})
-	if _, err := e2.RunInto(sumSpec(), src, obj); err == nil {
-		t.Fatal("worker-count mismatch: want error")
 	}
 }

@@ -82,7 +82,7 @@ func TestPropertyFusedMatchesPerElement(t *testing.T) {
 		fusedEng := New(cfg)
 		defer fusedEng.Close()
 		for i := 0; i < 2; i++ {
-			res, err := fusedEng.Run(fusedSpec, src)
+			res, err := fusedEng.RunContext(context.Background(), fusedSpec, src)
 			if err != nil {
 				t.Log(err)
 				return false
@@ -92,7 +92,7 @@ func TestPropertyFusedMatchesPerElement(t *testing.T) {
 				return false
 			}
 		}
-		fusedRes, err := fusedEng.Run(fusedSpec, src)
+		fusedRes, err := fusedEng.RunContext(context.Background(), fusedSpec, src)
 		if err != nil {
 			t.Log(err)
 			return false
@@ -101,7 +101,7 @@ func TestPropertyFusedMatchesPerElement(t *testing.T) {
 
 		elemEng := New(cfg)
 		defer elemEng.Close()
-		elemRes, err := elemEng.Run(elemSpec, src)
+		elemRes, err := elemEng.RunContext(context.Background(), elemSpec, src)
 		if err != nil {
 			t.Log(err)
 			return false
@@ -150,13 +150,13 @@ func TestFusedPrefersBlockOverElement(t *testing.T) {
 	}
 	eng := New(Config{Threads: 2, SplitRows: 16})
 	defer eng.Close()
-	res, err := eng.Run(both, dataset.NewMemorySource(m))
+	res, err := eng.RunContext(context.Background(), both, dataset.NewMemorySource(m))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := New(Config{Threads: 2, SplitRows: 16})
 	defer ref.Close()
-	want, err := ref.Run(elemSpec, dataset.NewMemorySource(m))
+	want, err := ref.RunContext(context.Background(), elemSpec, dataset.NewMemorySource(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestFusedEmptySourceIdentity(t *testing.T) {
 				return nil
 			},
 		}
-		res, err := eng.Run(spec, empty)
+		res, err := eng.RunContext(context.Background(), spec, empty)
 		if err != nil {
 			t.Fatalf("op %v: %v", op, err)
 		}
@@ -228,11 +228,11 @@ func TestFusedSpecValidation(t *testing.T) {
 	eng := New(Config{Threads: 1})
 	defer eng.Close()
 
-	if _, err := eng.Run(Spec{}, src); !errors.Is(err, ErrNoReduction) {
+	if _, err := eng.RunContext(context.Background(), Spec{}, src); !errors.Is(err, ErrNoReduction) {
 		t.Fatalf("empty spec: want ErrNoReduction, got %v", err)
 	}
 	noObj := Spec{BlockReduction: func(*BlockArgs) error { return nil }}
-	if _, err := eng.Run(noObj, src); err == nil || !strings.Contains(err.Error(), "cell-based reduction object") {
+	if _, err := eng.RunContext(context.Background(), noObj, src); err == nil || !strings.Contains(err.Error(), "cell-based reduction object") {
 		t.Fatalf("BlockReduction without object shape: got %v", err)
 	}
 	withLocal := Spec{
@@ -241,7 +241,7 @@ func TestFusedSpecValidation(t *testing.T) {
 		LocalInit:      func() any { return nil },
 		LocalCombine:   func(dst, src any) any { return dst },
 	}
-	if _, err := eng.Run(withLocal, src); err == nil || !strings.Contains(err.Error(), "LocalInit") {
+	if _, err := eng.RunContext(context.Background(), withLocal, src); err == nil || !strings.Contains(err.Error(), "LocalInit") {
 		t.Fatalf("BlockReduction with LocalInit: got %v", err)
 	}
 }

@@ -109,7 +109,7 @@ func TestReductionErrorStopsScheduler(t *testing.T) {
 	label := obs.Label{Key: "policy", Value: "dynamic"}
 	before := obs.Default.Value("sched_chunks_total", label)
 	failedBefore := obs.Default.Value("freeride_runs_failed_total")
-	_, err := New(Config{Threads: 4, SplitRows: splitRows}).Run(spec, dataset.NewMemorySource(m))
+	_, err := New(Config{Threads: 4, SplitRows: splitRows}).RunContext(context.Background(), spec, dataset.NewMemorySource(m))
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
@@ -129,7 +129,7 @@ func TestFailedRunFlushesTrace(t *testing.T) {
 	spec := sumSpec()
 	spec.Reduction = func(*ReductionArgs) error { return errors.New("fail") }
 	before := obs.Log.Len()
-	if _, err := New(Config{Threads: 2}).Run(spec, dataset.NewMemorySource(m)); err == nil {
+	if _, err := New(Config{Threads: 2}).RunContext(context.Background(), spec, dataset.NewMemorySource(m)); err == nil {
 		t.Fatal("expected error")
 	}
 	after := obs.Log.Len()
@@ -144,7 +144,7 @@ func TestFailedRunFlushesTrace(t *testing.T) {
 		return []sched.Chunk{{Begin: 5, End: totalRows}} // does not tile [0, totalRows)
 	}
 	before = obs.Log.Len()
-	if _, err := New(Config{Threads: 2}).Run(spec, dataset.NewMemorySource(m)); err == nil {
+	if _, err := New(Config{Threads: 2}).RunContext(context.Background(), spec, dataset.NewMemorySource(m)); err == nil {
 		t.Fatal("expected splitter validation error")
 	}
 	if after := obs.Log.Len(); after == before && after < 512 {
@@ -164,7 +164,7 @@ func TestCombineValidationAndFinalizeFlush(t *testing.T) {
 		mut(&spec)
 		failedBefore := obs.Default.Value("freeride_runs_failed_total")
 		logBefore := obs.Log.Len()
-		if _, err := New(Config{Threads: 2}).Run(spec, dataset.NewMemorySource(m)); err == nil {
+		if _, err := New(Config{Threads: 2}).RunContext(context.Background(), spec, dataset.NewMemorySource(m)); err == nil {
 			t.Fatalf("%s: expected error", name)
 		}
 		if d := obs.Default.Value("freeride_runs_failed_total") - failedBefore; d != 1 {
@@ -186,86 +186,9 @@ func TestCombineRequiresCellObject(t *testing.T) {
 		LocalCombine: func(dst, src any) any { return dst },
 		Combine:      func(o *robj.Object) error { _ = o.Get(0, 0); return nil }, // would panic on nil o
 	}
-	_, err := New(Config{Threads: 2}).Run(spec, dataset.NewMemorySource(m))
+	_, err := New(Config{Threads: 2}).RunContext(context.Background(), spec, dataset.NewMemorySource(m))
 	if err == nil || !strings.Contains(err.Error(), "Combine requires a cell-based reduction object") {
 		t.Fatalf("err = %v, want descriptive validation error", err)
-	}
-}
-
-// TestGlobalCombineLocalOnlyResults: GlobalCombine no longer panics on
-// LocalInit-only results, and GlobalCombineLocal merges them.
-func TestGlobalCombineLocalOnlyResults(t *testing.T) {
-	m := dataset.UniformMatrix(1000, 1, 3, 0, 1)
-	spec := Spec{
-		Reduction: func(a *ReductionArgs) error {
-			sum := a.Local.(float64)
-			for _, v := range a.Data {
-				sum += v
-			}
-			a.Local = sum
-			return nil
-		},
-		LocalInit:    func() any { return 0.0 },
-		LocalCombine: func(dst, src any) any { return dst.(float64) + src.(float64) },
-	}
-	eng := New(Config{Threads: 2})
-	src := dataset.NewMemorySource(m)
-	r1, err := eng.Run(spec, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := eng.Run(spec, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := GlobalCombine([]*Result{r1, r2}); err == nil {
-		t.Fatal("GlobalCombine of LocalInit-only results should error, not panic")
-	} else if !strings.Contains(err.Error(), "GlobalCombineLocal") {
-		t.Fatalf("error should point at GlobalCombineLocal: %v", err)
-	}
-
-	want := r1.Local.(float64) + r2.Local.(float64)
-	merged, err := GlobalCombineLocal([]*Result{r1, r2}, spec.LocalCombine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := merged.Local.(float64); got != want {
-		t.Fatalf("merged local = %v, want %v", got, want)
-	}
-
-	if _, err := GlobalCombineLocal([]*Result{r1, r2}, nil); err == nil {
-		t.Fatal("GlobalCombineLocal without a combine function should error")
-	}
-	if _, err := GlobalCombineLocal(nil, spec.LocalCombine); err == nil {
-		t.Fatal("GlobalCombineLocal of no results should error")
-	}
-}
-
-// TestRunIntoMismatchErrors: every RunInto precondition failure is a
-// descriptive error, not a corrupted pass.
-func TestRunIntoMismatchErrors(t *testing.T) {
-	m := dataset.UniformMatrix(500, 1, 1, 0, 1)
-	src := dataset.NewMemorySource(m)
-	eng := New(Config{Threads: 2})
-	res, err := eng.Run(sumSpec(), src)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := eng.RunInto(sumSpec(), src, nil); err == nil {
-		t.Fatal("nil reuse object accepted")
-	}
-	shape := sumSpec()
-	shape.Object.Elems = 7
-	if _, err := eng.RunInto(shape, src, res.Object); err == nil ||
-		!strings.Contains(err.Error(), "does not match spec") {
-		t.Fatalf("shape mismatch err = %v", err)
-	}
-	other := New(Config{Threads: 3})
-	if _, err := other.RunInto(sumSpec(), src, res.Object); err == nil ||
-		!strings.Contains(err.Error(), "workers") {
-		t.Fatalf("worker-count mismatch err = %v", err)
 	}
 }
 
@@ -275,21 +198,21 @@ func TestRunIntoMismatchErrors(t *testing.T) {
 func TestRunRecoversThroughRetrySource(t *testing.T) {
 	m := dataset.UniformMatrix(20_000, 2, 5, 0, 1)
 	eng := New(Config{Threads: 4, SplitRows: 128})
-	clean, err := eng.Run(sumSpec(), dataset.NewMemorySource(m))
+	clean, err := eng.RunContext(context.Background(), sumSpec(), dataset.NewMemorySource(m))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	faultCfg := dataset.FaultConfig{Rate: 0.3, Seed: 11, FailCount: 2}
 	faulty := dataset.NewFaultSource(dataset.NewMemorySource(m), faultCfg)
-	if _, err := eng.Run(sumSpec(), faulty); err == nil {
+	if _, err := eng.RunContext(context.Background(), sumSpec(), faulty); err == nil {
 		t.Fatal("fault injection without retry should fail the run")
 	} else if !errors.Is(err, dataset.ErrInjectedFault) {
 		t.Fatalf("err = %v, want injected fault", err)
 	}
 
 	retriesBefore := obs.Default.Value("dataset_read_retries_total")
-	recovered, err := eng.Run(sumSpec(),
+	recovered, err := eng.RunContext(context.Background(), sumSpec(),
 		dataset.NewRetrySource(dataset.NewFaultSource(dataset.NewMemorySource(m), faultCfg), 4, time.Millisecond))
 	if err != nil {
 		t.Fatalf("retry layer should recover the run: %v", err)
@@ -305,7 +228,7 @@ func TestRunRecoversThroughRetrySource(t *testing.T) {
 		dataset.NewFaultSource(dataset.NewMemorySource(m),
 			dataset.FaultConfig{Rate: 0.3, PermanentRate: 1, Seed: 11}),
 		4, time.Millisecond)
-	if _, err := eng.Run(sumSpec(), perm); err == nil {
+	if _, err := eng.RunContext(context.Background(), sumSpec(), perm); err == nil {
 		t.Fatal("permanent faults should fail the run through the retry layer")
 	} else if !dataset.IsPermanent(err) {
 		t.Fatalf("err = %v, want permanent fault", err)

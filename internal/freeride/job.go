@@ -3,7 +3,6 @@ package freeride
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -101,7 +100,7 @@ func (j *job) runSlot(slot int, ws *workerState) {
 		j.jm.Add("freeride_block_flushes_total", blockFlushes)
 		j.jm.Add("freeride_rows_fused_total", rowsFused)
 	}()
-	// Fused path: validated by run() to imply a cell-based object and no
+	// Fused path: validated by RunContext to imply a cell-based object and no
 	// LocalInit. The worker-local accumulation buffer comes from the pool
 	// worker's persistent state, so steady-state fused passes allocate
 	// nothing per split.
@@ -215,73 +214,26 @@ func (j *job) runSlot(slot int, ws *workerState) {
 	}
 }
 
-// Run executes one reduction pass: split, parallel local reduction, local
-// combination, user combination, finalize. The returned Result's Object is
-// merged and ready for Get/Snapshot; hand it back with Engine.Release when
-// done to let the next pass reuse the allocation.
-func (e *Engine) Run(spec Spec, src dataset.Source) (*Result, error) {
-	return e.run(context.Background(), spec, src, nil, 0)
-}
-
-// RunContext is Run under a context: workers check for cancellation between
-// splits and stop draining the scheduler, in-flight reads through
-// context-aware sources (dataset.ContextSource) are abandoned, and the call
-// returns ctx.Err() promptly — even while a worker is still blocked inside a
-// slow source read. First error wins; a cancelled run returns no partial
-// result.
+// RunContext executes one reduction pass — split, parallel local reduction,
+// local combination, user combination, finalize — as one job on the
+// session's worker pool, and is the engine's only entry point. The returned
+// Result's Object is merged and ready for Get/Snapshot; hand it back with
+// Engine.Release when done so the next pass reuses the allocation.
+//
+// ctx governs the pass: workers check for cancellation between splits and
+// stop draining the scheduler, in-flight reads through context-aware sources
+// (dataset.ContextSource) are abandoned, and the call returns ctx.Err()
+// promptly — even while a worker is still blocked inside a slow source read.
+// First error wins; a cancelled or failed pass returns no partial result,
+// and the two outcomes are counted disjointly. A source with zero rows
+// yields an identity-valued reduction object (no splits are scheduled, so
+// the merged object holds the Op's identity in every cell).
+//
+// The pass runs under the job id ctx carries (obs.WithJob) — how a
+// coordinator such as the cluster layer runs several node passes as one job
+// and aggregates their traces and counter deltas — or under a freshly minted
+// one when ctx carries none.
 func (e *Engine) RunContext(ctx context.Context, spec Spec, src dataset.Source) (*Result, error) {
-	return e.run(ctx, spec, src, nil, 0)
-}
-
-// RunContextWithJob is RunContext under a caller-minted job id, so a
-// coordinator (the cluster layer) can run several node engine passes under
-// one job and aggregate their traces and counter deltas. A zero id mints a
-// fresh one, making it equivalent to RunContext.
-func (e *Engine) RunContextWithJob(ctx context.Context, spec Spec, src dataset.Source, job obs.JobID) (*Result, error) {
-	return e.run(ctx, spec, src, nil, job)
-}
-
-// RunInto is Run reusing the reduction object of a previous Result: reuse
-// is Reset and refilled in place. It predates the engine's session pool —
-// new code can simply Run and Release, which pools objects without manual
-// plumbing — but remains for callers that want explicit control. reuse must
-// have been produced by a prior Run with the same object shape, operator,
-// sharing strategy, and thread count.
-func (e *Engine) RunInto(spec Spec, src dataset.Source, reuse *robj.Object) (*Result, error) {
-	return e.RunIntoContext(context.Background(), spec, src, reuse)
-}
-
-// RunIntoContext is RunInto under a context, with RunContext's cancellation
-// semantics. A cancelled or failed pass leaves reuse partially filled; Reset
-// it (or hand it back to RunInto, which Resets) before reusing.
-func (e *Engine) RunIntoContext(ctx context.Context, spec Spec, src dataset.Source, reuse *robj.Object) (*Result, error) {
-	if reuse == nil {
-		return nil, errors.New("freeride: RunInto needs a reduction object to reuse")
-	}
-	if reuse.Groups() != spec.Object.Groups || reuse.ElemsPerGroup() != spec.Object.Elems ||
-		reuse.Op() != spec.Object.Op {
-		return nil, fmt.Errorf("freeride: RunInto object %dx%d/%v does not match spec %dx%d/%v",
-			reuse.Groups(), reuse.ElemsPerGroup(), reuse.Op(),
-			spec.Object.Groups, spec.Object.Elems, spec.Object.Op)
-	}
-	if reuse.Strategy() != e.cfg.Strategy || reuse.Workers() != e.cfg.Threads {
-		return nil, fmt.Errorf("freeride: RunInto object built for %v/%d workers, engine uses %v/%d — "+
-			"objects are engine-scoped; instead of carrying one across engines, use the session pool: "+
-			"Run on the target engine and hand finished results back with Release",
-			reuse.Strategy(), reuse.Workers(), e.cfg.Strategy, e.cfg.Threads)
-	}
-	reuse.Reset()
-	return e.run(ctx, spec, src, reuse, 0)
-}
-
-// run validates the spec, submits one job to the worker pool, waits for it,
-// and assembles the Result, preserving the one-shot engine's semantics:
-// first error wins, cancellation returns promptly even past a blocked
-// straggler, failed and cancelled passes are counted disjointly, and a
-// source with zero rows yields an identity-valued reduction object (no
-// splits are scheduled, so the merged object holds the Op's identity in
-// every cell).
-func (e *Engine) run(ctx context.Context, spec Spec, src dataset.Source, obj *robj.Object, jobID obs.JobID) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -299,7 +251,8 @@ func (e *Engine) run(ctx context.Context, spec Spec, src dataset.Source, obj *ro
 		return nil, err
 	}
 	cfg := e.cfg
-	if obj == nil && (spec.Object.Groups != 0 || spec.Object.Elems != 0) {
+	var obj *robj.Object
+	if spec.Object.Groups != 0 || spec.Object.Elems != 0 {
 		var err error
 		obj, err = e.objects.Get(cfg.Strategy, spec.Object.Op, spec.Object.Groups, spec.Object.Elems, cfg.Threads)
 		if err != nil {
@@ -315,6 +268,7 @@ func (e *Engine) run(ctx context.Context, spec Spec, src dataset.Source, obj *ro
 	mJobs.Inc()
 	jobsInflight.Add(1)
 	defer jobsInflight.Add(-1)
+	jobID := obs.JobFrom(ctx)
 	if jobID == 0 {
 		jobID = obs.NextJobID()
 	}

@@ -1,7 +1,9 @@
 package freeride
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"sync"
 	"testing"
 
@@ -29,7 +31,7 @@ func TestJobScopedDeltasConcurrent(t *testing.T) {
 		go func(i, rows int) {
 			defer wg.Done()
 			src := dataset.NewMemorySource(dataset.UniformMatrix(rows, 2, int64(i+1), 0, 1))
-			results[i], errs[i] = e.Run(sumSpec(), src)
+			results[i], errs[i] = e.RunContext(context.Background(), sumSpec(), src)
 		}(i, rows)
 	}
 	wg.Wait()
@@ -67,25 +69,77 @@ func TestJobScopedDeltasConcurrent(t *testing.T) {
 	}
 }
 
-// TestRunContextWithJob checks that a caller-minted id is honored (the
-// cluster coordinator path) and that the run's trace and event-log entry
-// carry it.
+// TestRunContextWithJob checks the coordinator path: a job id carried on the
+// context (obs.WithJob) becomes the pass's Stats.Job and attributes its
+// counter deltas and its event-log entry — every span record the pass
+// produced — while a context carrying no id gets a freshly minted one.
 func TestRunContextWithJob(t *testing.T) {
 	e := New(Config{Threads: 2})
 	defer e.Close()
-	src := dataset.NewMemorySource(dataset.UniformMatrix(64, 1, 1, 0, 1))
+	const rows = 64
+	src := dataset.NewMemorySource(dataset.UniformMatrix(rows, 1, 1, 0, 1))
 
 	id := obs.NextJobID()
-	res, err := e.RunContextWithJob(context.Background(), sumSpec(), src, id)
+	res, err := e.RunContext(obs.WithJob(context.Background(), id), sumSpec(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Release(res)
 	if res.Stats.Job != id {
-		t.Fatalf("Stats.Job = %d, want caller-minted %d", res.Stats.Job, id)
+		t.Fatalf("Stats.Job = %d, want the context's %d", res.Stats.Job, id)
 	}
-	if len(res.Stats.JobDeltas) == 0 {
-		t.Fatal("no job deltas recorded")
+	deltas := map[string]int64{}
+	for _, d := range res.Stats.JobDeltas {
+		deltas[d.Key()] = d.Value
+	}
+	if deltas["freeride_runs_total"] != 1 || deltas["freeride_rows_total"] != rows {
+		t.Fatalf("job deltas = %v, want one run over %d rows", deltas, rows)
+	}
+
+	var b bytes.Buffer
+	if err := obs.Log.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Runs []struct {
+			Job   uint64 `json:"job"`
+			Spans []struct {
+				ID int64 `json:"id"`
+			} `json:"spans"`
+		} `json:"runs"`
+	}
+	if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	entries, logged := 0, map[int64]bool{}
+	for _, r := range doc.Runs {
+		if r.Job != uint64(id) {
+			continue
+		}
+		entries++
+		for _, sp := range r.Spans {
+			logged[sp.ID] = true
+		}
+	}
+	if entries != 1 {
+		t.Fatalf("event log holds %d runs under job %d, want 1", entries, id)
+	}
+	if len(res.Stats.Spans) == 0 {
+		t.Fatal("pass recorded no spans")
+	}
+	for _, sp := range res.Stats.Spans {
+		if !logged[sp.ID] {
+			t.Errorf("span %d (%s) is not in the event-log entry of job %d", sp.ID, sp.Name, id)
+		}
+	}
+
+	fresh, err := e.RunContext(context.Background(), sumSpec(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Release(fresh)
+	if fresh.Stats.Job <= id {
+		t.Fatalf("a context without a job id ran under %d, want a fresh id after %d", fresh.Stats.Job, id)
 	}
 }
 
@@ -105,7 +159,7 @@ func TestPassHistogramRecords(t *testing.T) {
 	e := New(Config{Threads: 2, Strategy: robj.FullLocking})
 	defer e.Close()
 	src := dataset.NewMemorySource(dataset.UniformMatrix(256, 1, 1, 0, 1))
-	res, err := e.Run(sumSpec(), src)
+	res, err := e.RunContext(context.Background(), sumSpec(), src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package freeride
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -34,7 +35,7 @@ func TestRunRecordsObservability(t *testing.T) {
 	reduceNSBefore := obs.Default.Value("freeride_phase_ns_total", obs.Label{Key: "phase", Value: PhaseReduce})
 	logBefore := obs.Log.Len()
 
-	res, err := eng.Run(colSumSpec(cols), dataset.NewMemorySource(m))
+	res, err := eng.RunContext(context.Background(), colSumSpec(cols), dataset.NewMemorySource(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestPhasesListsCombineAndFinalize(t *testing.T) {
 	spec.Combine = func(o *robj.Object) error { time.Sleep(time.Millisecond); return nil }
 	spec.Finalize = func(r *Result) error { return nil }
 	combineBefore := obs.Default.Value("freeride_phase_ns_total", obs.Label{Key: "phase", Value: PhaseCombine})
-	res, err := eng.Run(spec, dataset.NewMemorySource(m))
+	res, err := eng.RunContext(context.Background(), spec, dataset.NewMemorySource(m))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func TestRunEmptySourceIdentity(t *testing.T) {
 				return nil
 			},
 		}
-		res, err := eng.Run(spec, empty)
+		res, err := eng.RunContext(context.Background(), spec, empty)
 		if err != nil {
 			t.Fatalf("op %v: %v", op, err)
 		}
@@ -58,7 +58,7 @@ func TestRunEmptySourceLocalState(t *testing.T) {
 		LocalCombine: func(a, b any) any { return a.(int) + b.(int) },
 		Reduction:    func(a *ReductionArgs) error { return errors.New("must not run") },
 	}
-	res, err := eng.Run(spec, dataset.NewMemorySource(dataset.NewMatrix(0, 1)))
+	res, err := eng.RunContext(context.Background(), spec, dataset.NewMemorySource(dataset.NewMatrix(0, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,12 +67,12 @@ func TestRunEmptySourceLocalState(t *testing.T) {
 	}
 }
 
-// TestClosedEngineRejectsWork: after Close, Start and Run return
+// TestClosedEngineRejectsWork: after Close, Start and RunContext return
 // ErrEngineClosed; Close stays idempotent.
 func TestClosedEngineRejectsWork(t *testing.T) {
 	m := dataset.UniformMatrix(100, 1, 1, 0, 1)
 	eng := New(Config{Threads: 2, SplitRows: 10})
-	if _, err := eng.Run(sumSpec(), dataset.NewMemorySource(m)); err != nil {
+	if _, err := eng.RunContext(context.Background(), sumSpec(), dataset.NewMemorySource(m)); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Close(); err != nil {
@@ -84,40 +84,42 @@ func TestClosedEngineRejectsWork(t *testing.T) {
 	if err := eng.Start(); !errors.Is(err, ErrEngineClosed) {
 		t.Fatalf("Start after Close = %v, want ErrEngineClosed", err)
 	}
-	if _, err := eng.Run(sumSpec(), dataset.NewMemorySource(m)); !errors.Is(err, ErrEngineClosed) {
-		t.Fatalf("Run after Close = %v, want ErrEngineClosed", err)
+	if _, err := eng.RunContext(context.Background(), sumSpec(), dataset.NewMemorySource(m)); !errors.Is(err, ErrEngineClosed) {
+		t.Fatalf("RunContext after Close = %v, want ErrEngineClosed", err)
 	}
 }
 
-// TestReleasePoolsObject: a released result's object is reused by the next
-// same-shaped Run instead of allocating, and res.Object is nilled so stale
-// access fails fast.
+// TestReleasePoolsObject: a released result's object is reused by every
+// later same-shaped pass instead of allocating, each reuse yields the same
+// answer, and res.Object is nilled so stale access fails fast.
 func TestReleasePoolsObject(t *testing.T) {
 	m := dataset.UniformMatrix(500, 1, 2, 0, 1)
 	src := dataset.NewMemorySource(m)
 	eng := New(Config{Threads: 2, SplitRows: 50})
 	defer eng.Close()
-	res1, err := eng.Run(sumSpec(), src)
+	res, err := eng.RunContext(context.Background(), sumSpec(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := res1.Object
+	first := res.Object
 	want := first.Get(0, 0)
-	if err := eng.Release(res1); err != nil {
-		t.Fatal(err)
-	}
-	if res1.Object != nil {
-		t.Fatal("Release left res.Object set")
-	}
-	res2, err := eng.Run(sumSpec(), src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Object != first {
-		t.Fatal("second Run did not reuse the released object")
-	}
-	if got := res2.Object.Get(0, 0); got != want {
-		t.Fatalf("pooled rerun sum = %v, want %v", got, want)
+	for pass := 0; pass < 3; pass++ {
+		if err := eng.Release(res); err != nil {
+			t.Fatal(err)
+		}
+		if res.Object != nil {
+			t.Fatal("Release left res.Object set")
+		}
+		res, err = eng.RunContext(context.Background(), sumSpec(), src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Object != first {
+			t.Fatalf("pass %d did not reuse the released object", pass)
+		}
+		if got := res.Object.Get(0, 0); got != want {
+			t.Fatalf("pass %d: pooled rerun sum = %v, want %v", pass, got, want)
+		}
 	}
 	// Releasing a nil result or an object-less result is a no-op.
 	if err := eng.Release(nil); err != nil {
@@ -130,14 +132,14 @@ func TestReleasePoolsObject(t *testing.T) {
 
 // TestReleaseWrongEngine: pooled objects are session-scoped — releasing a
 // result to an engine with a different strategy/thread shape is rejected
-// with an error that says so.
+// with an error that names the mismatch and the remedy.
 func TestReleaseWrongEngine(t *testing.T) {
 	m := dataset.UniformMatrix(100, 1, 3, 0, 1)
 	a := New(Config{Threads: 2, SplitRows: 10})
 	defer a.Close()
 	b := New(Config{Threads: 3, SplitRows: 10})
 	defer b.Close()
-	res, err := a.Run(sumSpec(), dataset.NewMemorySource(m))
+	res, err := a.RunContext(context.Background(), sumSpec(), dataset.NewMemorySource(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,37 +147,16 @@ func TestReleaseWrongEngine(t *testing.T) {
 	if err == nil {
 		t.Fatal("cross-engine Release succeeded")
 	}
-	if !strings.Contains(err.Error(), "session-scoped") {
-		t.Fatalf("error %q does not explain session scoping", err)
+	for _, want := range []string{"session-scoped", "workers", "release each result to the engine that produced it"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q is missing %q", err, want)
+		}
 	}
 	if res.Object == nil {
 		t.Fatal("failed Release must not consume the object")
 	}
 	if err := a.Release(res); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestRunIntoMismatchNamesPool: the workers/strategy mismatch error points
-// at the session pool (Run + Release) as the remedy.
-func TestRunIntoMismatchNamesPool(t *testing.T) {
-	m := dataset.UniformMatrix(100, 1, 4, 0, 1)
-	a := New(Config{Threads: 2, SplitRows: 10})
-	defer a.Close()
-	b := New(Config{Threads: 3, SplitRows: 10})
-	defer b.Close()
-	res, err := a.Run(sumSpec(), dataset.NewMemorySource(m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = b.RunInto(sumSpec(), dataset.NewMemorySource(m), res.Object)
-	if err == nil {
-		t.Fatal("cross-engine RunInto succeeded")
-	}
-	for _, want := range []string{"workers", "Release"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error %q missing %q", err, want)
-		}
 	}
 }
 
@@ -228,7 +209,7 @@ func TestPropertySessionMatchesOneShot(t *testing.T) {
 		// Two warm-up passes populate the session pools, then the measured
 		// pass runs entirely on reused state.
 		for i := 0; i < 2; i++ {
-			res, err := session.Run(spec, src)
+			res, err := session.RunContext(context.Background(), spec, src)
 			if err != nil {
 				t.Log(err)
 				return false
@@ -238,7 +219,7 @@ func TestPropertySessionMatchesOneShot(t *testing.T) {
 				return false
 			}
 		}
-		warm, err := session.Run(spec, src)
+		warm, err := session.RunContext(context.Background(), spec, src)
 		if err != nil {
 			t.Log(err)
 			return false
@@ -247,7 +228,7 @@ func TestPropertySessionMatchesOneShot(t *testing.T) {
 
 		oneShot := New(cfg)
 		defer oneShot.Close()
-		fresh, err := oneShot.Run(spec, src)
+		fresh, err := oneShot.RunContext(context.Background(), spec, src)
 		if err != nil {
 			t.Log(err)
 			return false
@@ -286,7 +267,7 @@ func TestConcurrentJobsOnOnePool(t *testing.T) {
 			defer wg.Done()
 			for pass := 0; pass < 5; pass++ {
 				if j%2 == 0 {
-					res, err := eng.Run(sumSpec(), src)
+					res, err := eng.RunContext(context.Background(), sumSpec(), src)
 					if err != nil {
 						errs[j] = err
 						return
@@ -306,7 +287,7 @@ func TestConcurrentJobsOnOnePool(t *testing.T) {
 							return nil
 						},
 					}
-					res, err := eng.Run(spec, src)
+					res, err := eng.RunContext(context.Background(), spec, src)
 					if err != nil {
 						errs[j] = err
 						return
@@ -359,7 +340,7 @@ func TestCancelOneJobLeavesOthers(t *testing.T) {
 	// The healthy job keeps running passes while the blocked one is
 	// cancelled out from under it.
 	for pass := 0; pass < 10; pass++ {
-		res, err := eng.Run(sumSpec(), src)
+		res, err := eng.RunContext(context.Background(), sumSpec(), src)
 		if err != nil {
 			t.Fatalf("healthy job pass %d: %v", pass, err)
 		}

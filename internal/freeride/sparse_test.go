@@ -1,6 +1,7 @@
 package freeride
 
 import (
+	"context"
 	"testing"
 
 	"chapelfreeride/internal/dataset"
@@ -102,7 +103,7 @@ func TestPropertySparseAccMatchesDense(t *testing.T) {
 			t.Helper()
 			eng := New(cfg)
 			defer eng.Close()
-			res, err := eng.Run(s, src)
+			res, err := eng.RunContext(context.Background(), s, src)
 			if err != nil {
 				t.Fatalf("%v: %v", strategy, err)
 			}
@@ -155,7 +156,7 @@ func TestSparseAccRepeatedTouches(t *testing.T) {
 	}
 	eng := New(Config{Threads: 1, SplitRows: rows, SparseAccCells: 1})
 	defer eng.Close()
-	res, err := eng.Run(spec, src)
+	res, err := eng.RunContext(context.Background(), spec, src)
 	if err != nil {
 		t.Fatal(err)
 	}

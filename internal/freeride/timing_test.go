@@ -204,66 +204,6 @@ func TestCancelDuringFullTicketChannelRunsNoOrphanSlots(t *testing.T) {
 	}
 }
 
-// TestSubmitHandle: Submit runs the pass asynchronously under a pre-minted
-// job id, TryResult is non-blocking, and Wait returns the same outcome to
-// every caller.
-func TestSubmitHandle(t *testing.T) {
-	eng := New(Config{Threads: 2, SplitRows: 8})
-	defer eng.Close()
-	src := dataset.NewMemorySource(rowMatrix(64, 2))
-	gate := make(chan struct{})
-	h := eng.Submit(context.Background(), Spec{
-		Object: ObjectSpec{Groups: 1, Elems: 2, Op: robj.OpAdd},
-		Reduction: func(a *ReductionArgs) error {
-			<-gate
-			for i := 0; i < a.NumRows; i++ {
-				a.Accumulate(0, 0, 1)
-			}
-			return nil
-		},
-	}, src)
-	if h.Job() == 0 {
-		t.Fatal("Submit handle has no job id")
-	}
-	if _, _, ok := h.TryResult(); ok {
-		t.Fatal("TryResult reported completion while the pass is gated")
-	}
-	close(gate)
-	res, err := h.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Release(res)
-	if got := res.Object.Get(0, 0); got != 64 {
-		t.Fatalf("async pass summed %v rows, want 64", got)
-	}
-	if res.Stats.Job != h.Job() {
-		t.Fatalf("result ran under job %d, handle promised %d", res.Stats.Job, h.Job())
-	}
-	if res2, err2, ok := h.TryResult(); !ok || res2 != res || err2 != nil {
-		t.Fatal("TryResult disagrees with Wait after completion")
-	}
-}
-
-// TestSubmitHandleCancel: a cancelled async pass surfaces ctx.Err() through
-// the handle.
-func TestSubmitHandleCancel(t *testing.T) {
-	eng := New(Config{Threads: 2, SplitRows: 8})
-	defer eng.Close()
-	src := dataset.NewMemorySource(rowMatrix(64, 2))
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	h := eng.Submit(ctx, Spec{
-		Object: ObjectSpec{Groups: 1, Elems: 2, Op: robj.OpAdd},
-		Reduction: func(a *ReductionArgs) error {
-			return nil
-		},
-	}, src)
-	if _, err := h.Wait(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Wait returned %v, want context.Canceled", err)
-	}
-}
-
 // rowMatrix builds an n×cols matrix with every cell set to 1.
 func rowMatrix(n, cols int) *dataset.Matrix {
 	m := dataset.NewMatrix(n, cols)

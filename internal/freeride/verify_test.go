@@ -1,6 +1,7 @@
 package freeride
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 )
 
 // TestSpecVerify pins the diagnostic each illegal spec shape produces — the
-// same pass that gates Engine.Run before any worker starts.
+// same pass that gates Engine.RunContext before any worker starts.
 func TestSpecVerify(t *testing.T) {
 	reduce := func(args *ReductionArgs) error { return nil }
 	blockReduce := func(args *BlockArgs) error { return nil }
@@ -62,8 +63,8 @@ func TestSpecVerify(t *testing.T) {
 				t.Fatalf("Spec.Verify: no %s error; got %v", tc.code, ds)
 			}
 			// The engine must reject the same spec before running anything.
-			if _, err := eng.Run(tc.spec, src); err == nil {
-				t.Fatal("Engine.Run accepted a spec Verify rejects")
+			if _, err := eng.RunContext(context.Background(), tc.spec, src); err == nil {
+				t.Fatal("Engine.RunContext accepted a spec Verify rejects")
 			}
 		})
 	}
@@ -74,7 +75,7 @@ func TestSpecVerify(t *testing.T) {
 func TestRunKeepsErrNoReductionSentinel(t *testing.T) {
 	eng := New(Config{Threads: 1})
 	defer eng.Close()
-	_, err := eng.Run(Spec{Object: ObjectSpec{Groups: 1, Elems: 1, Op: robj.OpAdd}},
+	_, err := eng.RunContext(context.Background(), Spec{Object: ObjectSpec{Groups: 1, Elems: 1, Op: robj.OpAdd}},
 		dataset.NewMemorySource(dataset.NewMatrix(2, 2)))
 	if !errors.Is(err, ErrNoReduction) {
 		t.Fatalf("want ErrNoReduction, got %v", err)

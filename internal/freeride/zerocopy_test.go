@@ -1,6 +1,7 @@
 package freeride
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -111,7 +112,7 @@ func TestZeroCopyMatchesBoxed(t *testing.T) {
 				name := fmt.Sprintf("t%d/%v/%v", threads, pol, strat)
 				eng := New(Config{Threads: threads, SplitRows: 512, Scheduler: pol, Strategy: strat})
 				runSnapshot := func(src dataset.Source) []float64 {
-					res, err := eng.Run(spec, src)
+					res, err := eng.RunContext(context.Background(), spec, src)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
@@ -165,7 +166,7 @@ func TestZeroCopyFusedMatchesBoxed(t *testing.T) {
 	for _, pol := range []sched.Policy{sched.Static, sched.Dynamic} {
 		eng := New(Config{Threads: 3, SplitRows: 256, Scheduler: pol})
 		run := func(src dataset.Source) []float64 {
-			res, err := eng.Run(spec, src)
+			res, err := eng.RunContext(context.Background(), spec, src)
 			if err != nil {
 				t.Fatal(err)
 			}

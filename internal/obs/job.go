@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -10,10 +11,11 @@ import (
 // Job-scoped observability. Process-wide counters answer "what has this
 // process done since it started"; a service multiplexing concurrent jobs
 // onto shared engine sessions also needs "what did job N cost, exactly". A
-// JobID is minted per engine submission (NextJobID), carried through the run
-// (RunContext → trace → event log), and every per-job increment is recorded
-// twice: once into the global registry and once into the job's JobMetrics —
-// so concurrent jobs on one session never blur into each other's deltas.
+// JobID is minted per engine submission (NextJobID) or handed in on the
+// context (WithJob), carried through the run (RunContext → trace → event
+// log), and every per-job increment is recorded twice: once into the global
+// registry and once into the job's JobMetrics — so concurrent jobs on one
+// session never blur into each other's deltas.
 // CounterSnapshot/Diff give the same interval semantics over the whole
 // registry for callers that own the process (benchmarks, tests).
 
@@ -25,6 +27,22 @@ var jobIDs atomic.Uint64
 
 // NextJobID mints a process-unique job id.
 func NextJobID() JobID { return JobID(jobIDs.Add(1)) }
+
+// jobKey is the context key WithJob stores a job id under.
+type jobKey struct{}
+
+// WithJob returns a copy of ctx carrying job id: an engine pass run under it
+// attributes its trace, event-log entry and counter deltas to id instead of
+// minting its own — how a coordinator runs several node passes as one job.
+func WithJob(ctx context.Context, id JobID) context.Context {
+	return context.WithValue(ctx, jobKey{}, id)
+}
+
+// JobFrom returns the job id ctx carries, or 0 when it carries none.
+func JobFrom(ctx context.Context) JobID {
+	id, _ := ctx.Value(jobKey{}).(JobID)
+	return id
+}
 
 // MetricDelta is one named counter delta attributed to a job (or shipped
 // from a cluster node). Fields are exported so deltas cross the cluster's

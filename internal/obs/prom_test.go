@@ -207,4 +207,3 @@ func sortedKeys(m map[string]float64) []string {
 	sort.Strings(out)
 	return out
 }
-

@@ -57,8 +57,8 @@ func TestUpdateCountersPerStrategy(t *testing.T) {
 	}
 }
 
-// TestUpdateCountersAcrossReset checks that RunInto-style reuse (Reset then
-// another pass) keeps counting.
+// TestUpdateCountersAcrossReset checks that pooled reuse (Reset then another
+// pass) keeps counting.
 func TestUpdateCountersAcrossReset(t *testing.T) {
 	label := obs.Label{Key: "strategy", Value: FullReplication.String()}
 	before := obs.Default.Value("robj_updates_total", label)

@@ -33,10 +33,9 @@ type poolKey struct {
 const poolKeyCap = 16
 
 // Pool recycles reduction objects across engine passes, keyed by the full
-// (strategy, op, shape, workers) layout. It replaces the manual RunInto
-// reuse plumbing: Get returns a reset, ready-to-accumulate object (reusing a
-// retired one when the key matches) and Put retires a merged object for the
-// next Get. Safe for concurrent use.
+// (strategy, op, shape, workers) layout: Get returns a reset,
+// ready-to-accumulate object (reusing a retired one when the key matches)
+// and Put retires a merged object for the next Get. Safe for concurrent use.
 type Pool struct {
 	mu   sync.Mutex
 	free map[poolKey][]*Object

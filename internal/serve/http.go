@@ -37,6 +37,29 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// maxBodyBytes caps a request body. Real job and dataset bodies are under
+// 1 KB; the cap stops a broken or hostile client from making the decoder
+// buffer an unbounded body.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes. It
+// answers 413 for an oversized body and 400 for a malformed one, and reports
+// whether v was filled.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			errorBody{Error: "request body exceeds " + strconv.FormatInt(tooLarge.Limit, 10) + " bytes"})
+	default:
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+	}
+	return false
+}
+
 // Handler returns the server's HTTP API mounted on top of the standard
 // observability mux, so one listener exposes both the job API and
 // /metrics, /report, /trace, and the pprof endpoints:
@@ -68,11 +91,10 @@ func (s *Server) Handler() http.Handler {
 
 // handleSubmit admits one job. Admission failures map onto HTTP semantics:
 // queue full → 429 with a Retry-After hint, draining → 503, unknown
-// kernel/dataset or bad body → 400.
+// kernel/dataset or bad body → 400, oversized body → 413.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	j, err := s.Submit(req.Tenant, req.Kernel, req.Dataset, req.Params)
@@ -120,11 +142,11 @@ func (s *Server) handleListDatasets(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleRegisterDataset registers a recipe. Idempotent for identical
-// recipes; conflicting re-registration of a name is 409.
+// recipes; conflicting re-registration of a name is 409, an oversized body
+// 413.
 func (s *Server) handleRegisterDataset(w http.ResponseWriter, r *http.Request) {
 	var spec DatasetSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+	if !decodeBody(w, r, &spec) {
 		return
 	}
 	stored, err := s.RegisterDataset(spec)

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -699,6 +700,35 @@ func TestDatasetEndpoints(t *testing.T) {
 	}
 	if resp := postJSON(t, ts.URL+"/v1/jobs", JobRequest{Kernel: "nope", Dataset: "api-ds"}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown kernel submit returned %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestOversizedBodiesRejected: a body past maxBodyBytes is refused with 413
+// on both POST endpoints, and no dataset is registered.
+func TestOversizedBodiesRejected(t *testing.T) {
+	s, ts := testServer(t, Config{Engines: 1, Engine: freeride.Config{Threads: 1}})
+	if _, err := s.RegisterDataset(gaussianSpec("g1")); err != nil {
+		t.Fatal(err)
+	}
+	huge := strings.Repeat("x", maxBodyBytes)
+	for _, c := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/jobs", JobRequest{Kernel: "kmeans", Dataset: "g1", Tenant: huge}},
+		{"/v1/datasets", DatasetSpec{Name: huge, Kind: "gaussian", Rows: 16, Dim: 2, Groups: 1}},
+	} {
+		var eb errorBody
+		resp := postJSON(t, ts.URL+c.path, c.body, &eb)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: oversized body returned %d (%q), want 413", c.path, resp.StatusCode, eb.Error)
+		}
+		if !strings.Contains(eb.Error, "exceeds") {
+			t.Fatalf("%s: 413 body %q does not name the limit", c.path, eb.Error)
+		}
+	}
+	if n := len(s.Datasets()); n != 1 {
+		t.Fatalf("%d datasets registered, want only the pre-registered one", n)
 	}
 }
 

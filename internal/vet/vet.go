@@ -1,7 +1,7 @@
 // Package vet is a small static-analysis framework for FREERIDE-specific
-// correctness rules, plus the six analyzers cmd/frds-vet runs over this
-// repository (and over user kernel code): kernelpure, ctxflow, obscount,
-// lockorder, inspectorhoist, and rowalias.
+// correctness rules, plus the five analyzers cmd/frds-vet runs over this
+// repository (and over user kernel code): kernelpure, obscount, lockorder,
+// inspectorhoist, and rowalias.
 //
 // The framework is deliberately self-contained on the standard library's
 // go/ast and go/parser: the usual route — golang.org/x/tools/go/analysis
@@ -17,7 +17,7 @@
 // False positives are suppressed in place with a line comment, on the
 // flagged line or the line above:
 //
-//	//frds:vet-ignore ctxflow  -- reason
+//	//frds:vet-ignore obscount  -- reason
 package vet
 
 import (
@@ -74,9 +74,9 @@ func (p *Pass) Report(node ast.Node, format string, args ...any) {
 	})
 }
 
-// Analyzers returns the six FREERIDE analyzers in stable order.
+// Analyzers returns the five FREERIDE analyzers in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{KernelPure, CtxFlow, ObsCount, LockOrder, InspectorHoist, RowAlias}
+	return []*Analyzer{KernelPure, ObsCount, LockOrder, InspectorHoist, RowAlias}
 }
 
 // ByName resolves a comma-separated analyzer list ("" = all).
@@ -219,18 +219,4 @@ func rootIdent(e ast.Expr) *ast.Ident {
 			return nil
 		}
 	}
-}
-
-// isPkgCall reports whether e is a call of the form pkg.Fn(...).
-func isPkgCall(e ast.Expr, pkg, fn string) bool {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != fn {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	return ok && id.Name == pkg
 }
