@@ -1,6 +1,5 @@
 // Command frds-gen generates synthetic datasets in the repository's binary
-// FRDS format (or CSV), for use with cmd/kmeans -input, cmd/pca -input, and
-// the abl-ingest benchmark.
+// FRDS format (or CSV), for use with cmd/kmeans -input and cmd/pca -input.
 //
 // Usage:
 //

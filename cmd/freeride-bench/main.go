@@ -1,420 +1,183 @@
-// Command freeride-bench regenerates the paper's evaluation figures
-// (Figures 9-13) and this repository's ablation studies as printed tables.
+// Command freeride-bench regenerates the paper's evaluation figures as
+// printed tables: Figure 4's FREERIDE vs Map-Reduce structures, and
+// Figures 9-13's generated / opt-1 / opt-2 / manual FREERIDE versions of
+// k-means and PCA across a thread sweep.
 //
 // Usage:
 //
 //	freeride-bench -list
-//	freeride-bench -exp fig9                 # one experiment, default scale
+//	freeride-bench -exp fig9                 # one figure, default scale
 //	freeride-bench -exp fig9 -scale 1        # paper-sized dataset
-//	freeride-bench -exp all -threads 1,2,4,8
-//	freeride-bench -exp fig9 -metrics-addr :9090 -metrics-hold 30s
-//	freeride-bench -exp fig9 -trace-out trace.json -max-combine-share 0.25
-//	freeride-bench -exp abl-faults -fault-rate 0.1 -fault-seed 7 -retries 5 -timeout 100ms
-//	freeride-bench -exp abl-session -session-passes 50 -session-jobs 2,4,8
-//	freeride-bench -exp abl-fuse -json .     # fused vs per-element + BENCH_abl_fuse.json
-//	freeride-bench -exp abl-ingest -scale 1 -ingest-dir /data/frds -json .
+//	freeride-bench -exp all -reps 3          # every figure, fastest of 3 runs
+//	freeride-bench -exp fig4,fig9 -threads 1
 //
-// Observability: -metrics-addr serves live Prometheus-text metrics (plus
-// /report, /trace, expvar, and pprof with per-worker labels), -trace-out
-// dumps the per-phase JSON event log, the obs report printed after the run
-// summarizes every engine counter, and -max-combine-share guards against
-// combination-phase regressions (see README "Observability").
-//
-// Robustness: -fault-rate/-fault-seed inject deterministic transient read
-// faults, -retries bounds the retry/backoff layer absorbing them, and
-// -timeout cancels passes via context; the abl-faults experiment drives all
-// of them through the engine's failure paths (see README "Robustness").
-//
-// Sessions: the abl-session experiment compares the one-shot engine
-// lifecycle (new engine, one pass, close) with a persistent session (one
-// engine, pooled workers/schedulers/objects across passes). -session-passes
-// sets the passes per lifecycle mode and -session-jobs the sweep of
-// concurrent jobs submitted to one session's pool.
+// Every cell is wall time measured on real cores. The default thread sweep
+// is the powers of two up to runtime.NumCPU(), a -threads value above
+// NumCPU is refused (exit 2), and every table title names the core count
+// it was measured on.
 //
 // Scale 1 reproduces the paper's dataset sizes (12 MB / 1.2 GB k-means
-// inputs, 1000×10,000 / 1000×100,000 PCA matrices); the per-experiment
+// inputs, 1000×10,000 / 1000×100,000 PCA matrices); the per-figure
 // defaults keep a full sweep around a minute while preserving the workload
 // shape. Absolute times differ from the paper's 2007-era Xeon; the shape —
 // version ordering, optimization factors, scaling trends — is what the
-// tables' notes check.
+// tables' notes check. Performance claims about this repository are made
+// with the benchmark in benchmark/ (see BENCHMARK.json), not with this
+// command.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
-	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
-	"time"
-
-	"chapelfreeride/internal/bench"
-	"chapelfreeride/internal/obs"
+	"text/tabwriter"
 )
 
-func main() {
+// params control one figure's run.
+type params struct {
+	threads []int   // thread sweep, each at most runtime.NumCPU()
+	scale   float64 // dataset size relative to the paper's
+	seed    int64   // synthetic dataset seed
+	reps    int     // repetitions per measurement, fastest kept
+}
+
+// figure is one reproducible paper figure.
+type figure struct {
+	id, paper, title string
+	scale            float64 // default dataset scale
+	run              func(params) (*table, error)
+}
+
+// figures lists every figure the command reproduces, in -list order.
+var figures = []figure{
+	{"fig4", "Figure 4", "FREERIDE vs Map-Reduce structures — k-means runtime and intermediate pairs", 0.01, fig4},
+	{"fig9", "Figure 9", "k-means, small dataset (12 MB), k=100, i=10 — four versions", 0.1,
+		kmeansFigure("fig9", "k-means small", 12<<20, 100, 10)},
+	{"fig10", "Figure 10", "k-means, large dataset (1.2 GB), k=10, i=10 — four versions", 0.005,
+		kmeansFigure("fig10", "k-means large", 1288490188, 10, 10)},
+	{"fig11", "Figure 11", "k-means, large dataset (1.2 GB), k=100, i=1 — linearization-dominated", 0.005,
+		kmeansFigure("fig11", "k-means large single-pass", 1288490188, 100, 1)},
+	{"fig12", "Figure 12", "PCA, 1000 dims × 10,000 elements — opt-2 vs manual FR", 0.001,
+		pcaFigure("fig12", "PCA small", 1000, 10000)},
+	{"fig13", "Figure 13", "PCA, 1000 dims × 100,000 elements — opt-2 vs manual FR", 0.001,
+		pcaFigure("fig13", "PCA large", 1000, 100000)},
+}
+
+// table is a figure's printable result.
+type table struct {
+	id, title string
+	columns   []string
+	rows      [][]string
+	notes     []string // derived observations (ratios, shape checks)
+}
+
+// fprint renders the table with aligned columns under a title naming the
+// host's core count.
+func (t *table) fprint(w io.Writer) {
+	fmt.Fprintf(w, "== %s: %s (NumCPU %d) ==\n", t.id, t.title, runtime.NumCPU())
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, strings.Join(t.columns, "\t"))
+	for _, r := range t.rows {
+		fmt.Fprintln(tw, strings.Join(r, "\t"))
+	}
+	tw.Flush()
+	for _, n := range t.notes {
+		fmt.Fprintf(w, "  note: %s\n", n)
+	}
+	fmt.Fprintln(w)
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command body; it returns the process exit code (2 for usage
+// errors, 1 for a failed figure).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("freeride-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		expFlag     = flag.String("exp", "all", "experiment id (see -list), or 'all' / 'figures' / 'ablations'")
-		scaleFlag   = flag.Float64("scale", 0, "dataset scale relative to the paper's size (0 = per-experiment default)")
-		threadsFlag = flag.String("threads", "", "comma-separated thread sweep (default 1,2,4,8 capped at GOMAXPROCS)")
-		seedFlag    = flag.Int64("seed", 42, "dataset generation seed")
-		repsFlag    = flag.Int("reps", 1, "repetitions per measurement (fastest kept)")
-		formatFlag  = flag.String("format", "table", "output format: table | csv")
-		jsonDir     = flag.String("json", "", "also write a machine-readable BENCH_<exp>.json report per experiment into this directory")
-		listFlag    = flag.Bool("list", false, "list experiments and exit")
-
-		faultRate = flag.Float64("fault-rate", 0, "inject seeded transient read faults on this fraction of split reads in fault-aware experiments (abl-faults)")
-		faultSeed = flag.Int64("fault-seed", 1, "seed for the deterministic fault pattern")
-		retries   = flag.Int("retries", 3, "bounded retry budget (with exponential backoff) for fault-wrapped reads")
-		timeout   = flag.Duration("timeout", 0, "cancel fault-aware experiment passes via context after this long (0 = no timeout)")
-
-		sessionPasses = flag.Int("session-passes", 0, "abl-session: reduction passes per lifecycle mode (0 = default 30)")
-		sessionJobs   = flag.String("session-jobs", "", "abl-session: comma-separated concurrent-job sweep on one session (default 2,4)")
-
-		ingestDir   = flag.String("ingest-dir", "", "abl-ingest: directory for the on-disk CSV/binary dataset files, reused across runs (default: a temporary directory deleted afterwards)")
-		ingestCheck = flag.Bool("ingest-check", false, "after abl-ingest, verify the zero-copy engine path beats the boxed CSV baseline at every thread count; exit non-zero otherwise")
-		adviseCheck = flag.Bool("advise-check", false, "after abl-advise, verify the advised configuration is never worse than 2x the worst hand-picked pick per workload; exit non-zero otherwise")
-
-		metricsAddr = flag.String("metrics-addr", "", "serve the observability endpoint (/metrics Prometheus text, /report, /trace JSON event log, /debug/vars, /debug/pprof) on this address")
-		metricsHold = flag.Duration("metrics-hold", 0, "keep the metrics endpoint up this long after the experiments finish")
-		traceOut    = flag.String("trace-out", "", "write the JSON event log of all engine passes to this file")
-		obsReport   = flag.Bool("obs-report", true, "print the obs counter report after each experiment run")
-		maxCombine  = flag.Float64("max-combine-share", 0, "regression guard: warn when combine phases exceed this fraction of engine wall time per experiment (0 disables)")
-		guardFail   = flag.Bool("guard-fail", false, "exit non-zero when the combine-share guard trips")
-		scrapeCheck = flag.Bool("scrape-check", false, "after the experiments, scrape the -metrics-addr endpoint and verify node-labeled cluster metrics, pass-latency histogram buckets, and a non-empty node-attributed trace; exit non-zero on failure")
+		expFlag     = fs.String("exp", "all", "comma-separated figure ids (see -list), or 'all'")
+		listFlag    = fs.Bool("list", false, "list the figures and exit")
+		scaleFlag   = fs.Float64("scale", 0, "dataset scale relative to the paper's size (0 = per-figure default)")
+		threadsFlag = fs.String("threads", "", "comma-separated thread sweep, each at most NumCPU (default: powers of two up to NumCPU)")
+		seedFlag    = fs.Int64("seed", 42, "dataset generation seed")
+		repsFlag    = fs.Int("reps", 1, "repetitions per measurement (fastest kept)")
 	)
-	flag.Parse()
-
-	metricsBase := ""
-	if *metricsAddr != "" {
-		srv, err := obs.Serve(*metricsAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "freeride-bench: metrics endpoint:", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		metricsBase = "http://" + srv.Addr
-		fmt.Fprintf(os.Stderr, "freeride-bench: metrics at %s/metrics (also /report, /trace, /debug/vars, /debug/pprof)\n", metricsBase)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-
 	if *listFlag {
-		fmt.Println("experiments:")
-		for _, e := range bench.Experiments() {
-			src := e.Paper
-			if src == "" {
-				src = "ablation"
-			}
-			fmt.Printf("  %-13s %-10s %s (default scale %g)\n", e.ID, src, e.Title, e.DefaultScale)
+		for _, f := range figures {
+			fmt.Fprintf(stdout, "%-6s %-10s %s (default scale %g)\n", f.id, f.paper, f.title, f.scale)
 		}
-		return
+		return 0
 	}
 
-	threads, err := parseThreads(*threadsFlag)
+	threads, err := parseThreads(*threadsFlag, runtime.NumCPU())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "freeride-bench:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "freeride-bench:", err)
+		return 2
 	}
-	jobSweep, err := parseThreads(*sessionJobs)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "freeride-bench:", err)
-		os.Exit(2)
-	}
-
-	var selected []bench.Experiment
-	switch *expFlag {
-	case "all":
-		selected = bench.Experiments()
-	case "figures":
-		for _, e := range bench.Experiments() {
-			if e.Paper != "" {
-				selected = append(selected, e)
-			}
-		}
-	case "ablations":
-		for _, e := range bench.Experiments() {
-			if e.Paper == "" {
-				selected = append(selected, e)
-			}
-		}
-	default:
+	selected := figures
+	if *expFlag != "all" {
+		selected = nil
 		for _, id := range strings.Split(*expFlag, ",") {
-			e, ok := bench.Get(strings.TrimSpace(id))
+			f, ok := lookup(strings.TrimSpace(id))
 			if !ok {
-				fmt.Fprintf(os.Stderr, "freeride-bench: unknown experiment %q (try -list)\n", id)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "freeride-bench: unknown figure %q (try -list)\n", id)
+				return 2
 			}
-			selected = append(selected, e)
+			selected = append(selected, f)
 		}
 	}
 
-	guardTripped := false
-	for _, e := range selected {
-		p := bench.Params{
-			Threads: threads, Scale: *scaleFlag, Seed: *seedFlag, Reps: *repsFlag,
-			FaultRate: *faultRate, FaultSeed: *faultSeed, Retries: *retries, Timeout: *timeout,
-			SessionPasses: *sessionPasses, SessionJobs: jobSweep,
-			IngestDir: *ingestDir,
-		}.WithDefaults(e.DefaultScale)
-		phasesBefore := bench.SnapshotPhases()
-		passHistBefore := bench.SnapshotPassHist()
-		tbl, err := e.Run(p)
+	for _, f := range selected {
+		p := params{threads: threads, scale: *scaleFlag, seed: *seedFlag, reps: max(*repsFlag, 1)}
+		if p.scale <= 0 {
+			p.scale = f.scale
+		}
+		tbl, err := f.run(p)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "freeride-bench: %s: %v\n", e.ID, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "freeride-bench: %s: %v\n", f.id, err)
+			return 1
 		}
-		if *formatFlag == "csv" {
-			if err := tbl.FprintCSV(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, "freeride-bench:", err)
-				os.Exit(1)
-			}
-		} else {
-			tbl.Fprint(os.Stdout)
-		}
-		if *ingestCheck && e.ID == "abl-ingest" {
-			if err := checkIngest(tbl.Metrics); err != nil {
-				fmt.Fprintln(os.Stderr, "freeride-bench: ingest-check:", err)
-				os.Exit(1)
-			}
-			fmt.Fprintln(os.Stderr, "freeride-bench: ingest-check ok (zero-copy ≥ csv-boxed on the engine path at every thread count)")
-		}
-		if *adviseCheck && e.ID == "abl-advise" {
-			if err := checkAdvise(tbl.Metrics); err != nil {
-				fmt.Fprintln(os.Stderr, "freeride-bench: advise-check:", err)
-				os.Exit(1)
-			}
-			fmt.Fprintln(os.Stderr, "freeride-bench: advise-check ok (advised pick well clear of the worst hand-picked configuration on every workload)")
-		}
-		if diag, ok := bench.CheckCombineShare(phasesBefore, *maxCombine); !ok {
-			guardTripped = true
-			fmt.Fprintf(os.Stderr, "freeride-bench: %s: %s\n", e.ID, diag)
-		}
-		passLatency := bench.PassLatencySince(passHistBefore)
-		if passLatency != nil {
-			fmt.Fprintf(os.Stderr, "freeride-bench: %s: %d engine passes, latency p50\u2264%v p90\u2264%v p99\u2264%v\n",
-				e.ID, passLatency.Count,
-				time.Duration(passLatency.P50ns).Round(time.Microsecond),
-				time.Duration(passLatency.P90ns).Round(time.Microsecond),
-				time.Duration(passLatency.P99ns).Round(time.Microsecond))
-		}
-		if *jsonDir != "" {
-			path := filepath.Join(*jsonDir, "BENCH_"+strings.ReplaceAll(e.ID, "-", "_")+".json")
-			rep := bench.NewReport(tbl, p, time.Now())
-			rep.PassLatency = passLatency
-			if err := writeReport(path, rep); err != nil {
-				fmt.Fprintln(os.Stderr, "freeride-bench: json:", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "freeride-bench: wrote %s\n", path)
-		}
+		tbl.fprint(stdout)
 	}
-
-	if *scrapeCheck {
-		if *metricsAddr == "" {
-			fmt.Fprintln(os.Stderr, "freeride-bench: -scrape-check requires -metrics-addr")
-			os.Exit(2)
-		}
-		if err := checkScrape(metricsBase); err != nil {
-			fmt.Fprintln(os.Stderr, "freeride-bench: scrape-check:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintln(os.Stderr, "freeride-bench: scrape-check ok (node-labeled metrics, pass-latency buckets, node-attributed trace)")
-	}
-
-	if *obsReport {
-		obs.WriteReport(os.Stdout, obs.Default)
-	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err == nil {
-			err = obs.Log.WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "freeride-bench: trace-out:", err)
-			os.Exit(1)
-		}
-	}
-	if *metricsAddr != "" && *metricsHold > 0 {
-		fmt.Fprintf(os.Stderr, "freeride-bench: holding metrics endpoint for %v\n", *metricsHold)
-		time.Sleep(*metricsHold)
-	}
-	if guardTripped && *guardFail {
-		os.Exit(1)
-	}
+	return 0
 }
 
-// checkIngest enforces the abl-ingest acceptance shape: at every measured
-// thread count, the zero-copy engine path must be at least as fast as the
-// boxed CSV baseline. A violation means the mmap fast path regressed to a
-// copying (or worse, parsing) read somewhere.
-func checkIngest(metrics []bench.Metric) error {
-	rate := map[string]map[int]float64{} // version → threads → rows/sec
-	for _, m := range metrics {
-		if m.Workload != "engine" {
-			continue
-		}
-		if rate[m.Version] == nil {
-			rate[m.Version] = map[int]float64{}
-		}
-		rate[m.Version][m.Threads] = m.RowsPerSec
-	}
-	if len(rate["bin-zerocopy"]) == 0 || len(rate["csv-boxed"]) == 0 {
-		return fmt.Errorf("no engine-path metrics to compare")
-	}
-	for threads, csv := range rate["csv-boxed"] {
-		zc, ok := rate["bin-zerocopy"][threads]
-		if !ok {
-			return fmt.Errorf("no zero-copy measurement at %d threads", threads)
-		}
-		if zc < csv {
-			return fmt.Errorf("zero-copy %.0f rows/s < csv-boxed %.0f rows/s at %d threads", zc, csv, threads)
+// lookup finds a figure by id.
+func lookup(id string) (figure, bool) {
+	for _, f := range figures {
+		if f.id == id {
+			return f, true
 		}
 	}
-	return nil
+	return figure{}, false
 }
 
-// checkAdvise enforces the abl-advise acceptance shape: per workload, the
-// advised configuration must land well inside the hand-picked spread —
-// hard requirement: never worse than 2x the WORST hand-picked pick (a
-// violation means the advisor steered into pathological territory the
-// sweep itself avoids); it also reports how far the advised time sits from
-// the best pick, the "within a few percent" claim the bench notes carry.
-func checkAdvise(metrics []bench.Metric) error {
-	type span struct {
-		best, worst, advised int64
-	}
-	spans := map[string]*span{}
-	for _, m := range metrics {
-		s := spans[m.Workload]
-		if s == nil {
-			s = &span{}
-			spans[m.Workload] = s
-		}
-		switch m.Version {
-		case "hand-picked":
-			if s.best == 0 || m.NsPerOp < s.best {
-				s.best = m.NsPerOp
-			}
-			if m.NsPerOp > s.worst {
-				s.worst = m.NsPerOp
-			}
-		case "advised":
-			s.advised = m.NsPerOp
-		}
-	}
-	if len(spans) == 0 {
-		return fmt.Errorf("no abl-advise metrics to check")
-	}
-	for name, s := range spans {
-		if s.advised == 0 || s.best == 0 {
-			return fmt.Errorf("%s: missing advised or hand-picked measurements", name)
-		}
-		if s.advised > 2*s.worst {
-			return fmt.Errorf("%s: advised %d ns/op is over 2x the worst hand-picked pick (%d ns/op)", name, s.advised, s.worst)
-		}
-		fmt.Fprintf(os.Stderr, "freeride-bench: advise-check: %s advised %.2fx best, %.2fx worst\n",
-			name, float64(s.advised)/float64(s.best), float64(s.advised)/float64(s.worst))
-	}
-	return nil
-}
-
-// checkScrape drives the observability acceptance check end to end over
-// HTTP, the way a real scraper would: the Prometheus exposition must carry
-// node-labeled cluster_node_ counters and pass-latency histogram buckets,
-// and the /trace event log must hold at least one run with node-attributed
-// spans (the cluster's merged timeline).
-func checkScrape(base string) error {
-	body, err := httpGet(base + "/metrics")
-	if err != nil {
-		return err
-	}
-	for _, want := range []string{
-		"cluster_node_",
-		`node="`,
-		"freeride_pass_duration_seconds_bucket",
-		"cluster_pass_duration_seconds_bucket",
-		"go_goroutines",
-	} {
-		if !strings.Contains(body, want) {
-			return fmt.Errorf("/metrics exposition is missing %q", want)
-		}
-	}
-	body, err = httpGet(base + "/trace")
-	if err != nil {
-		return err
-	}
-	var log struct {
-		Runs []struct {
-			Job   uint64 `json:"job"`
-			Spans []struct {
-				Node int `json:"node"`
-			} `json:"spans"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal([]byte(body), &log); err != nil {
-		return fmt.Errorf("/trace JSON: %w", err)
-	}
-	if len(log.Runs) == 0 {
-		return fmt.Errorf("/trace event log is empty")
-	}
-	for _, r := range log.Runs {
-		if r.Job == 0 || len(r.Spans) == 0 {
-			continue
-		}
-		for _, sp := range r.Spans {
-			if sp.Node >= 0 {
-				return nil
-			}
-		}
-	}
-	return fmt.Errorf("/trace has no job-attributed run with node-attributed spans (no merged cluster timeline)")
-}
-
-// httpGet fetches url and returns the body as a string.
-func httpGet(url string) (string, error) {
-	client := &http.Client{Timeout: 10 * time.Second}
-	resp, err := client.Get(url)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("GET %s: %s", url, resp.Status)
-	}
-	return string(b), nil
-}
-
-// writeReport writes one experiment's JSON report to path.
-func writeReport(path string, r *bench.Report) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = r.WriteJSON(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-func parseThreads(s string) ([]int, error) {
+// parseThreads parses the -threads sweep. Empty means the powers of two up
+// to ncpu; a count above ncpu is an error, because a worker without its own
+// core measures time-slicing, not scaling.
+func parseThreads(s string, ncpu int) ([]int, error) {
 	if s == "" {
-		return nil, nil
+		var out []int
+		for n := 1; n <= ncpu; n *= 2 {
+			out = append(out, n)
+		}
+		return out, nil
 	}
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || n < 1 {
 			return nil, fmt.Errorf("bad thread count %q", part)
+		}
+		if n > ncpu {
+			return nil, fmt.Errorf("-threads %d exceeds NumCPU %d: every row is measured on real cores, one worker per core", n, ncpu)
 		}
 		out = append(out, n)
 	}

@@ -55,7 +55,8 @@ func (a Advice) Apply(base freeride.Config) freeride.Config {
 }
 
 // Advisor thresholds. Exported nowhere: the advisor's contract is its
-// behavior (pinned by tests and the abl-advise bench), not these numbers.
+// behavior (pinned by advise_test.go and TestAdvisedRunBitIdentical), not
+// these numbers.
 const (
 	// hotspotShare: above this hot-cell share, per-cell synchronization
 	// serializes and replication wins regardless of object size.
@@ -63,8 +64,8 @@ const (
 	// mergeToUpdateRatio: replication's end-of-pass merge costs
 	// cells×threads cell-adds; when that exceeds this multiple of the
 	// update count (domain), the merge dominates the pass and per-cell
-	// CAS wins. Calibrated on BENCH_abl_sparse.json: the strategy ranking
-	// crosses over between density 1e-4 (atomic wins) and 1e-2
+	// CAS wins. Set from a strategy × density sweep of sparse SpMV, where
+	// the ranking crossed over between density 1e-4 (atomic wins) and 1e-2
 	// (replication wins).
 	mergeToUpdateRatio = 4
 	// skewForStealing: above this max/mean alias skew, split costs are

@@ -58,7 +58,7 @@ func TestAdviseRules(t *testing.T) {
 		t.Fatalf("hotspot pick = %s", a.Strategy)
 	}
 	// Sparse touch: a large object with far fewer updates than merge adds
-	// (the abl-sparse low-density regime) goes atomic.
+	// (low-density SpMV) goes atomic.
 	sp := SparseShapeProfile("spmv", 1000, 100000, Options{})
 	a = Advise(sp, 8)
 	if a.Strategy != robj.AtomicCAS {

@@ -92,54 +92,10 @@ type Timing struct {
 	Reduce time.Duration
 	// Update is the non-reduction algorithmic work (e.g. centroid update).
 	Update time.Duration
-	// ReduceCPU is the summed worker CPU time of the reduction passes,
-	// when the platform supports per-thread accounting (Linux); 0 otherwise.
-	ReduceCPU time.Duration
-	// ReduceCPUMax sums each pass's critical path (largest per-worker CPU).
-	// On a machine with one core per worker this bounds reduction wall
-	// time; note that when the host has fewer cores than workers the value
-	// is distorted by time-slicing (a worker that happens to run first
-	// drains more splits), so the scaling estimates use the
-	// perfect-balance model instead and report this only as a diagnostic.
-	ReduceCPUMax time.Duration
-	// Threads is the worker count of the engine runs behind ReduceCPU.
-	Threads int
 }
 
 // Total returns the end-to-end wall time.
 func (t Timing) Total() time.Duration { return t.Linearize + t.HotVar + t.Reduce + t.Update }
-
-// Balance reports the measured reduce-phase balance, total worker CPU over
-// the critical path (1 = fully serialized, Threads = perfectly balanced).
-// Distorted on hosts with fewer cores than workers; diagnostic only.
-func (t Timing) Balance() float64 {
-	if t.ReduceCPUMax <= 0 {
-		return 1
-	}
-	return float64(t.ReduceCPU) / float64(t.ReduceCPUMax)
-}
-
-// EstTotal estimates the end-to-end wall time on a machine with one core
-// per worker: the serial phases (linearization, hot-var refresh, update)
-// plus the reduction CPU work divided evenly across workers. The even split
-// is justified by the dynamic scheduler handing out many splits per worker
-// (the engine defaults and the harness both ensure ≥8); sched's property
-// tests verify the split distribution. This is how the harness reproduces
-// the paper's thread-scaling figures when the reproduction machine has
-// fewer cores than the paper's 8-core testbed. Falls back to wall Total
-// when per-thread CPU accounting is unavailable.
-func (t Timing) EstTotal() time.Duration {
-	if t.ReduceCPU <= 0 || t.Threads <= 0 {
-		return t.Total()
-	}
-	return t.Linearize + t.HotVar + t.Update + t.ReduceCPU/time.Duration(t.Threads)
-}
-
-// addReduceStats folds one engine pass's CPU accounting into the timing.
-func (t *Timing) addReduceStats(cpuTotal, cpuMax time.Duration) {
-	t.ReduceCPU += cpuTotal
-	t.ReduceCPUMax += cpuMax
-}
 
 // BoxPoints converts an n×dim matrix into the boxed Chapel dataset the
 // paper's k-means operates on: [1..n] Point where Point is

@@ -167,7 +167,6 @@ func AprioriManualFR(tx *dataset.Matrix, cfg AprioriConfig) (*AprioriResult, err
 	eng := freeride.New(cfg.Engine)
 	defer eng.Close()
 	var timing Timing
-	timing.Threads = eng.Config().Threads
 	src := dataset.NewMemorySource(tx)
 
 	// Pass 1: 1-itemset supports.
@@ -190,7 +189,6 @@ func AprioriManualFR(tx *dataset.Matrix, cfg AprioriConfig) (*AprioriResult, err
 		return nil, err
 	}
 	timing.Reduce += time.Since(t0)
-	timing.addReduceStats(res1.Stats.CPUTotal(), res1.Stats.CPUMax())
 	one := res1.Object.Snapshot()
 	freq1 := frequentItems(one, cfg.MinSupport)
 	pairs := candidatePairs(freq1)
@@ -227,7 +225,6 @@ func AprioriManualFR(tx *dataset.Matrix, cfg AprioriConfig) (*AprioriResult, err
 		return nil, err
 	}
 	timing.Reduce += time.Since(t0)
-	timing.addReduceStats(res2.Stats.CPUTotal(), res2.Stats.CPUMax())
 	return &AprioriResult{
 		Frequent: assemble(one, freq1, pairs, res2.Object.Snapshot(), cfg.MinSupport),
 		Timing:   timing,

@@ -45,7 +45,6 @@ func runSessionLoop(ctx context.Context, eng *freeride.Engine, src dataset.Sourc
 			return err
 		}
 		timing.Reduce += time.Since(t0)
-		timing.addReduceStats(res.Stats.CPUTotal(), res.Stats.CPUMax())
 		t0 = time.Now()
 		foldErr := ls.Fold(it, res.Object)
 		timing.Update += time.Since(t0)

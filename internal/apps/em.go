@@ -200,7 +200,6 @@ func EMManualFR(points, init *dataset.Matrix, cfg EMConfig) (*EMResult, error) {
 	eng := freeride.New(cfg.Engine)
 	defer eng.Close()
 	var timing Timing
-	timing.Threads = eng.Config().Threads
 	src := dataset.NewMemorySource(points)
 	var weights []float64
 	err := runSessionLoop(context.Background(), eng, src, &timing, loopSpec{
@@ -298,7 +297,6 @@ func EMTranslated(boxedPoints *chapel.Array, init *dataset.Matrix, opt core.OptL
 	defer eng.Close()
 	src := tr.Source()
 	var timing Timing
-	timing.Threads = eng.Config().Threads
 	timing.Linearize = tr.LinearizeTime
 	var weights []float64
 	err = runSessionLoop(context.Background(), eng, src, &timing, loopSpec{

@@ -298,7 +298,6 @@ func KMeansTranslated(boxedPoints *chapel.Array, init *dataset.Matrix, opt core.
 
 	var counts []float64
 	var timing Timing
-	timing.Threads = eng.Config().Threads
 	timing.Linearize = tr.LinearizeTime
 	err = runSessionLoop(context.Background(), eng, src, &timing, loopSpec{
 		Iterations: cfg.Iterations,
@@ -343,7 +342,6 @@ func KMeansManualFR(points, init *dataset.Matrix, cfg KMeansConfig) (*KMeansResu
 
 	var counts []float64
 	var timing Timing
-	timing.Threads = eng.Config().Threads
 	err := runSessionLoop(context.Background(), eng, src, &timing, loopSpec{
 		Iterations: cfg.Iterations,
 		Spec: func(int) freeride.Spec {

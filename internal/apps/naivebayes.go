@@ -167,14 +167,12 @@ func NaiveBayesTrainFR(train *dataset.Matrix, cfg NaiveBayesConfig) (*NaiveBayes
 	eng := freeride.New(cfg.Engine)
 	defer eng.Close()
 	var timing Timing
-	timing.Threads = eng.Config().Threads
 	t0 := time.Now()
 	res, err := eng.RunContext(context.Background(), spec, dataset.NewMemorySource(train))
 	if err != nil {
 		return nil, err
 	}
 	timing.Reduce = time.Since(t0)
-	timing.addReduceStats(res.Stats.CPUTotal(), res.Stats.CPUMax())
 	return buildModel(cfg, dim, res.Object.Snapshot(), timing), nil
 }
 

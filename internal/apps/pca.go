@@ -188,7 +188,6 @@ func PCATranslated(boxedData *chapel.Array, opt core.OptLevel, cfg PCAConfig) (*
 	eng := freeride.New(cfg.Engine)
 	defer eng.Close()
 	var timing Timing
-	timing.Threads = eng.Config().Threads
 
 	// Phase 1 translates the dataset once; phase 2 reuses its linearized
 	// words (same dataset), so no second input linearization is charged. The
@@ -271,7 +270,6 @@ func PCAManualFR(data *dataset.Matrix, cfg PCAConfig) (*PCAResult, error) {
 	defer eng.Close()
 	src := dataset.NewMemorySource(data)
 	var timing Timing
-	timing.Threads = eng.Config().Threads
 
 	// Both phases on one session: iteration 0 sums features for the mean,
 	// iteration 1 accumulates the centered outer products.

@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"bytes"
-	"context"
 	"math"
 	"math/rand"
 	"os"
@@ -287,45 +286,6 @@ func TestPropertyMappedEquivalence(t *testing.T) {
 		if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(int64(layout) + 5))}); err != nil {
 			t.Fatalf("layout %v: %v", layout, err)
 		}
-	}
-}
-
-func TestCalibratePrefetch(t *testing.T) {
-	m := UniformMatrix(4096, 4, 31, 0, 1)
-	res, err := CalibratePrefetch(context.Background(), NewMemorySource(m), 128, 8, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Depth < 1 || res.Depth > 8 {
-		t.Fatalf("depth %d out of candidate range", res.Depth)
-	}
-	if res.BlockRows != 128 {
-		t.Fatalf("block rows %d", res.BlockRows)
-	}
-	if len(res.Probes) == 0 {
-		t.Fatal("no probes recorded")
-	}
-	for _, p := range res.Probes {
-		if p.HitShare < 0 || p.HitShare > 1 {
-			t.Fatalf("probe %+v: hit share out of [0,1]", p)
-		}
-	}
-	// Threshold 1.0 is unreachable (block 0 always misses), so calibration
-	// must fall back to the best-scoring depth after probing all candidates.
-	res2, err := CalibratePrefetch(context.Background(), NewMemorySource(m), 128, 8, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res2.Probes) != 4 {
-		t.Fatalf("unreachable threshold must probe all candidates, got %d", len(res2.Probes))
-	}
-	// Degenerate: empty source calibrates to depth 1 without reading.
-	res3, err := CalibratePrefetch(context.Background(), NewMemorySource(NewMatrix(0, 2)), 64, 4, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res3.Depth != 1 || len(res3.Probes) != 0 {
-		t.Fatalf("empty source: %+v", res3)
 	}
 }
 

@@ -12,14 +12,12 @@ import (
 // process; per-source values stay available through Stats. Coalesced waits
 // are block requests that found an identical fetch already in flight and
 // waited for it instead of issuing a duplicate read — they cost latency but
-// no I/O, which is why calibration treats them separately from resident
-// hits.
+// no I/O, which is why they are counted separately from resident hits.
 var (
 	mPrefHits   = obs.Default.Counter("dataset_prefetch_hits_total", "block reads served from the read-ahead cache")
 	mPrefMisses = obs.Default.Counter("dataset_prefetch_misses_total", "block reads that went to the underlying source")
 	mPrefIssued = obs.Default.Counter("dataset_prefetch_issued_total", "background read-ahead fetches scheduled")
 	mPrefCoal   = obs.Default.Counter("dataset_prefetch_coalesced_total", "block reads coalesced onto an identical in-flight fetch")
-	mPrefCalib  = obs.Default.Counter("dataset_prefetch_calibrations_total", "read-ahead calibration probes completed")
 )
 
 // PrefetchSource wraps a Source with a read-ahead cache: background
@@ -62,8 +60,7 @@ func NewPrefetchSource(src Source, blockRows, maxBlocks int) *PrefetchSource {
 // NewPrefetchSourceDepth is NewPrefetchSource with an explicit read-ahead
 // depth: up to depth blocks beyond the touched one are kept resident or in
 // flight. Depth is clamped to [1, maxBlocks-1] so read-ahead can never
-// evict the window it feeds; CalibratePrefetch picks a depth from measured
-// hit shares.
+// evict the window it feeds.
 func NewPrefetchSourceDepth(src Source, blockRows, maxBlocks, depth int) *PrefetchSource {
 	if blockRows < 1 {
 		blockRows = 4096
@@ -100,8 +97,8 @@ func (p *PrefetchSource) Depth() int { return p.depth }
 // BlockRows reports the block size in rows.
 func (p *PrefetchSource) BlockRows() int { return p.blockRows }
 
-// PrefetchStats is one source's cache behaviour, split the way the
-// calibration needs it: ResidentHits found the block already cached,
+// PrefetchStats is one source's cache behaviour, split by how long a
+// request waited: ResidentHits found the block already cached,
 // CoalescedWaits piggybacked on an in-flight fetch (no duplicate I/O, but
 // latency), Misses fetched synchronously, Prefetches counts background
 // fetches issued.
@@ -113,8 +110,7 @@ type PrefetchStats struct {
 }
 
 // HitShare is the fraction of block requests served with no wait at all —
-// the "pipeline kept up" measure calibration thresholds against. 0 when no
-// requests were made.
+// the "pipeline kept up" measure. 0 when no requests were made.
 func (s PrefetchStats) HitShare() float64 {
 	total := s.ResidentHits + s.CoalescedWaits + s.Misses
 	if total == 0 {
@@ -305,79 +301,4 @@ func (p *PrefetchSource) ReadRowsContext(ctx context.Context, begin, end int, ds
 		row = upto
 	}
 	return nil
-}
-
-// CalibrationProbe records one calibration candidate's measured outcome.
-type CalibrationProbe struct {
-	Depth    int
-	HitShare float64
-}
-
-// CalibrationResult is CalibratePrefetch's choice plus the evidence behind
-// it, for reporting alongside bench results.
-type CalibrationResult struct {
-	// Depth is the chosen read-ahead pipeline depth.
-	Depth int
-	// BlockRows is the block size the probes ran with.
-	BlockRows int
-	// HitShare is the no-wait hit share the chosen depth achieved.
-	HitShare float64
-	// Probes lists every candidate measured, in probe order.
-	Probes []CalibrationProbe
-}
-
-// CalibratePrefetch sizes the read-ahead pipeline from the prefetch
-// counters: for each candidate depth (1, 2, 4, 8) it scans the first
-// sampleBlocks blocks of src through a fresh PrefetchSource and reads the
-// per-source view of the dataset_prefetch_{hits,misses,coalesced}_total
-// counters, keeping the smallest depth whose no-wait hit share clears
-// threshold (default 0.5 when <= 0) — or the best-scoring depth when none
-// does. The probe is short by design: it reads sampleBlocks (default 16)
-// blocks per candidate, so calibration costs a few dozen block reads before
-// the real pass starts. blockRows defaults as in NewPrefetchSource.
-func CalibratePrefetch(ctx context.Context, src Source, blockRows, sampleBlocks int, threshold float64) (CalibrationResult, error) {
-	if blockRows < 1 {
-		blockRows = 4096
-	}
-	if sampleBlocks < 2 {
-		sampleBlocks = 16
-	}
-	if threshold <= 0 {
-		threshold = 0.5
-	}
-	totalBlocks := (src.NumRows() + blockRows - 1) / blockRows
-	if sampleBlocks > totalBlocks {
-		sampleBlocks = totalBlocks
-	}
-	res := CalibrationResult{Depth: 1, BlockRows: blockRows}
-	if sampleBlocks == 0 {
-		return res, nil
-	}
-	scratch := make([]float64, blockRows*src.Cols())
-	best := -1.0
-	for _, depth := range []int{1, 2, 4, 8} {
-		ps := NewPrefetchSourceDepth(src, blockRows, depth+2, depth)
-		for b := 0; b < sampleBlocks; b++ {
-			lo := b * blockRows
-			hi := lo + blockRows
-			if hi > src.NumRows() {
-				hi = src.NumRows()
-			}
-			if err := ps.ReadRowsContext(ctx, lo, hi, scratch[:(hi-lo)*src.Cols()]); err != nil {
-				return res, err
-			}
-		}
-		share := ps.DetailedStats().HitShare()
-		res.Probes = append(res.Probes, CalibrationProbe{Depth: depth, HitShare: share})
-		mPrefCalib.Inc()
-		if share > best {
-			best = share
-			res.Depth, res.HitShare = depth, share
-		}
-		if share >= threshold {
-			res.Depth, res.HitShare = depth, share
-			break
-		}
-	}
-	return res, nil
 }

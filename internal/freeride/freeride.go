@@ -51,6 +51,8 @@ import (
 // Together with robj's and sched's counters they quantify the paper's three
 // §V overhead sources: split handling (PhaseSplit, sched_*), reduction-object
 // access (PhaseLocalCombine, robj_*), and data access (dataset_*).
+// PhaseGlobalCombine names the cluster's cross-node combine span; no engine
+// pass records it, so it has no phase counter.
 const (
 	PhaseSplit         = "split"
 	PhaseReduce        = "reduce"
@@ -60,9 +62,9 @@ const (
 	PhaseGlobalCombine = "global-combine"
 )
 
-// Phases lists every phase name an engine pass can record.
-func Phases() []string {
-	return []string{PhaseSplit, PhaseReduce, PhaseLocalCombine, PhaseCombine, PhaseFinalize, PhaseGlobalCombine}
+// phases lists every phase an engine pass records, one counter each.
+func phases() []string {
+	return []string{PhaseSplit, PhaseReduce, PhaseLocalCombine, PhaseCombine, PhaseFinalize}
 }
 
 // Always-on engine counters. Failed and cancelled passes are counted
@@ -84,7 +86,7 @@ var (
 	// at init so the engine never does registry lookups mid-run.
 	phaseNS = func() map[string]*obs.Counter {
 		m := map[string]*obs.Counter{}
-		for _, p := range Phases() {
+		for _, p := range phases() {
 			m[p] = obs.Default.Counter("freeride_phase_ns_total",
 				"cumulative wall time per engine phase, nanoseconds",
 				obs.Label{Key: "phase", Value: p})
@@ -374,30 +376,6 @@ func (s Stats) CPUTotal() time.Duration {
 		sum += d
 	}
 	return sum
-}
-
-// CPUMax returns the largest per-worker CPU time — the reduction phase's
-// critical path on a machine with at least Threads cores.
-func (s Stats) CPUMax() time.Duration {
-	var max time.Duration
-	for _, d := range s.WorkerCPU {
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// BalanceSpeedup estimates the parallel speedup of the reduction phase on a
-// machine with one core per worker: total CPU work over the critical path.
-// It captures load balance and scheduling overhead but assumes perfect
-// memory-system scaling. Returns 1 when accounting is unavailable.
-func (s Stats) BalanceSpeedup() float64 {
-	max := s.CPUMax()
-	if max <= 0 {
-		return 1
-	}
-	return float64(s.CPUTotal()) / float64(max)
 }
 
 // Result carries the final reduction object and run statistics.

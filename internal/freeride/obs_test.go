@@ -2,6 +2,7 @@ package freeride
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -132,5 +133,19 @@ func TestPhasesListsCombineAndFinalize(t *testing.T) {
 	delta := obs.Default.Value("freeride_phase_ns_total", obs.Label{Key: "phase", Value: PhaseCombine}) - combineBefore
 	if delta < int64(time.Millisecond) {
 		t.Fatalf("combine phase counter delta %dns, want >= 1ms", delta)
+	}
+	// Exactly the phases a pass records are exposed: the cluster's global
+	// combine is a span only, so it must not scrape as a permanent zero.
+	var prom strings.Builder
+	if err := obs.Default.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range phases() {
+		if !strings.Contains(prom.String(), `freeride_phase_ns_total{phase="`+p+`"}`) {
+			t.Fatalf("phase %q has no counter on /metrics", p)
+		}
+	}
+	if strings.Contains(prom.String(), `phase="`+PhaseGlobalCombine+`"`) {
+		t.Fatalf("%q has no writer but is exposed as a phase counter", PhaseGlobalCombine)
 	}
 }

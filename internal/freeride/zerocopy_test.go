@@ -3,6 +3,7 @@ package freeride
 import (
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -89,12 +90,14 @@ func zcSpec(groups int) Spec {
 // TestZeroCopyMatchesBoxed is the aliasing-safety property for RowSlicer
 // ingestion: across schedulers × strategies × thread counts, a pass over a
 // zero-copy source (mmap-backed file, and a mutation-detecting memory
-// guard) is bit-identical to the same pass over the boxed copy path, and
-// the zero-copy backing array comes out untouched.
+// guard) is bit-identical to the same pass over the boxed copy path and
+// over the parse-every-pass CSV file source, and the zero-copy backing
+// array comes out untouched.
 func TestZeroCopyMatchesBoxed(t *testing.T) {
 	const rows, cols, groups = 20_000, 3, 16
 	m := intMatrix(rows, cols)
-	path := filepath.Join(t.TempDir(), "zc.frds")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "zc.frds")
 	if err := dataset.WriteFile(path, m); err != nil {
 		t.Fatal(err)
 	}
@@ -103,6 +106,23 @@ func TestZeroCopyMatchesBoxed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mapped.Close()
+	csvPath := filepath.Join(dir, "zc.csv")
+	f, err := os.Create(csvPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = dataset.WriteCSV(f, m, nil)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	csvSrc, err := dataset.OpenCSVFileSource(csvPath, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer csvSrc.Close()
 	guard := newGuardSource(m)
 	spec := zcSpec(groups)
 
@@ -116,7 +136,9 @@ func TestZeroCopyMatchesBoxed(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					snap := res.Object.Snapshot()
+					// Copy out: Release hands the object, and the slice
+					// Snapshot returns, back to the pool the next pass reuses.
+					snap := append([]float64(nil), res.Object.Snapshot()...)
 					if err := eng.Release(res); err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
@@ -125,12 +147,16 @@ func TestZeroCopyMatchesBoxed(t *testing.T) {
 				boxed := runSnapshot(boxingSource{guard})
 				zcMapped := runSnapshot(mapped)
 				zcGuard := runSnapshot(guard)
+				parsed := runSnapshot(csvSrc)
 				for i := range boxed {
 					if boxed[i] != zcMapped[i] {
 						t.Fatalf("%s: mapped zero-copy cell %d = %v, boxed %v", name, i, zcMapped[i], boxed[i])
 					}
 					if boxed[i] != zcGuard[i] {
 						t.Fatalf("%s: guard zero-copy cell %d = %v, boxed %v", name, i, zcGuard[i], boxed[i])
+					}
+					if boxed[i] != parsed[i] {
+						t.Fatalf("%s: csv cell %d = %v, boxed %v", name, i, parsed[i], boxed[i])
 					}
 				}
 				if err := eng.Close(); err != nil {
@@ -170,7 +196,7 @@ func TestZeroCopyFusedMatchesBoxed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			snap := res.Object.Snapshot()
+			snap := append([]float64(nil), res.Object.Snapshot()...)
 			if err := eng.Release(res); err != nil {
 				t.Fatal(err)
 			}

@@ -197,7 +197,7 @@ func (t *Trace) PhaseTotal(name string) time.Duration {
 }
 
 // EventLog is a process-wide ring of recent traces (one entry per engine
-// pass), exported as JSON from the metrics endpoint and by -trace-out.
+// pass), exported as JSON from the metrics endpoint's /trace.
 type EventLog struct {
 	mu      sync.Mutex
 	limit   int

@@ -797,8 +797,8 @@ func TestJobRetention(t *testing.T) {
 }
 
 // TestConcurrentLoadSmoke drives a few hundred concurrent synchronous jobs
-// through the full HTTP path — a scaled-down in-test version of the
-// abl-serve load experiment, catching races under -race.
+// through the full HTTP path — a scaled-down closed-loop load, catching
+// races under -race.
 func TestConcurrentLoadSmoke(t *testing.T) {
 	s, ts := testServer(t, Config{
 		Engines: 2, Engine: freeride.Config{Threads: 2, SplitRows: 256},
