@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"time"
 
 	"chapelfreeride/internal/obs"
@@ -139,11 +139,18 @@ type InspectorPlan struct {
 }
 
 // NewInspectorPlan runs the inspector over a COO source: sorts the entries
-// into CSR order (row-major, column within row — deterministic, so results
-// are reproducible across runs) and materializes the executor's index
-// tables. Entry coordinates are NOT bounds-checked here; the verifier's
-// table proofs (FRV013/FRV014) reject out-of-range entries when the plan is
-// bound to a class, which keeps the proof in one place.
+// into CSR order (row-major, column within row) and materializes the
+// executor's index tables. The sort is stable — entries with equal (row,
+// col) keep their input order, so results are reproducible across runs —
+// and linear: a two-level counting sort costing O(nnz + Rows/1024) time and,
+// beyond the tables, O(Rows/1024 + largest 1024-row bucket) memory. Entries
+// whose row is outside [0, Rows) sort last, in input order.
+//
+// Entry coordinates are NOT bounds-checked here; the verifier's table
+// proofs (FRV013/FRV014) reject out-of-range entries when the plan is bound
+// to a class, which keeps the proof in one place. The shape is checked:
+// Rows or Cols outside [0, MaxInt32] cannot be addressed by int32 tables
+// and is rejected with FRV007 before anything is allocated.
 func NewInspectorPlan(coo *SparseCOO) (*InspectorPlan, error) {
 	if coo == nil {
 		return nil, fmt.Errorf("core: inspector needs a COO source")
@@ -153,34 +160,174 @@ func NewInspectorPlan(coo *SparseCOO) (*InspectorPlan, error) {
 		return nil, fmt.Errorf("core: COO arrays disagree: %d rows, %d cols, %d values",
 			len(coo.R), len(coo.C), nnz)
 	}
-	t0 := time.Now()
-	perm := make([]int, nnz)
-	for i := range perm {
-		perm[i] = i
+	if err := CheckSparseShape(coo.Rows, coo.Cols); err != nil {
+		return nil, err
 	}
-	sort.Slice(perm, func(a, b int) bool {
-		pa, pb := perm[a], perm[b]
-		if coo.R[pa] != coo.R[pb] {
-			return coo.R[pa] < coo.R[pb]
-		}
-		return coo.C[pa] < coo.C[pb]
-	})
+	t0 := time.Now()
 	p := &InspectorPlan{
 		rows: coo.Rows, cols: coo.Cols, nnz: nnz,
 		vals: make([]float64, nnz),
 		out:  make([]int32, nnz),
 		in:   make([]int32, nnz),
 	}
-	for i, src := range perm {
-		p.vals[i] = coo.V[src]
-		p.out[i] = coo.R[src]
-		p.in[i] = coo.C[src]
-	}
+	p.sortCSR(coo)
 	p.buildTime = time.Since(t0)
 	p.tableBytes = 4 * (len(p.out) + len(p.in))
 	mInspectorBuildNS.Add(p.buildTime.Nanoseconds())
 	mIndexTableBytes.Add(int64(p.tableBytes))
 	return p, nil
+}
+
+// CheckSparseShape rejects a sparse matrix shape the inspector's int32
+// index tables cannot address — rows or cols outside [0, MaxInt32] — with
+// a *verify.Error carrying FRV007.
+func CheckSparseShape(rows, cols int) error {
+	if rows < 0 || rows > math.MaxInt32 || cols < 0 || cols > math.MaxInt32 {
+		return verify.Diagnostics{{
+			Pos: "coo", Severity: verify.SeverityError, Code: verify.CodeBadObjectShape,
+			Msg: fmt.Sprintf("core: sparse matrix shape %dx%d is outside [0, %d]; int32 index tables cannot address it",
+				rows, cols, math.MaxInt32),
+		}}.Err()
+	}
+	return nil
+}
+
+// The inspector's first-level bucket spans 1 << rowBucketShift rows: at a
+// few entries per row a bucket's entries fit in L2 while the second level
+// sorts them, and the bucket counts cost 8 B per 1024 rows.
+const (
+	rowBucketShift = 10
+	rowBucketRows  = 1 << rowBucketShift
+	// insertionRowMax is the longest row the column pass insertion-sorts.
+	// Longer rows — hub rows, or a source given as one row — take the radix
+	// column pass, so a skewed source still sorts in linear time.
+	insertionRowMax = 32
+)
+
+// sortCSR fills the tables with coo's entries in CSR order in two stable
+// counting passes, each the histogram → prefix sum → scatter of one radix
+// digit. Pass 1 buckets entries by row >> rowBucketShift straight into the
+// tables; bucket nb collects the rows outside [0, rows) and keeps their
+// input order. Pass 2 finishes each in-range bucket through one scratch
+// sized to the largest bucket.
+func (p *InspectorPlan) sortCSR(coo *SparseCOO) {
+	R := coo.R
+	C, V := coo.C[:len(R)], coo.V[:len(R)]
+	nb := (p.rows + rowBucketRows - 1) >> rowBucketShift
+	next := make([]int, nb+2)
+	for _, r := range R {
+		next[rowBucket(r, p.rows, nb)+1]++
+	}
+	widest := 0
+	for b := 1; b < len(next); b++ {
+		if b <= nb {
+			widest = max(widest, next[b])
+		}
+		next[b] += next[b-1]
+	}
+	for e, r := range R {
+		b := rowBucket(r, p.rows, nb)
+		i := next[b]
+		next[b]++
+		p.out[i], p.in[i], p.vals[i] = r, C[e], V[e]
+	}
+	// next[b] now ends bucket b.
+	s := csrScratch{out: make([]int32, widest), in: make([]int32, widest), vals: make([]float64, widest)}
+	lo := 0
+	for _, hi := range next[:nb] {
+		if hi-lo > 1 {
+			s.sortBucket(p.out[lo:hi], p.in[lo:hi], p.vals[lo:hi])
+		}
+		lo = hi
+	}
+}
+
+// rowBucket is row r's first-level bucket: r >> rowBucketShift for r in
+// [0, rows), and nb — the out-of-range bucket — otherwise.
+func rowBucket(r int32, rows, nb int) int {
+	if r < 0 || int(r) >= rows {
+		return nb
+	}
+	return int(r) >> rowBucketShift
+}
+
+// csrScratch is the second level's working copy of one bucket.
+type csrScratch struct {
+	out, in []int32
+	vals    []float64
+}
+
+// sortBucket orders one bucket's entries — rows within one 1024-row span —
+// by row and then column, stably: a counting pass on the row's low bits
+// from the scratch copy back into place, then a column sort of each row.
+func (s *csrScratch) sortBucket(out, in []int32, vals []float64) {
+	n := len(out)
+	sOut, sIn, sVals := s.out[:n], s.in[:n], s.vals[:n]
+	copy(sOut, out)
+	copy(sIn, in)
+	copy(sVals, vals)
+	var next [rowBucketRows + 1]int
+	for _, r := range sOut {
+		next[r&(rowBucketRows-1)+1]++
+	}
+	for k := 1; k < len(next); k++ {
+		next[k] += next[k-1]
+	}
+	for e, r := range sOut {
+		k := r & (rowBucketRows - 1)
+		i := next[k]
+		next[k]++
+		out[i], in[i], vals[i] = r, sIn[e], sVals[e]
+	}
+	// next[k] now ends row k of the span, and the scratch is free again.
+	lo := 0
+	for _, hi := range next[:rowBucketRows] {
+		if hi-lo > 1 {
+			s.sortRow(in[lo:hi], vals[lo:hi])
+		}
+		lo = hi
+	}
+}
+
+// sortRow stably orders one row's entries by column. Rows hold a few
+// entries in practice and are insertion-sorted; a longer row takes an LSD
+// radix over the column's four bytes, ping-ponging through the scratch.
+func (s *csrScratch) sortRow(in []int32, vals []float64) {
+	n := len(in)
+	if n <= insertionRowMax {
+		for i := 1; i < n; i++ {
+			c, v := in[i], vals[i]
+			j := i
+			for ; j > 0 && in[j-1] > c; j-- {
+				in[j], vals[j] = in[j-1], vals[j-1]
+			}
+			in[j], vals[j] = c, v
+		}
+		return
+	}
+	src, srcV, dst, dstV := in, vals, s.in[:n], s.vals[:n]
+	for shift := 0; shift < 32; shift += 8 {
+		var next [257]int
+		for _, c := range src {
+			next[colDigit(c, shift)+1]++
+		}
+		for d := 1; d < len(next); d++ {
+			next[d] += next[d-1]
+		}
+		for e, c := range src {
+			d := colDigit(c, shift)
+			dst[next[d]], dstV[next[d]] = c, srcV[e]
+			next[d]++
+		}
+		src, srcV, dst, dstV = dst, dstV, src, srcV
+	}
+	// Four passes, an even number: the sorted row is back in in and vals.
+}
+
+// colDigit is byte shift/8 of column c with the sign bit flipped, so the
+// unsigned digit order is the signed column order.
+func colDigit(c int32, shift int) int {
+	return int(uint32(c)^(1<<31)) >> shift & 0xff
 }
 
 // Kind implements AccessPlan.
@@ -211,7 +358,8 @@ func (p *InspectorPlan) Cols() int { return p.cols }
 func (p *InspectorPlan) NNZ() int { return p.nnz }
 
 // BuildTime reports how long the inspector spent sorting and materializing
-// tables — the translate-time cost the bench report surfaces.
+// tables — the O(nnz + Rows/1024) translate-time cost the bench report
+// surfaces.
 func (p *InspectorPlan) BuildTime() time.Duration { return p.buildTime }
 
 // TableBytes reports the index tables' memory footprint.

@@ -318,9 +318,9 @@ type SparseCOO struct {
 // as whole-number reals so the record stays an all-real layout — into the
 // raw SparseCOO the inspector consumes. r and c are 1-based (Chapel domain
 // style) and converted to 0-based; rows and cols declare the logical shape.
-// Structural problems (wrong record shape, fractional coordinates) are
-// linearization errors; out-of-range coordinates pass through for the
-// verifier to reject with its table proofs.
+// Structural problems (wrong record shape, fractional coordinates,
+// coordinates no int32 holds) are linearization errors; coordinates outside
+// the matrix pass through for the verifier to reject with its table proofs.
 func LinearizeCOO(arr *chapel.Array, rows, cols int) (*SparseCOO, error) {
 	if arr == nil {
 		return nil, fmt.Errorf("core: LinearizeCOO needs a COO array")
@@ -357,23 +357,26 @@ func LinearizeCOO(arr *chapel.Array, rows, cols int) (*SparseCOO, error) {
 		if err != nil {
 			return nil, err
 		}
-		coo.R[i] = r - 1 // Chapel 1-based → 0-based
-		coo.C[i] = c - 1
+		coo.R[i], coo.C[i] = r, c
 		coo.V[i] = fields[vi].(*chapel.Real).Val
 	}
 	return coo, nil
 }
 
-// wholeCoord converts a real-stored coordinate to int32, rejecting
-// fractional values (a fractional coordinate is a construction bug, not an
-// out-of-range entry the verifier should handle).
+// wholeCoord converts a real-stored 1-based (Chapel) coordinate to the
+// 0-based int32 the index tables hold. A fractional value is a construction
+// bug, and one whose 0-based form does not fit an int32 cannot be stored at
+// all; both are errors here, not out-of-range entries for the verifier.
 func wholeCoord(v float64, field string, entry int) (int32, error) {
-	c := int32(v)
-	if float64(c) != v {
+	if v != math.Trunc(v) {
 		return 0, fmt.Errorf("core: COO entry %d field %q holds %v, not a whole-number coordinate",
 			entry, field, v)
 	}
-	return c, nil
+	if v-1 < math.MinInt32 || v-1 > math.MaxInt32 {
+		return 0, fmt.Errorf("core: COO entry %d field %q holds %v, out of range for an int32 index table",
+			entry, field, v)
+	}
+	return int32(v - 1), nil
 }
 
 // WordsBack writes a []float64 word view back into a boxed all-real value,

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -72,6 +73,13 @@ func TestLinearizeCOORejections(t *testing.T) {
 	frac := boxCOO([][3]float64{{1.5, 1, 2}})
 	if _, err := LinearizeCOO(frac, 2, 2); err == nil || !strings.Contains(err.Error(), "whole-number") {
 		t.Fatalf("fractional coordinate not rejected: %v", err)
+	}
+	// Whole coordinates whose 0-based form no int32 holds: too large, and
+	// MinInt32, which would wrap to MaxInt32 on the 1-based → 0-based step.
+	for _, e := range [][3]float64{{3e9, 1, 2}, {1, -3e9, 2}, {math.MinInt32, 1, 2}, {1, math.Inf(1), 2}} {
+		if _, err := LinearizeCOO(boxCOO([][3]float64{e}), 2, 2); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Fatalf("coordinate outside int32 %v not rejected as out of range: %v", e, err)
+		}
 	}
 	notRec := chapel.RealArray(1, 2, 3)
 	if _, err := LinearizeCOO(notRec, 2, 2); err == nil || !strings.Contains(err.Error(), "records") {
@@ -161,6 +169,26 @@ func TestTranslateSparseRejections(t *testing.T) {
 				return coo
 			},
 			code: verify.CodeTableOOB,
+		},
+		{
+			name:  "matrix rows past int32",
+			class: func() *SparseClass { return spmvTestClass(3, x) },
+			coo: func(t *testing.T) *SparseCOO {
+				coo := testCOO(t)
+				coo.Rows = math.MaxInt32 + 1
+				return coo
+			},
+			code: verify.CodeBadObjectShape,
+		},
+		{
+			name:  "negative matrix columns",
+			class: func() *SparseClass { return spmvTestClass(3, x) },
+			coo: func(t *testing.T) *SparseCOO {
+				coo := testCOO(t)
+				coo.Cols = -1
+				return coo
+			},
+			code: verify.CodeBadObjectShape,
 		},
 	}
 	for _, tc := range tests {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"chapelfreeride/internal/analyze"
+	"chapelfreeride/internal/core"
 	"chapelfreeride/internal/dataset"
 	"chapelfreeride/internal/freeride"
 	"chapelfreeride/internal/robj"
@@ -24,9 +25,14 @@ type Execution struct {
 	Trace []string
 }
 
-// validatePins rejects unknown strategy/scheduler names at submission time,
-// so clients get a synchronous 4xx instead of a failed job.
+// validatePins rejects unknown strategy/scheduler names and sparse shapes
+// no int32 index table addresses at submission time, so clients get a
+// synchronous 4xx instead of a failed job — or, for a negative shape, a
+// kernel that panics sizing its vectors and takes the server down.
 func validatePins(p Params) error {
+	if err := core.CheckSparseShape(p.Rows, p.Cols); err != nil {
+		return fmt.Errorf("serve: params rows/cols: %w", err)
+	}
 	if p.Strategy != "" {
 		if _, err := robj.ParseStrategy(p.Strategy); err != nil {
 			return fmt.Errorf("serve: params.strategy: %w", err)

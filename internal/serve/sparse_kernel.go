@@ -20,8 +20,9 @@ type SpMVOutput struct {
 	// NNZ is the nonzero (triple) count consumed.
 	NNZ int `json:"nnz"`
 	// InspectorNs is the translate-time inspector cost for this job — the
-	// COO→CSR sort plus index-table materialization, reported so serving
-	// latency never hides table construction inside pass time.
+	// COO→CSR counting sort, O(nnz + Rows/1024), plus index-table
+	// materialization, reported so serving latency never hides table
+	// construction inside pass time.
 	InspectorNs int64 `json:"inspector_ns"`
 	// IndexTableBytes is the size of the materialized out+in index tables.
 	IndexTableBytes int `json:"index_table_bytes"`
@@ -63,6 +64,9 @@ func spmvKernel(ctx context.Context, eng *freeride.Engine, src dataset.Source, p
 			if c := int(triples.At(i, 1)) + 1; c > cols {
 				cols = c
 			}
+		}
+		if err := core.CheckSparseShape(rows, cols); err != nil {
+			return nil, err
 		}
 	}
 

@@ -2,10 +2,13 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
+	"path/filepath"
 	"testing"
 
 	"chapelfreeride/internal/apps"
+	"chapelfreeride/internal/dataset"
 	"chapelfreeride/internal/freeride"
 )
 
@@ -100,6 +103,58 @@ func TestServeSpMVInfersShape(t *testing.T) {
 	}
 	if len(out.Y) != out.Rows {
 		t.Fatalf("len(Y) = %d, want %d", len(out.Y), out.Rows)
+	}
+}
+
+// TestServeSpMVShapeRejected: a negative matrix shape, or one past what an
+// int32 index table addresses, is a 400 at submission instead of a kernel
+// that panics sizing its vectors and kills the server. A shape inferred
+// from the triples is bounded too: its job fails. The server answers
+// /healthz afterwards.
+func TestServeSpMVShapeRejected(t *testing.T) {
+	s, ts := testServer(t, Config{Engines: 1, Engine: freeride.Config{Threads: 1}})
+	if _, err := s.RegisterDataset(sparseSpec("sp3")); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []Params{
+		{Rows: -5, Cols: -5},
+		{Rows: 64, Cols: -1},
+		{Rows: math.MaxInt32 + 1, Cols: 48},
+		{Rows: 64, Cols: math.MaxInt32 + 1},
+	} {
+		var body struct {
+			Error string `json:"error"`
+		}
+		resp := postJSON(t, ts.URL+"/v1/jobs", JobRequest{Kernel: "spmv", Dataset: "sp3", Params: p, Wait: true}, &body)
+		if resp.StatusCode != http.StatusBadRequest || body.Error == "" {
+			t.Fatalf("shape %dx%d: status %d, error %q; want 400 with a message", p.Rows, p.Cols, resp.StatusCode, body.Error)
+		}
+	}
+
+	// A shape inferred from the triples is bounded the same way: a column
+	// coordinate of 1e15 fails the job instead of sizing x from it.
+	path := filepath.Join(t.TempDir(), "wide.frds")
+	wide := dataset.NewMatrix(1, 3)
+	copy(wide.Data, []float64{0, 1e15, 1})
+	if err := dataset.WriteFile(path, wide); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RegisterDataset(DatasetSpec{Name: "wide", Kind: "file", Path: path}); err != nil {
+		t.Fatal(err)
+	}
+	var st Status
+	postJSON(t, ts.URL+"/v1/jobs", JobRequest{Kernel: "spmv", Dataset: "wide", Wait: true}, &st)
+	if st.State != JobFailed {
+		t.Fatalf("spmv with an inferred 1e15-column shape finished %q, want failed", st.State)
+	}
+
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after rejected shapes: %d", resp.StatusCode)
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 
 // inspectorBuilders are the translate-time entry points of the sparse
 // inspector–executor pipeline: each one sorts/linearizes the whole nonzero
-// set or materializes index tables, an O(nnz log nnz) cost meant to be paid
-// once per translation, never once per split.
+// set or materializes index tables, an O(nnz) cost meant to be paid once
+// per translation, never once per split.
 var inspectorBuilders = map[string]bool{
 	"NewInspectorPlan": true,
 	"LinearizeCOO":     true,
@@ -22,7 +22,7 @@ var inspectorBuilders = map[string]bool{
 // executor skip per-element bounds checks — so building a plan inside a
 // Reduction/BlockReduction/Kernel literal re-pays the full sort and
 // allocation on every split of every pass, silently turning the O(nnz)
-// executor into O(splits·nnz log nnz). Hoist the plan to translate time and
+// executor into O(splits·nnz). Hoist the plan to translate time and
 // capture the resulting tables instead.
 var InspectorHoist = &Analyzer{
 	Name: "inspectorhoist",
