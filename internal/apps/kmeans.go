@@ -81,8 +81,14 @@ func nearest(point []float64, cents []float64, k, dim int) int {
 // element the count). Empty clusters keep their previous centroid, and the
 // per-cluster counts are returned.
 func updateCentroids(snapshot []float64, prev *dataset.Matrix, k, dim int) (*dataset.Matrix, []float64) {
-	next := dataset.NewMatrix(k, dim)
-	counts := make([]float64, k)
+	next, counts := dataset.NewMatrix(k, dim), make([]float64, k)
+	updateCentroidsInto(next, counts, snapshot, prev, k, dim)
+	return next, counts
+}
+
+// updateCentroidsInto is updateCentroids writing into caller-owned next and
+// counts, every cell of which it overwrites; next must not be prev.
+func updateCentroidsInto(next *dataset.Matrix, counts, snapshot []float64, prev *dataset.Matrix, k, dim int) {
 	for c := 0; c < k; c++ {
 		cells := snapshot[c*(dim+1) : (c+1)*(dim+1)]
 		counts[c] = cells[dim]
@@ -94,7 +100,6 @@ func updateCentroids(snapshot []float64, prev *dataset.Matrix, k, dim int) (*dat
 			next.Set(c, j, cells[j]/counts[c])
 		}
 	}
-	return next, counts
 }
 
 // KMeansSeq is the sequential reference implementation.

@@ -54,7 +54,6 @@ func KMeansCluster(points, init *dataset.Matrix, cfg KMeansClusterConfig) (*KMea
 		return nil, fmt.Errorf("apps: cluster k-means needs K >= 1 and Iterations >= 1")
 	}
 	k, dim := cfg.K, points.Cols
-	cents := init.Clone()
 	cl := cluster.New(cluster.Config{
 		Nodes:     cfg.Nodes,
 		PerNode:   cfg.PerNode,
@@ -63,27 +62,32 @@ func KMeansCluster(points, init *dataset.Matrix, cfg KMeansClusterConfig) (*KMea
 	})
 	defer cl.Close()
 	src := dataset.NewMemorySource(points)
+	// The centroids are double-buffered: each iteration reads cents and
+	// writes next, then the two swap. flat is what the reduction reads, so
+	// one spec serves every iteration.
+	cents, next := init.Clone(), dataset.NewMatrix(k, dim)
+	counts := make([]float64, k)
+	var flat []float64
+	spec := freeride.Spec{
+		Object: freeride.ObjectSpec{Groups: k, Elems: dim + 1, Op: robj.OpAdd},
+		Reduction: func(args *freeride.ReductionArgs) error {
+			for i := 0; i < args.NumRows; i++ {
+				row := args.Row(i)
+				c := nearest(row, flat, k, dim)
+				for j := 0; j < dim; j++ {
+					args.Accumulate(c, j, row[j])
+				}
+				args.Accumulate(c, dim, 1)
+			}
+			return nil
+		},
+	}
 	var (
-		counts []float64
 		moved  int64
 		timing Timing
 	)
 	for it := 0; it < cfg.Iterations; it++ {
-		flat := cents.Data
-		spec := freeride.Spec{
-			Object: freeride.ObjectSpec{Groups: k, Elems: dim + 1, Op: robj.OpAdd},
-			Reduction: func(args *freeride.ReductionArgs) error {
-				for i := 0; i < args.NumRows; i++ {
-					row := args.Row(i)
-					c := nearest(row, flat, k, dim)
-					for j := 0; j < dim; j++ {
-						args.Accumulate(c, j, row[j])
-					}
-					args.Accumulate(c, dim, 1)
-				}
-				return nil
-			},
-		}
+		flat = cents.Data
 		t0 := time.Now()
 		res, err := cl.RunContext(context.Background(), spec, src)
 		if err != nil {
@@ -92,7 +96,8 @@ func KMeansCluster(points, init *dataset.Matrix, cfg KMeansClusterConfig) (*KMea
 		timing.Reduce += time.Since(t0)
 		moved += res.Stats.BytesMoved
 		t0 = time.Now()
-		cents, counts = updateCentroids(res.Object.Snapshot(), cents, k, dim)
+		updateCentroidsInto(next, counts, res.Object.Snapshot(), cents, k, dim)
+		cents, next = next, cents
 		timing.Update += time.Since(t0)
 		if err := cl.Release(res); err != nil {
 			return nil, err

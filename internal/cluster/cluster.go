@@ -22,6 +22,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strconv"
@@ -47,8 +48,8 @@ type Transport int
 const (
 	// InProcess exchanges objects over Go channels (zero-copy handoff).
 	InProcess Transport = iota
-	// TCP exchanges gob-serialized objects over loopback TCP connections,
-	// exercising a real wire format and network stack.
+	// TCP exchanges objects as little-endian frames over loopback TCP
+	// connections, exercising a real wire format and network stack.
 	TCP
 )
 
@@ -183,12 +184,29 @@ type Cluster struct {
 
 	// runMu serializes TCP passes end to end: the announce and combine
 	// frames of one pass must not interleave with another's on the shared
-	// per-connection gob streams.
+	// connections.
 	runMu sync.Mutex
+
+	// nodeNames are the coordinator's per-node span names.
+	nodeNames []string
+
+	// ctrMu guards the session's cluster_node_ counter cache: nodeCtrs maps
+	// a node plus a delta's name and labels to its registry counter, and
+	// ctrKey is the buffer those keys are built in.
+	ctrMu    sync.Mutex
+	nodeCtrs map[string]*obs.Counter
+	ctrKey   []byte
 }
 
 // New creates a cluster session. Node engines start lazily on the first pass.
-func New(cfg Config) *Cluster { return &Cluster{cfg: cfg.withDefaults()} }
+func New(cfg Config) *Cluster {
+	c := &Cluster{cfg: cfg.withDefaults()}
+	c.nodeNames = make([]string, c.cfg.Nodes)
+	for n := range c.nodeNames {
+		c.nodeNames[n] = "node-" + strconv.Itoa(n)
+	}
+	return c
+}
 
 // Config returns the effective configuration.
 func (c *Cluster) Config() Config { return c.cfg }
@@ -406,6 +424,19 @@ func (c *Cluster) RunFileContext(ctx context.Context, spec freeride.Spec, path s
 	})
 }
 
+// nodePass is one node's share of a cluster pass: the job id it ran under,
+// what its engine pass returned, and what the coordinator needs to merge its
+// spans and deltas. A pass keeps every node's in one slice.
+type nodePass struct {
+	job    obs.JobID
+	res    *freeride.Result
+	err    error
+	span   int64         // coordinator span the node's spans nest under
+	offset time.Duration // node pass start on the coordinator clock
+	spans  []obs.SpanRecord
+	deltas []obs.MetricDelta
+}
+
 // runContext drives one cluster pass. openNode builds node n's local source
 // over global rows [lo, hi) — a view of a shared in-memory source, or a
 // freshly mapped file — plus an optional closer that runs when the node's
@@ -440,16 +471,29 @@ func (c *Cluster) runContext(ctx context.Context, spec freeride.Spec, totalRows 
 		runSpan.End()
 		hClusterPass.ObserveDuration(time.Since(passStart))
 	}
+	nodes := make([]nodePass, cfg.Nodes)
+	// fail ends a pass that returns no result: the partial timeline goes to
+	// the event log, and every node result that did finish goes back to its
+	// engine's pool, so a failed pass costs the next one no fresh object.
+	fail := func(err error) (*Result, error) {
+		finishTrace()
+		obs.Log.AddRun(job, tr.Finish())
+		for n := range nodes {
+			if rerr := engines[n].Release(nodes[n].res); rerr != nil {
+				err = errors.Join(err, rerr)
+			}
+		}
+		return nil, err
+	}
 
 	// Distributed trace propagation: on the TCP transport the job id is
 	// announced to every node over the mesh before the node passes start, so
 	// each node's engine pass runs under the id it actually received off the
 	// wire. The in-process transport hands the id over directly. The whole
 	// TCP pass holds runMu so announce and combine frames of concurrent
-	// passes never interleave on the shared gob streams.
-	nodeJobs := make([]obs.JobID, cfg.Nodes)
-	for n := range nodeJobs {
-		nodeJobs[n] = job
+	// passes never interleave on the shared connections.
+	for n := range nodes {
+		nodes[n].job = job
 	}
 	useMesh := cfg.Transport == TCP && cfg.Nodes > 1
 	var mesh *tcpMesh
@@ -458,19 +502,18 @@ func (c *Cluster) runContext(ctx context.Context, spec freeride.Spec, totalRows 
 		defer c.runMu.Unlock()
 		mesh, err = c.ensureMesh()
 		if err != nil {
-			finishTrace()
-			return nil, err
+			return fail(err)
 		}
 		aSpan := runSpan.Child("announce")
 		got, aerr := mesh.announce(job, cfg)
 		aSpan.End()
 		if aerr != nil {
 			c.dropMesh(mesh)
-			finishTrace()
-			obs.Log.AddRun(job, tr.Records())
-			return nil, aerr
+			return fail(aerr)
 		}
-		nodeJobs = got
+		for n := range nodes {
+			nodes[n].job = got[n]
+		}
 	}
 
 	// Per-node local reduction on the session's persistent node engines.
@@ -479,143 +522,162 @@ func (c *Cluster) runContext(ctx context.Context, spec freeride.Spec, totalRows 
 	// timeline afterwards.
 	finalize := spec.Finalize
 	spec.Finalize = nil
-	results := make([]*freeride.Result, cfg.Nodes)
-	errs := make([]error, cfg.Nodes)
-	nodeSpanIDs := make([]int64, cfg.Nodes)
-	offsets := make([]time.Duration, cfg.Nodes)
 	var wg sync.WaitGroup
-	for n := 0; n < cfg.Nodes; n++ {
+	for n := range nodes {
 		wg.Add(1)
 		go func(n int) {
 			defer wg.Done()
-			nSpan := runSpan.Child("node-" + strconv.Itoa(n))
-			nodeSpanIDs[n] = nSpan.ID()
-			offsets[n] = tr.Elapsed()
+			np := &nodes[n]
+			nSpan := runSpan.Child(c.nodeNames[n])
+			np.span = nSpan.ID()
+			np.offset = tr.Elapsed()
 			defer nSpan.End()
 			lo, hi := parts[n][0], parts[n][1]
 			nsrc, closer, oerr := openNode(n, lo, hi)
 			if oerr != nil {
-				errs[n] = oerr
+				np.err = oerr
 				return
 			}
-			results[n], errs[n] = engines[n].RunContext(obs.WithJob(ctx, nodeJobs[n]), offsetSpec(spec, lo), nsrc)
+			np.res, np.err = engines[n].RunContext(obs.WithJob(ctx, np.job), offsetSpec(spec, lo), nsrc)
 			if closer != nil {
-				if cerr := closer(); cerr != nil && errs[n] == nil {
-					errs[n] = cerr
+				if cerr := closer(); cerr != nil && np.err == nil {
+					np.err = cerr
 				}
 			}
 		}(n)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		finishTrace()
-		obs.Log.AddRun(job, tr.Records())
-		return nil, err
+		return fail(err)
 	}
-	for _, err := range errs {
-		if err != nil {
-			finishTrace()
-			obs.Log.AddRun(job, tr.Records())
-			return nil, err
+	for n := range nodes {
+		if err := nodes[n].err; err != nil {
+			return fail(err)
 		}
+		nodes[n].spans = nodes[n].res.Stats.Spans
+		nodes[n].deltas = nodes[n].res.Stats.JobDeltas
 	}
 
 	// Global combination over the transport. The TCP path ships each node's
-	// spans and counter deltas back with its serialized object; the
-	// in-process path hands them over directly.
+	// spans and counter deltas with its object frame, and the root merges
+	// what it read off the wire; the in-process path hands them over
+	// directly.
 	gSpan := runSpan.Child(freeride.PhaseGlobalCombine)
-	nodeSpans := make([][]obs.SpanRecord, cfg.Nodes)
-	nodeDeltas := make([][]obs.MetricDelta, cfg.Nodes)
-	nodeSpans[0] = results[0].Stats.Spans
-	nodeDeltas[0] = results[0].Stats.JobDeltas
 	var (
 		combined *robj.Object
 		moved    int64
 		rounds   int
 	)
 	if useMesh {
-		payloads := make([]nodePayload, cfg.Nodes)
-		for n, r := range results {
-			payloads[n] = nodePayload{Obj: r.Object, Job: r.Stats.Job, Spans: r.Stats.Spans, Deltas: r.Stats.JobDeltas}
-		}
-		var shipped []*wireObject
-		combined, shipped, moved, rounds, err = mesh.combine(payloads, cfg.Combine, cfg)
+		var shipped []wireObject
+		combined, shipped, moved, rounds, err = mesh.combine(nodes, cfg.Combine, cfg)
 		if err != nil {
 			c.dropMesh(mesh)
 		} else {
 			for n := 1; n < cfg.Nodes; n++ {
-				nodeSpans[n] = shipped[n].Spans
-				nodeDeltas[n] = shipped[n].Deltas
+				nodes[n].spans = shipped[n].Spans
+				nodes[n].deltas = shipped[n].Deltas
 			}
 		}
 	} else {
-		objects := make([]*robj.Object, cfg.Nodes)
-		for n, r := range results {
-			objects[n] = r.Object
-			nodeSpans[n] = r.Stats.Spans
-			nodeDeltas[n] = r.Stats.JobDeltas
-		}
-		combined, moved, rounds, err = combineInProcess(objects, cfg.Combine)
+		combined, moved, rounds, err = combineInProcess(nodes, cfg.Combine)
 	}
 	gSpan.End()
 	if err != nil {
-		finishTrace()
-		obs.Log.AddRun(job, tr.Records())
-		return nil, err
+		return fail(err)
 	}
 	// Both algorithms fold into the root's object, so the non-root objects
 	// are spent; return them to their node engines' pools for the next pass.
 	for n := 1; n < cfg.Nodes; n++ {
-		if rerr := engines[n].Release(results[n]); rerr != nil {
-			finishTrace()
-			return nil, rerr
+		if rerr := engines[n].Release(nodes[n].res); rerr != nil {
+			return fail(rerr)
 		}
 	}
 
 	res := &Result{Object: combined}
 	res.Stats.Job = job
-	for n := range parts {
-		res.Stats.NodeRows = append(res.Stats.NodeRows, parts[n][1]-parts[n][0])
+	res.Stats.NodeRows = make([]int, cfg.Nodes)
+	res.Stats.NodeDeltas = make([][]obs.MetricDelta, cfg.Nodes)
+	for n := range nodes {
+		res.Stats.NodeRows[n] = parts[n][1] - parts[n][0]
+		res.Stats.NodeDeltas[n] = nodes[n].deltas
 	}
 	res.Stats.BytesMoved = moved
 	res.Stats.Rounds = rounds
-	res.Stats.NodeDeltas = nodeDeltas
 
 	if finalize != nil {
 		fr := &freeride.Result{Object: combined}
 		if err := finalize(fr); err != nil {
-			finishTrace()
-			obs.Log.AddRun(job, tr.Records())
-			return nil, err
+			return fail(err)
 		}
 	}
 
 	// Merge the node timelines onto the coordinator trace (node spans keep
 	// their internal structure, re-based and re-parented under their node's
 	// coordinator span) and publish each node's counter deltas under the
-	// node-labeled cluster_node_ view. The prefix keeps the node-attributed
-	// family separate from the process-wide counters the in-process node
-	// engines also increment, so neither view double-counts.
+	// node-labeled cluster_node_ view. The merge copies the shipped spans,
+	// which on the TCP path are the mesh's scratch, into the result's own
+	// timeline.
 	finishTrace()
-	sets := make([]obs.NodeSpans, 0, cfg.Nodes)
-	for n := 0; n < cfg.Nodes; n++ {
-		sets = append(sets, obs.NodeSpans{Node: n, Offset: offsets[n], Parent: nodeSpanIDs[n], Spans: nodeSpans[n]})
+	sets := make([]obs.NodeSpans, cfg.Nodes)
+	for n := range nodes {
+		sets[n] = obs.NodeSpans{Node: n, Offset: nodes[n].offset, Parent: nodes[n].span, Spans: nodes[n].spans}
 	}
-	res.Stats.Spans = obs.MergeNodeSpans(tr.Records(), sets)
+	res.Stats.Spans = obs.MergeNodeSpans(tr.Finish(), sets)
 	obs.Log.AddRun(job, res.Stats.Spans)
-	for n := 0; n < cfg.Nodes; n++ {
-		obs.Default.AddDeltas("cluster_node_", "per-node counter delta shipped from a node engine pass",
-			nodeDeltas[n], obs.Label{Key: "node", Value: strconv.Itoa(n)})
+	for n := range nodes {
+		c.publishNodeDeltas(n, nodes[n].deltas)
 	}
 	return res, nil
+}
+
+// nodeCounterHelp is the help text of every cluster_node_ family.
+const nodeCounterHelp = "per-node counter delta shipped from a node engine pass"
+
+// publishNodeDeltas folds one node's shipped counter deltas into the
+// process registry under cluster_node_<name>{<labels>,node="<n>"}. The
+// prefix keeps the node-attributed view a separate family from the
+// process-wide counters the in-process node engines also increment, so sums
+// over either family never double-count. Each counter is resolved once per
+// session and cached under a key built without rendering its labels.
+func (c *Cluster) publishNodeDeltas(node int, deltas []obs.MetricDelta) {
+	c.ctrMu.Lock()
+	defer c.ctrMu.Unlock()
+	for _, d := range deltas {
+		c.nodeCounter(node, d).Add(d.Value)
+	}
+}
+
+// nodeCounter returns the cached cluster_node_ counter for node's delta d,
+// resolving it on first use. The caller holds ctrMu.
+func (c *Cluster) nodeCounter(node int, d obs.MetricDelta) *obs.Counter {
+	// The key is the node and every string length-prefixed, so distinct
+	// deltas never share one.
+	k := binary.AppendUvarint(c.ctrKey[:0], uint64(node))
+	k = appendKeyString(k, d.Name)
+	for _, l := range d.Labels {
+		k = appendKeyString(appendKeyString(k, l.Key), l.Value)
+	}
+	c.ctrKey = k
+	if ctr, ok := c.nodeCtrs[string(k)]; ok {
+		return ctr
+	}
+	labels := append(append(make([]obs.Label, 0, len(d.Labels)+1), d.Labels...),
+		obs.Label{Key: "node", Value: strconv.Itoa(node)})
+	ctr := obs.Default.Counter("cluster_node_"+d.Name, nodeCounterHelp, labels...)
+	if c.nodeCtrs == nil {
+		c.nodeCtrs = make(map[string]*obs.Counter)
+	}
+	c.nodeCtrs[string(k)] = ctr
+	return ctr
 }
 
 // ensureMesh returns the session's persistent connection mesh, establishing
 // it on first use. The mesh now exists before the node passes run, because
 // the pre-pass job announce travels over it. A mesh that latched broken on a
-// failed announce/combine frame is never handed back: its gob streams are in
-// an undefined state, so it is torn down here and rebuilt from scratch even
-// if the pass that broke it failed to call dropMesh.
+// failed announce/combine frame is never handed back: its connections are
+// out of step, so it is torn down here and rebuilt from scratch even if the
+// pass that broke it failed to call dropMesh.
 func (c *Cluster) ensureMesh() (*tcpMesh, error) {
 	c.meshMu.Lock()
 	defer c.meshMu.Unlock()
@@ -633,8 +695,8 @@ func (c *Cluster) ensureMesh() (*tcpMesh, error) {
 	return c.mesh, nil
 }
 
-// dropMesh discards a mesh whose gob streams are in an undefined state (a
-// failed announce or combine); the next pass re-dials from scratch — PR 2's
+// dropMesh discards a mesh whose connections are out of step (a failed
+// announce or combine); the next pass re-dials from scratch — PR 2's
 // per-call timeout and dial-retry semantics apply to that re-dial as they
 // did to the original.
 func (c *Cluster) dropMesh(mesh *tcpMesh) {
@@ -646,8 +708,16 @@ func (c *Cluster) dropMesh(mesh *tcpMesh) {
 	mesh.close()
 }
 
-// combineInProcess folds the objects without serialization.
-func combineInProcess(objects []*robj.Object, algo CombineAlgo) (*robj.Object, int64, int, error) {
+func appendKeyString(k []byte, s string) []byte {
+	return append(binary.AppendUvarint(k, uint64(len(s))), s...)
+}
+
+// combineInProcess folds the nodes' objects without serialization.
+func combineInProcess(nodes []nodePass, algo CombineAlgo) (*robj.Object, int64, int, error) {
+	objects := make([]*robj.Object, len(nodes))
+	for n := range nodes {
+		objects[n] = nodes[n].res.Object
+	}
 	switch algo {
 	case Tree:
 		rounds := 0

@@ -24,10 +24,10 @@ func grabMesh(t *testing.T, c *Cluster) *tcpMesh {
 
 // TestMeshFaultBreaksAndRebuilds injects a connection failure underneath an
 // established TCP mesh: with one root-side connection killed, the next
-// pass's jobAnnounce frame fails to encode. The regression this pins: that
+// pass's announce frame fails to send. The regression this pins: that
 // failure must latch the mesh broken and tear it down, so the pass after it
-// re-dials a fresh fabric and succeeds — not inherit a half-written gob
-// stream that decodes garbage.
+// re-dials a fresh fabric and succeeds — not inherit a connection that
+// reads the rest of a half-sent frame as the next one.
 func TestMeshFaultBreaksAndRebuilds(t *testing.T) {
 	const buckets = 8
 	m := bucketData(2000, buckets)
@@ -62,7 +62,7 @@ func TestMeshFaultBreaksAndRebuilds(t *testing.T) {
 	first := grabMesh(t, c)
 	breaksBefore := obs.Default.Value("cluster_mesh_breaks_total")
 	dialedBefore := obs.Default.Value("cluster_conns_dialed_total")
-	first.recv[1].Close()
+	first.links[1].root.Close()
 
 	if _, err := c.RunContext(context.Background(), histSpec(buckets), src); err == nil {
 		t.Fatal("pass over a killed connection reported success")
@@ -90,7 +90,7 @@ func TestMeshFaultBreaksAndRebuilds(t *testing.T) {
 }
 
 // TestBrokenMeshRefusesReuse: once latched broken, a mesh fails every
-// further exchange fast with errMeshBroken (never touching its poisoned gob
+// further exchange fast with errMeshBroken (never touching its out-of-step
 // streams), and ensureMesh discards it even when the faulting pass forgot to
 // call dropMesh.
 func TestBrokenMeshRefusesReuse(t *testing.T) {

@@ -288,7 +288,7 @@ func (e *Engine) RunContext(ctx context.Context, spec Spec, src dataset.Source) 
 		}
 		runSpan.End()
 		hPass.ObserveDuration(time.Since(passStart))
-		obs.Log.AddRun(jobID, tr.Records())
+		obs.Log.AddRun(jobID, tr.Finish())
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			mRunsCancelled.Inc()
 			jm.Add("freeride_runs_cancelled_total", 1)
@@ -446,8 +446,8 @@ func (e *Engine) RunContext(ctx context.Context, spec Spec, src dataset.Source) 
 	}
 	runSpan.End()
 	hPass.ObserveDuration(time.Since(passStart))
-	res.Stats.Spans = tr.Records()
-	res.Stats.JobDeltas = jm.Deltas()
+	res.Stats.Spans = tr.Finish()
+	res.Stats.JobDeltas = jm.Finish()
 	obs.Log.AddRun(jobID, res.Stats.Spans)
 	return res, nil
 }

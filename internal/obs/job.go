@@ -2,7 +2,7 @@ package obs
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,8 +45,7 @@ func JobFrom(ctx context.Context) JobID {
 }
 
 // MetricDelta is one named counter delta attributed to a job (or shipped
-// from a cluster node). Fields are exported so deltas cross the cluster's
-// gob mesh as-is.
+// from a cluster node, whose mesh frames carry each field as-is).
 type MetricDelta struct {
 	// Name is the metric family name.
 	Name string
@@ -61,23 +60,36 @@ type MetricDelta struct {
 func (d MetricDelta) Key() string { return d.Name + renderLabels(d.Labels) }
 
 // JobMetrics collects one job's exact counter deltas. The engine routes
-// each per-job increment here in addition to the global counter; Deltas and
-// Snapshot read them back. All methods are safe for concurrent use and a
-// nil *JobMetrics is a valid no-op receiver, so recording sites never
-// branch.
+// each per-job increment here in addition to the global counter; Snapshot
+// and Finish read them back. All methods are safe for concurrent
+// use and a nil *JobMetrics is a valid no-op receiver, so recording sites
+// never branch.
 type JobMetrics struct {
 	id JobID
 
 	mu sync.Mutex
-	ds []MetricDelta
-	// keys caches ds[i].Key() so the Add scan and the Deltas sort compare
-	// without re-concatenating name+labels per probe (the engine's alloc
-	// guards count every pass allocation).
+	// ds is kept sorted by key (name plus rendered labels), so handing the
+	// deltas over needs no sort; keys caches those keys for the sorted
+	// insert of a new entry.
+	ds   []MetricDelta
 	keys []string
+	// inline and inlineKeys back ds and keys for the first entries, so a
+	// pass's job metrics are a single allocation.
+	inline     [jobInline]MetricDelta
+	inlineKeys [jobInline]string
 }
 
+// jobInline covers the counter families one engine pass records (at most
+// eleven: runs, splits, rows, busy time, fused flushes and rows, and one per
+// phase).
+const jobInline = 12
+
 // NewJobMetrics creates an empty per-job counter set.
-func NewJobMetrics(id JobID) *JobMetrics { return &JobMetrics{id: id} }
+func NewJobMetrics(id JobID) *JobMetrics {
+	j := &JobMetrics{id: id}
+	j.ds, j.keys = j.inline[:0], j.inlineKeys[:0]
+	return j
+}
 
 // ID reports the job this set is scoped to (0 for a nil receiver).
 func (j *JobMetrics) ID() JobID {
@@ -89,63 +101,59 @@ func (j *JobMetrics) ID() JobID {
 
 // Add accumulates n into the job's delta for name+labels. The entry count is
 // small and bounded (one per engine counter family), so lookup is a linear
-// scan — no map allocation on the per-pass path.
+// scan comparing name and labels as they are — no map, no rendered key, and
+// no allocation once the entry exists (the labels are copied, never
+// retained, so callers' variadic label slices stay on their stacks).
 func (j *JobMetrics) Add(name string, n int64, labels ...Label) {
 	if j == nil || n == 0 {
 		return
 	}
-	key := name
-	if len(labels) > 0 {
-		key = name + renderLabels(labels)
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for i, k := range j.keys {
-		if k == key {
-			j.ds[i].Value += n
+	for i := range j.ds {
+		if d := &j.ds[i]; d.Name == name && slices.Equal(d.Labels, labels) {
+			d.Value += n
 			return
 		}
 	}
-	j.ds = append(j.ds, MetricDelta{Name: name, Labels: labels, Value: n})
-	j.keys = append(j.keys, key)
+	key := name
+	var own []Label
+	if len(labels) > 0 {
+		key = name + renderLabels(labels)
+		own = slices.Clone(labels)
+	}
+	at, _ := slices.BinarySearch(j.keys, key)
+	j.ds = slices.Insert(j.ds, at, MetricDelta{Name: name, Labels: own, Value: n})
+	j.keys = slices.Insert(j.keys, at, key)
 }
 
-// Deltas returns the job's counter deltas sorted by key, ready to attach to
-// a Result, ship over the cluster mesh, or feed the auto-tuner.
-func (j *JobMetrics) Deltas() []MetricDelta {
+// Finish hands the job's counter deltas over without copying them, sorted
+// by key — ready to attach to a Result, ship over the cluster mesh, or feed
+// the auto-tuner. The set forgets them: the returned slice is the caller's
+// alone, and a later Add starts a fresh set. Call it once, when the job is
+// over.
+func (j *JobMetrics) Finish() []MetricDelta {
 	if j == nil {
 		return nil
 	}
 	j.mu.Lock()
-	out := make([]MetricDelta, len(j.ds))
-	keys := make([]string, len(j.keys))
-	copy(out, j.ds)
-	copy(keys, j.keys)
-	j.mu.Unlock()
-	sort.Sort(&deltasByKey{ds: out, keys: keys})
+	defer j.mu.Unlock()
+	out := j.ds
+	j.ds, j.keys = nil, nil
 	return out
-}
-
-// deltasByKey sorts deltas by their cached keys without re-rendering them.
-type deltasByKey struct {
-	ds   []MetricDelta
-	keys []string
-}
-
-func (s *deltasByKey) Len() int           { return len(s.ds) }
-func (s *deltasByKey) Less(a, b int) bool { return s.keys[a] < s.keys[b] }
-func (s *deltasByKey) Swap(a, b int) {
-	s.ds[a], s.ds[b] = s.ds[b], s.ds[a]
-	s.keys[a], s.keys[b] = s.keys[b], s.keys[a]
 }
 
 // Snapshot returns the job's deltas as a CounterSnapshot, so job-scoped and
 // registry-scoped readings diff with the same API.
 func (j *JobMetrics) Snapshot() CounterSnapshot {
-	ds := j.Deltas()
-	out := make(CounterSnapshot, len(ds))
-	for _, d := range ds {
-		out[d.Key()] = d.Value
+	if j == nil {
+		return CounterSnapshot{}
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	out := make(CounterSnapshot, len(j.ds))
+	for i, d := range j.ds {
+		out[j.keys[i]] = d.Value
 	}
 	return out
 }
@@ -183,22 +191,6 @@ func (s CounterSnapshot) Diff(prev CounterSnapshot) CounterSnapshot {
 	return out
 }
 
-// AddDeltas folds shipped counter deltas into the registry under
-// prefix+Name with extra labels appended — the coordinator-side publication
-// of per-node counters (prefix "cluster_node_", extra label node="N"). The
-// prefix keeps the node-attributed view a separate family from the
-// process-wide counters the in-process simulation also increments, so sums
-// over either family never double-count.
-func (r *Registry) AddDeltas(prefix, help string, deltas []MetricDelta, extra ...Label) {
-	for _, d := range deltas {
-		labels := make([]Label, 0, len(d.Labels)+len(extra))
-		labels = append(labels, d.Labels...)
-		labels = append(labels, extra...)
-		//frds:vet-ignore obscount -- one registration per shipped delta per cluster pass (not a hot loop); repeats dedupe to a registry map hit
-		r.Counter(prefix+d.Name, help, labels...).Add(d.Value)
-	}
-}
-
 // NodeSpans is one node's contribution to a merged cluster timeline: the
 // spans its engine pass recorded, the node id to attribute them to, the
 // offset of that pass's start on the coordinator's clock, and the
@@ -221,9 +213,13 @@ type NodeSpans struct {
 // the largest id in use so they stay unique, offsets move onto the
 // coordinator clock, parents are preserved within a node (roots re-parent to
 // the node's coordinator span), and every node span gets its node id. The
-// result is sorted like Trace.Records.
+// result is one fresh slice sized up front, sorted like Trace.Finish.
 func MergeNodeSpans(coordinator []SpanRecord, nodes []NodeSpans) []SpanRecord {
-	out := make([]SpanRecord, 0, len(coordinator))
+	total := len(coordinator)
+	for _, n := range nodes {
+		total += len(n.Spans)
+	}
+	out := make([]SpanRecord, 0, total)
 	var maxID int64
 	for _, r := range coordinator {
 		if r.ID > maxID {
@@ -248,11 +244,6 @@ func MergeNodeSpans(coordinator []SpanRecord, nodes []NodeSpans) []SpanRecord {
 			out = append(out, r)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].ID < out[j].ID
-	})
+	sortSpans(out)
 	return out
 }

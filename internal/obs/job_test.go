@@ -37,7 +37,14 @@ func TestJobMetricsDeltas(t *testing.T) {
 	jm.Add("phase_ns_total", 50, Label{Key: "phase", Value: "split"})
 	jm.Add("noop_total", 0) // zero increments record nothing
 
-	ds := jm.Deltas()
+	snap := jm.Snapshot()
+	if snap["rows_total"] != 8 {
+		t.Errorf("rows_total = %d, want 8", snap["rows_total"])
+	}
+	if snap[`phase_ns_total{phase="reduce"}`] != 100 {
+		t.Errorf("labeled delta = %d, want 100", snap[`phase_ns_total{phase="reduce"}`])
+	}
+	ds := jm.Finish()
 	if len(ds) != 3 {
 		t.Fatalf("got %d deltas, want 3: %+v", len(ds), ds)
 	}
@@ -46,17 +53,13 @@ func TestJobMetricsDeltas(t *testing.T) {
 			t.Errorf("deltas not sorted: %q before %q", ds[i-1].Key(), ds[i].Key())
 		}
 	}
-	snap := jm.Snapshot()
-	if snap["rows_total"] != 8 {
-		t.Errorf("rows_total = %d, want 8", snap["rows_total"])
-	}
-	if snap[`phase_ns_total{phase="reduce"}`] != 100 {
-		t.Errorf("labeled delta = %d, want 100", snap[`phase_ns_total{phase="reduce"}`])
+	if len(jm.Snapshot()) != 0 {
+		t.Error("Finish left the deltas in the set")
 	}
 
 	var nilJM *JobMetrics
 	nilJM.Add("x_total", 1) // must not panic
-	if nilJM.Deltas() != nil || nilJM.ID() != 0 {
+	if nilJM.Finish() != nil || nilJM.ID() != 0 {
 		t.Error("nil JobMetrics not a no-op")
 	}
 }
@@ -103,24 +106,6 @@ func TestCounterSnapshotDiff(t *testing.T) {
 		if diff[k] != v {
 			t.Errorf("diff[%q] = %d, want %d", k, diff[k], v)
 		}
-	}
-}
-
-func TestAddDeltas(t *testing.T) {
-	r := NewRegistry()
-	deltas := []MetricDelta{
-		{Name: "rows_total", Value: 42},
-		{Name: "phase_ns_total", Labels: []Label{{Key: "phase", Value: "reduce"}}, Value: 7},
-	}
-	r.AddDeltas("cluster_node_", "shipped", deltas, Label{Key: "node", Value: "3"})
-	r.AddDeltas("cluster_node_", "shipped", deltas, Label{Key: "node", Value: "3"})
-	if got := r.Value("cluster_node_rows_total", Label{Key: "node", Value: "3"}); got != 84 {
-		t.Errorf("cluster_node_rows_total{node=3} = %d, want 84", got)
-	}
-	got := r.Value("cluster_node_phase_ns_total",
-		Label{Key: "phase", Value: "reduce"}, Label{Key: "node", Value: "3"})
-	if got != 14 {
-		t.Errorf("labeled node delta = %d, want 14", got)
 	}
 }
 

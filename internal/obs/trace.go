@@ -1,9 +1,10 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,19 +43,28 @@ type Trace struct {
 
 	mu   sync.Mutex
 	recs []SpanRecord
+	// inline backs recs for the first spans, so the trace of a typical
+	// pass (a handful of phase and worker spans) is a single allocation.
+	inline [traceInline]SpanRecord
 }
 
 // traceSpanLimit bounds the spans one trace retains; beyond it spans are
 // counted as dropped rather than accumulated without bound.
 const traceSpanLimit = 1 << 16
 
+// traceInline is how many spans a trace holds before its record list
+// spills to the heap.
+const traceInline = 8
+
 // NewTrace starts an empty trace whose clock begins now.
 func NewTrace() *Trace {
-	return &Trace{begin: time.Now(), limit: traceSpanLimit}
+	t := &Trace{begin: time.Now(), limit: traceSpanLimit}
+	t.recs = t.inline[:0]
+	return t
 }
 
 // SetJob attributes the trace (and every run-log entry flushed from it) to a
-// job. Call before End/Records.
+// job. Call before Finish.
 func (t *Trace) SetJob(id JobID) {
 	if t != nil {
 		t.job = id
@@ -159,22 +169,32 @@ func (s *Span) End() {
 	t.mu.Unlock()
 }
 
-// Records returns the finished spans sorted by start offset (ties by id).
-func (t *Trace) Records() []SpanRecord {
+// Finish hands the finished spans over without copying them, sorted by
+// start offset (ties by id). The trace forgets them: the returned slice is the caller's alone,
+// and a span that ends afterwards (a straggler of an abandoned pass) starts
+// a fresh record list that never aliases it. Call it once, when the pass the
+// trace covers is over.
+func (t *Trace) Finish() []SpanRecord {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	out := make([]SpanRecord, len(t.recs))
-	copy(out, t.recs)
+	out := t.recs
+	t.recs = nil
 	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].ID < out[j].ID
-	})
+	sortSpans(out)
 	return out
+}
+
+// sortSpans orders span records by start offset, ties by id — the order
+// Finish and MergeNodeSpans return.
+func sortSpans(recs []SpanRecord) {
+	slices.SortFunc(recs, func(a, b SpanRecord) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
 }
 
 // Dropped reports how many spans exceeded the trace's retention limit.
@@ -185,10 +205,16 @@ func (t *Trace) Dropped() int64 {
 	return t.dropped.Load()
 }
 
-// PhaseTotal sums the duration of every recorded span with the given name.
+// PhaseTotal sums the duration of every span with the given name that the
+// trace still holds (none once Finish has handed them over).
 func (t *Trace) PhaseTotal(name string) time.Duration {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	var sum time.Duration
-	for _, r := range t.Records() {
+	for _, r := range t.recs {
 		if r.Name == name {
 			sum += r.Dur
 		}
@@ -197,12 +223,14 @@ func (t *Trace) PhaseTotal(name string) time.Duration {
 }
 
 // EventLog is a process-wide ring of recent traces (one entry per engine
-// pass), exported as JSON from the metrics endpoint's /trace.
+// pass), exported as JSON from the metrics endpoint's /trace. The ring is
+// allocated once: adding a run overwrites the oldest slot in place.
 type EventLog struct {
 	mu      sync.Mutex
-	limit   int
 	nextRun int64
-	runs    []logEntry
+	ring    []logEntry
+	head    int // slot of the oldest retained run
+	n       int // retained runs
 	dropped int64
 }
 
@@ -217,7 +245,7 @@ func NewEventLog(limit int) *EventLog {
 	if limit < 1 {
 		limit = 1
 	}
-	return &EventLog{limit: limit}
+	return &EventLog{ring: make([]logEntry, limit)}
 }
 
 // Log is the process-wide event log the engine appends every pass to.
@@ -233,12 +261,16 @@ func (l *EventLog) AddRun(job JobID, spans []SpanRecord) int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.nextRun++
-	l.runs = append(l.runs, logEntry{run: l.nextRun, job: job, spans: spans})
-	for len(l.runs) > l.limit {
-		mTraceDropped.Add(int64(len(l.runs[0].spans)))
-		l.runs = l.runs[1:]
-		l.dropped++
+	e := logEntry{run: l.nextRun, job: job, spans: spans}
+	if l.n < len(l.ring) {
+		l.ring[(l.head+l.n)%len(l.ring)] = e
+		l.n++
+		return l.nextRun
 	}
+	mTraceDropped.Add(int64(len(l.ring[l.head].spans)))
+	l.ring[l.head] = e
+	l.head = (l.head + 1) % len(l.ring)
+	l.dropped++
 	return l.nextRun
 }
 
@@ -246,7 +278,7 @@ func (l *EventLog) AddRun(job JobID, spans []SpanRecord) int64 {
 func (l *EventLog) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.runs)
+	return l.n
 }
 
 // jsonSpan is the event-log export shape: offsets and durations in
@@ -275,8 +307,9 @@ type jsonLog struct {
 // WriteJSON writes the retained runs as one JSON document.
 func (l *EventLog) WriteJSON(w io.Writer) error {
 	l.mu.Lock()
-	doc := jsonLog{DroppedRuns: l.dropped, Runs: make([]jsonRun, 0, len(l.runs))}
-	for _, e := range l.runs {
+	doc := jsonLog{DroppedRuns: l.dropped, Runs: make([]jsonRun, 0, l.n)}
+	for i := 0; i < l.n; i++ {
+		e := l.ring[(l.head+i)%len(l.ring)]
 		jr := jsonRun{Run: e.run, Job: uint64(e.job), Spans: make([]jsonSpan, 0, len(e.spans))}
 		for _, s := range e.spans {
 			jr.Spans = append(jr.Spans, jsonSpan{

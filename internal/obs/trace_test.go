@@ -22,7 +22,11 @@ func TestSpanNestingAndOrdering(t *testing.T) {
 	reduce.End()
 	run.End()
 
-	recs := tr.Records()
+	// PhaseTotal reads the live trace, so it goes before Finish.
+	if got := tr.PhaseTotal("split"); got < time.Millisecond {
+		t.Fatalf("PhaseTotal(split) = %v, want >= 1ms", got)
+	}
+	recs := tr.Finish()
 	if len(recs) != 4 {
 		t.Fatalf("got %d records, want 4", len(recs))
 	}
@@ -42,7 +46,7 @@ func TestSpanNestingAndOrdering(t *testing.T) {
 	if byName["split"].Worker != -1 {
 		t.Fatalf("unbound span worker = %d, want -1", byName["split"].Worker)
 	}
-	// Records are sorted by start offset; run began first.
+	// Finished spans are sorted by start offset; run began first.
 	if recs[0].Name != "run" {
 		t.Fatalf("first record = %q, want run", recs[0].Name)
 	}
@@ -58,8 +62,8 @@ func TestSpanNestingAndOrdering(t *testing.T) {
 			t.Fatalf("%s [%v,%v) escapes run [%v,%v)", child, c.Start, c.Start+c.Dur, p.Start, p.Start+p.Dur)
 		}
 	}
-	if got := tr.PhaseTotal("split"); got < time.Millisecond {
-		t.Fatalf("PhaseTotal(split) = %v, want >= 1ms", got)
+	if got := tr.PhaseTotal("split"); got != 0 {
+		t.Fatalf("PhaseTotal after Finish = %v, want 0: the spans were handed over", got)
 	}
 }
 
@@ -79,7 +83,7 @@ func TestSpanConcurrentEnd(t *testing.T) {
 	}
 	wg.Wait()
 	root.End()
-	if got := len(tr.Records()); got != 9 {
+	if got := len(tr.Finish()); got != 9 {
 		t.Fatalf("got %d records, want 9", got)
 	}
 }
@@ -91,7 +95,7 @@ func TestNilTraceAndSpan(t *testing.T) {
 	c := s.Child("y")
 	c.End()
 	s.End()
-	if tr.Records() != nil || tr.Dropped() != 0 {
+	if tr.Finish() != nil || tr.Dropped() != 0 {
 		t.Fatal("nil trace must be inert")
 	}
 }
@@ -102,7 +106,7 @@ func TestTraceSpanLimit(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tr.Start("s").End()
 	}
-	if got := len(tr.Records()); got != 2 {
+	if got := len(tr.Finish()); got != 2 {
 		t.Fatalf("retained %d spans, want 2", got)
 	}
 	if got := tr.Dropped(); got != 3 {
