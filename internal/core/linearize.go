@@ -363,6 +363,39 @@ func LinearizeCOO(arr *chapel.Array, rows, cols int) (*SparseCOO, error) {
 	return coo, nil
 }
 
+// COOFromTriples builds the SparseCOO straight from flat row-major
+// (row, col, value) triples with 0-based whole-number coordinates — the
+// layout a sparse dataset already holds — with no boxed Chapel records in
+// between. It accepts and rejects exactly what LinearizeCOO does for the
+// same triples boxed by apps.BoxTriples, value for value: each coordinate
+// takes the same 1-based round trip through wholeCoord. words is only read.
+func COOFromTriples(words []float64, rows, cols int) (*SparseCOO, error) {
+	if len(words)%3 != 0 {
+		return nil, fmt.Errorf("core: COOFromTriples got %d words, not whole (row, col, value) triples", len(words))
+	}
+	if rows < 0 || cols < 0 {
+		return nil, fmt.Errorf("core: COOFromTriples shape %dx%d is negative", rows, cols)
+	}
+	nnz := len(words) / 3
+	coo := &SparseCOO{
+		Rows: rows, Cols: cols,
+		R: make([]int32, nnz), C: make([]int32, nnz), V: make([]float64, nnz),
+	}
+	for i := 0; i < nnz; i++ {
+		t := words[3*i : 3*i+3 : 3*i+3]
+		r, err := wholeCoord(t[0]+1, "r", i)
+		if err != nil {
+			return nil, err
+		}
+		c, err := wholeCoord(t[1]+1, "c", i)
+		if err != nil {
+			return nil, err
+		}
+		coo.R[i], coo.C[i], coo.V[i] = r, c, t[2]
+	}
+	return coo, nil
+}
+
 // wholeCoord converts a real-stored 1-based (Chapel) coordinate to the
 // 0-based int32 the index tables hold. A fractional value is a construction
 // bug, and one whose 0-based form does not fit an int32 cannot be stored at

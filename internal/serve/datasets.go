@@ -198,12 +198,12 @@ func (c *datasetCache) list() []DatasetSpec {
 	return out
 }
 
-// known reports whether name is registered.
-func (c *datasetCache) known(name string) bool {
+// recipe returns the registered recipe for name, if any.
+func (c *datasetCache) recipe(name string) (DatasetSpec, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.specs[name]
-	return ok
+	s, ok := c.specs[name]
+	return s, ok
 }
 
 // touch moves name to the most-recently-used end of the LRU order.

@@ -46,13 +46,16 @@ func (p Params) withDefaults() Params {
 type KernelFunc func(ctx context.Context, eng *freeride.Engine, src dataset.Source, p Params) (any, error)
 
 // builtinKernels returns the server's stock kernel registry: the paper's
-// evaluation applications in their serving form.
-func builtinKernels() map[string]KernelFunc {
+// evaluation applications in their serving form. cacheBytes is the server's
+// dataset cache bound, which also caps an spmv job's x and y vectors.
+func builtinKernels(cacheBytes int64) map[string]KernelFunc {
 	return map[string]KernelFunc{
 		"kmeans": kmeansKernel,
 		"pca":    pcaKernel,
 		"em":     emKernel,
-		"spmv":   spmvKernel,
+		"spmv": func(ctx context.Context, eng *freeride.Engine, src dataset.Source, p Params) (any, error) {
+			return spmvKernel(ctx, eng, src, p, cacheBytes)
+		},
 	}
 }
 

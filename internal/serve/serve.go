@@ -129,7 +129,7 @@ func New(cfg Config) *Server {
 		queue:      newAdmitQueue(cfg.QueueDepth, cfg.TenantQuota),
 		jobs:       newJobTable(cfg.RetainJobs),
 		data:       newDatasetCache(cfg.CacheBytes),
-		kernels:    builtinKernels(),
+		kernels:    builtinKernels(cfg.CacheBytes),
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	for i := 0; i < cfg.Engines; i++ {
@@ -222,11 +222,16 @@ func (s *Server) Submit(tenant, kernelName, datasetName string, p Params) (*job,
 	if !ok {
 		return nil, fmt.Errorf("serve: unknown kernel %q", kernelName)
 	}
-	if !s.data.known(datasetName) {
+	spec, ok := s.data.recipe(datasetName)
+	if !ok {
 		return nil, fmt.Errorf("serve: unknown dataset %q", datasetName)
 	}
 	if err := validatePins(p); err != nil {
 		return nil, err
+	}
+	if spec.Kind == "sparse" && (p.Rows > spec.Rows || p.Cols > spec.Dim) {
+		return nil, fmt.Errorf("serve: params rows/cols %dx%d exceed sparse dataset %q's %dx%d shape",
+			p.Rows, p.Cols, datasetName, spec.Rows, spec.Dim)
 	}
 	if tenant == "" {
 		tenant = "default"

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"chapelfreeride/internal/apps"
 	"chapelfreeride/internal/core"
@@ -32,14 +33,19 @@ type SpMVOutput struct {
 }
 
 // spmvKernel serves y = A·x over a sparse dataset (kind "sparse": nnz×3
-// (row, col, value) triples). The triples are boxed, linearized to COO, and
-// run through the sparse translation at opt-3 — the inspector executes once
-// per job, its index tables proven in-bounds and total by the verifier, and
-// every pass is the fused table-walking executor. The input vector is
-// deterministic in the logical shape (x[j] = j%7 + 1, integer-valued so the
-// result is a pure function of the recipe), matching the server's
-// recipe-not-data contract for datasets.
-func spmvKernel(ctx context.Context, eng *freeride.Engine, src dataset.Source, p Params) (any, error) {
+// (row, col, value) triples). The resident triples are read zero-copy when
+// the source is a dataset.RowSlicer (a memory recipe, a row-major mapped
+// file) and turned straight into the inspector's COO by core.COOFromTriples:
+// no Chapel records are boxed per request (boxing stays the paper's path, in
+// apps.SpMVTranslated). The COO runs through the sparse translation at
+// opt-3 — the inspector executes once per job, its index tables proven
+// in-bounds and total by the verifier, and every pass is the fused
+// table-walking executor. The input vector is deterministic in the logical
+// shape (x[j] = j%7 + 1, integer-valued so the result is a pure function of
+// the recipe), matching the server's recipe-not-data contract for datasets.
+// A shape whose x and y together would take more than maxVecBytes (the
+// server's dataset cache bound) fails the job before either is allocated.
+func spmvKernel(ctx context.Context, eng *freeride.Engine, src dataset.Source, p Params, maxVecBytes int64) (any, error) {
 	p = p.withDefaults()
 	if src.Cols() != 3 {
 		return nil, fmt.Errorf("serve: spmv needs an nnz x 3 triples dataset (kind sparse), got %d columns", src.Cols())
@@ -48,8 +54,13 @@ func spmvKernel(ctx context.Context, eng *freeride.Engine, src dataset.Source, p
 	if nnz < 1 {
 		return nil, fmt.Errorf("serve: spmv over an empty triples dataset")
 	}
-	triples := dataset.NewMatrix(nnz, 3)
-	if err := dataset.ReadRowsContext(ctx, src, 0, nnz, triples.Data); err != nil {
+	// words aliases the resident dataset when it can: read it, never
+	// write it. A mapped file's finalizer unmaps it once src is
+	// unreachable, and words does not keep src alive, so src is held
+	// until the COO has copied what it needs.
+	var buf []float64
+	words, err := dataset.NewReader(src).Read(ctx, 0, nnz, &buf)
+	if err != nil {
 		return nil, err
 	}
 
@@ -57,11 +68,11 @@ func spmvKernel(ctx context.Context, eng *freeride.Engine, src dataset.Source, p
 	// triples fit (max coordinate + 1), so a bare submission still runs.
 	rows, cols := p.Rows, p.Cols
 	if rows == 0 || cols == 0 {
-		for i := 0; i < nnz; i++ {
-			if r := int(triples.At(i, 0)) + 1; r > rows {
+		for i := 0; i < len(words); i += 3 {
+			if r := int(words[i]) + 1; r > rows {
 				rows = r
 			}
-			if c := int(triples.At(i, 1)) + 1; c > cols {
+			if c := int(words[i+1]) + 1; c > cols {
 				cols = c
 			}
 		}
@@ -69,17 +80,22 @@ func spmvKernel(ctx context.Context, eng *freeride.Engine, src dataset.Source, p
 			return nil, err
 		}
 	}
+	if vec := 8 * (int64(rows) + int64(cols)); vec > maxVecBytes {
+		return nil, fmt.Errorf("serve: spmv shape %dx%d needs %d bytes of x and y vectors, over the server's %d-byte cache bound",
+			rows, cols, vec, maxVecBytes)
+	}
+
+	coo, err := core.COOFromTriples(words, rows, cols)
+	runtime.KeepAlive(src)
+	if err != nil {
+		return nil, err
+	}
 
 	x := make([]float64, cols)
 	for j := range x {
 		x[j] = float64(j%7 + 1)
 	}
 	cfg := apps.SpMVConfig{Rows: rows, Cols: cols, X: x}
-
-	coo, err := core.LinearizeCOO(apps.BoxTriples(triples), rows, cols)
-	if err != nil {
-		return nil, err
-	}
 	tr, err := core.TranslateSparse(apps.SpMVClass(cfg), coo, core.Opt3)
 	if err != nil {
 		return nil, err

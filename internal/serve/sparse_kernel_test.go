@@ -5,6 +5,8 @@ import (
 	"math"
 	"net/http"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"chapelfreeride/internal/apps"
@@ -106,11 +108,12 @@ func TestServeSpMVInfersShape(t *testing.T) {
 	}
 }
 
-// TestServeSpMVShapeRejected: a negative matrix shape, or one past what an
-// int32 index table addresses, is a 400 at submission instead of a kernel
-// that panics sizing its vectors and kills the server. A shape inferred
-// from the triples is bounded too: its job fails. The server answers
-// /healthz afterwards.
+// TestServeSpMVShapeRejected: a negative matrix shape, one past what an
+// int32 index table addresses, or one past a sparse recipe's own shape is a
+// 400 at submission instead of a kernel that sizes its vectors from it. A
+// shape inferred from the triples, or given for a dataset with no recipe
+// shape, is bounded too: its job fails. The server answers /healthz
+// afterwards.
 func TestServeSpMVShapeRejected(t *testing.T) {
 	s, ts := testServer(t, Config{Engines: 1, Engine: freeride.Config{Threads: 1}})
 	if _, err := s.RegisterDataset(sparseSpec("sp3")); err != nil {
@@ -121,6 +124,10 @@ func TestServeSpMVShapeRejected(t *testing.T) {
 		{Rows: 64, Cols: -1},
 		{Rows: math.MaxInt32 + 1, Cols: 48},
 		{Rows: 64, Cols: math.MaxInt32 + 1},
+		// Inside int32, but past the 64x48 recipe: x and y would be sized
+		// from it.
+		{Rows: math.MaxInt32, Cols: 48},
+		{Rows: 64, Cols: 49},
 	} {
 		var body struct {
 			Error string `json:"error"`
@@ -146,6 +153,14 @@ func TestServeSpMVShapeRejected(t *testing.T) {
 	postJSON(t, ts.URL+"/v1/jobs", JobRequest{Kernel: "spmv", Dataset: "wide", Wait: true}, &st)
 	if st.State != JobFailed {
 		t.Fatalf("spmv with an inferred 1e15-column shape finished %q, want failed", st.State)
+	}
+	// A dataset with no recipe shape (a file) is bounded by the kernel: x
+	// and y past the server's cache bound fail the job before allocation.
+	st = Status{}
+	postJSON(t, ts.URL+"/v1/jobs", JobRequest{Kernel: "spmv", Dataset: "wide",
+		Params: Params{Rows: math.MaxInt32, Cols: 48}, Wait: true}, &st)
+	if st.State != JobFailed || !strings.Contains(st.Error, "cache bound") {
+		t.Fatalf("spmv with a MaxInt32-row shape over a file finished %q (%q), want failed on the cache bound", st.State, st.Error)
 	}
 
 	resp, err := http.Get(ts.URL + "/healthz")
@@ -194,4 +209,76 @@ func TestSparseDatasetCacheAccounting(t *testing.T) {
 	if got := c.residentBytes(); got != spec.sizeBytes() {
 		t.Fatalf("residentBytes = %d, want %d", got, spec.sizeBytes())
 	}
+}
+
+// TestServeSpMVFileDatasetEvicted: spmv over a memory-mapped file dataset
+// reads the mapping zero-copy, and the mapping stays valid for as long as
+// the kernel reads it. The cache bound is so small that only one dataset is
+// ever resident, and each round runs a file job and a memory job at once,
+// so the file's source is evicted while a job holds it or is mapped afresh.
+// The GC between rounds runs the finalizer that unmaps a dropped source.
+// The mapping is read-only, so a kernel that wrote the resident triples
+// would fault here. The file job's y must match the same triples served
+// from memory bit for bit (run under -race -count=5 as well).
+func TestServeSpMVFileDatasetEvicted(t *testing.T) {
+	spec := sparseSpec("mem")
+	path := filepath.Join(t.TempDir(), "triples.frds")
+	if err := dataset.WriteFile(path, spec.materialize()); err != nil {
+		t.Fatal(err)
+	}
+	ms, err := dataset.OpenMappedSource(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sliced := ms.(dataset.RowSlicer)
+	ms.Close()
+	if !sliced {
+		t.Skip("memory mapping unavailable: the zero-copy read is not exercised")
+	}
+	// 1 KiB holds x and y (8 x (64+48) B) but neither dataset.
+	s, _ := testServer(t, Config{Engines: 1, Engine: freeride.Config{Threads: 2, SplitRows: 32},
+		MaxConcurrency: 2, TenantQuota: -1, CacheBytes: 1 << 10})
+	if _, err := s.RegisterDataset(spec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RegisterDataset(DatasetSpec{Name: "file", Kind: "file", Path: path}); err != nil {
+		t.Fatal(err)
+	}
+	p := Params{Rows: spec.Rows, Cols: spec.Dim, Iterations: 2}
+	for round := 0; round < 8; round++ {
+		evictions := mCacheEvictions.Value()
+		file, mem := submitSpMV(t, s, "file", p), submitSpMV(t, s, "mem", p)
+		got, want := waitSpMV(t, file).Y, waitSpMV(t, mem).Y
+		if mCacheEvictions.Value() == evictions {
+			t.Fatalf("round %d evicted nothing; the cache bound must force an eviction every round", round)
+		}
+		for k := range want {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("round %d: file y[%d] = %v, memory source gives %v", round, k, got[k], want[k])
+			}
+		}
+		runtime.GC()
+	}
+}
+
+// submitSpMV admits an spmv job through Server.Submit.
+func submitSpMV(t testing.TB, s *Server, dataset string, p Params) *job {
+	t.Helper()
+	j, err := s.Submit("", "spmv", dataset, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
+
+// waitSpMV waits for an spmv job and returns its output, failing t if the
+// job fails.
+func waitSpMV(t testing.TB, j *job) *SpMVOutput {
+	t.Helper()
+	<-j.done
+	st := j.status()
+	if st.State != JobDone {
+		t.Fatalf("spmv on %q finished %q: %s", j.Dataset, st.State, st.Error)
+	}
+	return st.Result.(*SpMVOutput)
 }
