@@ -268,9 +268,6 @@ var (
 	KMeans    = apps.KMeans
 	PCA       = apps.PCA
 	EM        = apps.EM
-	Apriori   = apps.Apriori
-	KNN       = apps.KNN
-	Histogram = apps.Histogram
 	BoxPoints = apps.BoxPoints
 	BoxMatrix = apps.BoxMatrix
 )
@@ -281,14 +278,6 @@ type (
 	EMConfig = apps.EMConfig
 	// EMResult is a fitted Gaussian mixture.
 	EMResult = apps.EMResult
-	// AprioriConfig parameterizes frequent-itemset mining.
-	AprioriConfig = apps.AprioriConfig
-	// AprioriResult lists frequent itemsets.
-	AprioriResult = apps.AprioriResult
-	// KNNConfig parameterizes k-nearest-neighbour classification.
-	KNNConfig = apps.KNNConfig
-	// HistogramConfig parameterizes histogram runs.
-	HistogramConfig = apps.HistogramConfig
 )
 
 // NewPrefetchSource wraps a data source with the read-ahead cache.

@@ -259,7 +259,7 @@ func (c *Cluster) Close() error {
 // Release returns a finished cluster Result's combined reduction object to
 // the root node engine's session pool, mirroring freeride.Engine.Release.
 // After Release the caller must not touch the object; releasing a nil result
-// (or one without an object) is a no-op.
+// (or one already released) is a no-op.
 func (c *Cluster) Release(res *Result) error {
 	if res == nil || res.Object == nil {
 		return nil
@@ -381,10 +381,9 @@ func offsetSpec(spec freeride.Spec, base int) freeride.Spec {
 // cluster: block-partition, per-node multicore reduction, then global
 // combination over the configured transport. The spec's Finalize hook, if
 // any, runs once on the combined result, mirroring single-node semantics.
-// Specs using LocalInit state are not supported across nodes (the engine
-// covers that case on one node). Every node's engine pass inherits ctx (so
-// one cancellation stops all nodes' workers), and a cancelled cluster run
-// returns ctx.Err() without entering global combination.
+// Every node's engine pass inherits ctx (so one cancellation stops all
+// nodes' workers), and a cancelled cluster run returns ctx.Err() without
+// entering global combination.
 func (c *Cluster) RunContext(ctx context.Context, spec freeride.Spec, src dataset.Source) (*Result, error) {
 	if src == nil {
 		return nil, errors.New("cluster: nil data source")
@@ -448,9 +447,6 @@ func (c *Cluster) runContext(ctx context.Context, spec freeride.Spec, totalRows 
 	}
 	if spec.Reduction == nil && spec.BlockReduction == nil {
 		return nil, freeride.ErrNoReduction
-	}
-	if spec.LocalInit != nil {
-		return nil, errors.New("cluster: user-managed local state is single-node only")
 	}
 	cfg := c.cfg
 	engines, err := c.nodeEngines()

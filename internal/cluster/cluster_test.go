@@ -221,15 +221,9 @@ func TestClusterValidation(t *testing.T) {
 	if _, err := c.RunContext(context.Background(), histSpec(2), nil); err == nil {
 		t.Fatal("nil source: want error")
 	}
-	spec := histSpec(2)
-	spec.LocalInit = func() any { return 0 }
-	spec.LocalCombine = func(a, b any) any { return a }
-	if _, err := c.RunContext(context.Background(), spec, dataset.NewMemorySource(m)); err == nil {
-		t.Fatal("LocalInit across nodes: want error")
-	}
 	// Reduction errors on any node propagate.
 	boom := errors.New("node boom")
-	spec = freeride.Spec{
+	spec := freeride.Spec{
 		Object: freeride.ObjectSpec{Groups: 1, Elems: 1, Op: robj.OpAdd},
 		Reduction: func(a *freeride.ReductionArgs) error {
 			if a.Begin >= 5 {

@@ -196,7 +196,7 @@ func (e *Engine) worker(p int, measureCPU bool) {
 // session pool so the next pass with the same object shape reuses it instead
 // of allocating. After Release the caller must not touch the object or any
 // slice obtained from its Snapshot; res.Object is nilled to make accidental
-// reuse fail fast. Releasing a nil result (or one without an object) is a
+// reuse fail fast. Releasing a nil result (or one already released) is a
 // no-op, so callers can release unconditionally.
 func (e *Engine) Release(res *Result) error {
 	if res == nil || res.Object == nil {

@@ -190,9 +190,6 @@ type ReductionArgs struct {
 	Cols int
 	// Begin is the global index of the split's first row.
 	Begin int
-	// Local is the worker's user-managed reduction object when the Spec
-	// set LocalInit; nil otherwise.
-	Local any
 
 	worker  int
 	object  *robj.Object
@@ -222,12 +219,8 @@ func (a *ReductionArgs) Row(i int) []float64 {
 func (a *ReductionArgs) Worker() int { return a.worker }
 
 // Accumulate updates element (group, elem) of the reduction object with v,
-// mirroring FREERIDE's accumulate(int, int, void* value). It panics when the
-// spec declared no cell-based object.
+// mirroring FREERIDE's accumulate(int, int, void* value).
 func (a *ReductionArgs) Accumulate(group, elem int, v float64) {
-	if a.object == nil {
-		panic("freeride: Accumulate without a cell-based reduction object (spec declared only LocalInit state)")
-	}
 	a.object.Accumulate(a.worker, group, elem, v)
 }
 
@@ -253,8 +246,7 @@ type Spec struct {
 	// engine prefers over Reduction: it receives one whole split and a
 	// worker-local dense accumulation buffer (see BlockArgs), and the engine
 	// flushes the buffer into the shared object once per split via
-	// robj.AccumulateBlock. It requires a cell-based Object and cannot be
-	// combined with LocalInit. Specs may set both callbacks: engines (and
+	// robj.AccumulateBlock. Specs may set both callbacks: engines (and
 	// future execution tiers) without a fused path fall back to Reduction.
 	BlockReduction func(args *BlockArgs) error
 	// ScatterBlock declares that BlockReduction accumulates exclusively
@@ -275,16 +267,6 @@ type Spec struct {
 	Combine func(o *robj.Object) error
 	// Finalize optionally runs once at the end (the paper's finalize_t).
 	Finalize func(r *Result) error
-
-	// LocalInit, when set, gives each worker a user-managed reduction
-	// object in addition to (or instead of) the cell-based Object. This is
-	// FREERIDE's "reduction object declared by the programmer" in full
-	// generality — needed when the object is not a grid of combinable
-	// floats (e.g. k-nearest-neighbour keeps a bounded list of candidates).
-	LocalInit func() any
-	// LocalCombine merges src into dst and returns the merged object; it
-	// is applied across workers in worker order. Required with LocalInit.
-	LocalCombine func(dst, src any) any
 }
 
 // Verify statically checks the spec's structural legality — the same checks
@@ -296,9 +278,6 @@ func (s Spec) Verify() verify.Diagnostics {
 		HasReduction:      s.Reduction != nil,
 		HasBlockReduction: s.BlockReduction != nil,
 		Object:            verify.Shape{Groups: s.Object.Groups, Elems: s.Object.Elems},
-		HasLocalInit:      s.LocalInit != nil,
-		HasLocalCombine:   s.LocalCombine != nil,
-		HasCombine:        s.Combine != nil,
 	})
 }
 
@@ -315,9 +294,8 @@ type Stats struct {
 	SplitTime time.Duration
 	// ReduceTime is the wall time of the parallel local-reduction phase.
 	ReduceTime time.Duration
-	// LocalCombineTime covers the local-combination phase: the per-worker
-	// merge of the cell-based object plus the LocalCombine fold of
-	// user-managed state.
+	// LocalCombineTime covers the local-combination phase: the merge of the
+	// workers' copies of the reduction object.
 	LocalCombineTime time.Duration
 	// CombineTime covers the user Combine phase only (0 when the spec set no
 	// Combine). Local combination is reported separately under
@@ -380,12 +358,9 @@ func (s Stats) CPUTotal() time.Duration {
 
 // Result carries the final reduction object and run statistics.
 type Result struct {
-	// Object is the merged cell-based reduction object, or nil when the
-	// spec declared a zero-shaped object and used only LocalInit state.
+	// Object is the merged reduction object; Engine.Release nils it.
 	Object *robj.Object
-	// Local is the merged user-managed reduction object (LocalInit specs).
-	Local any
-	Stats Stats
+	Stats  Stats
 }
 
 // DefaultSplitter partitions [0, totalRows) into requestedUnits contiguous

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -298,93 +297,6 @@ func TestPropertyOrderIndependence(t *testing.T) {
 		return res.Object.Get(0, 0) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(99))}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestUserManagedLocalState(t *testing.T) {
-	// A "keep the 3 smallest values" reduction — inexpressible with cell
-	// ops, natural with a user-managed reduction object.
-	m := dataset.NewMatrix(1000, 1)
-	for i := range m.Data {
-		m.Data[i] = float64((i*7919 + 13) % 1000)
-	}
-	keep := 3
-	insert := func(best []float64, v float64) []float64 {
-		best = append(best, v)
-		sort.Float64s(best)
-		if len(best) > keep {
-			best = best[:keep]
-		}
-		return best
-	}
-	spec := Spec{
-		LocalInit: func() any { return []float64(nil) },
-		Reduction: func(a *ReductionArgs) error {
-			best := a.Local.([]float64)
-			for i := 0; i < a.NumRows; i++ {
-				best = insert(best, a.Row(i)[0])
-			}
-			a.Local = best
-			return nil
-		},
-		LocalCombine: func(dst, src any) any {
-			best := dst.([]float64)
-			for _, v := range src.([]float64) {
-				best = insert(best, v)
-			}
-			return best
-		},
-	}
-	// NOTE: Reduction reassigns a.Local so the next split sees the grown
-	// slice; engine must hand the same args struct to every split.
-	for _, threads := range []int{1, 4} {
-		e := New(Config{Threads: threads, SplitRows: 64})
-		res, err := e.RunContext(context.Background(), spec, dataset.NewMemorySource(m))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := res.Local.([]float64)
-		if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
-			t.Fatalf("threads=%d: got %v", threads, got)
-		}
-		if res.Object != nil {
-			t.Fatal("no cell object was declared")
-		}
-	}
-}
-
-func TestLocalStateValidation(t *testing.T) {
-	src := dataset.NewMemorySource(dataset.NewMatrix(4, 1))
-	e := New(Config{Threads: 2})
-	// LocalInit without LocalCombine.
-	spec := Spec{
-		LocalInit: func() any { return 0 },
-		Reduction: func(a *ReductionArgs) error { return nil },
-	}
-	if _, err := e.RunContext(context.Background(), spec, src); err == nil {
-		t.Fatal("missing LocalCombine: want error")
-	}
-	// Neither object shape nor local state.
-	spec = Spec{Reduction: func(a *ReductionArgs) error { return nil }}
-	if _, err := e.RunContext(context.Background(), spec, src); err == nil {
-		t.Fatal("no reduction object at all: want error")
-	}
-	// Accumulate without a cell object panics with a clear message.
-	spec = Spec{
-		LocalInit:    func() any { return 0 },
-		LocalCombine: func(dst, src any) any { return dst },
-		Reduction: func(a *ReductionArgs) error {
-			defer func() {
-				if recover() == nil {
-					t.Error("Accumulate without object should panic")
-				}
-			}()
-			a.Accumulate(0, 0, 1)
-			return nil
-		},
-	}
-	if _, err := e.RunContext(context.Background(), spec, src); err != nil {
 		t.Fatal(err)
 	}
 }

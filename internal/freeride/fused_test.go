@@ -221,8 +221,8 @@ func TestFusedCancellation(t *testing.T) {
 	}
 }
 
-// TestFusedSpecValidation: the fused path requires a cell-based object and
-// rejects user-managed local state.
+// TestFusedSpecValidation: the fused path requires a cell-based object,
+// since its worker-local block buffer is that object's dense mirror.
 func TestFusedSpecValidation(t *testing.T) {
 	src := dataset.NewMemorySource(dataset.UniformMatrix(8, 2, 1, 0, 1))
 	eng := New(Config{Threads: 1})
@@ -232,17 +232,8 @@ func TestFusedSpecValidation(t *testing.T) {
 		t.Fatalf("empty spec: want ErrNoReduction, got %v", err)
 	}
 	noObj := Spec{BlockReduction: func(*BlockArgs) error { return nil }}
-	if _, err := eng.RunContext(context.Background(), noObj, src); err == nil || !strings.Contains(err.Error(), "cell-based reduction object") {
+	if _, err := eng.RunContext(context.Background(), noObj, src); err == nil || !strings.Contains(err.Error(), "declares no reduction object") {
 		t.Fatalf("BlockReduction without object shape: got %v", err)
-	}
-	withLocal := Spec{
-		Object:         ObjectSpec{Groups: 1, Elems: 1, Op: robj.OpAdd},
-		BlockReduction: func(*BlockArgs) error { return nil },
-		LocalInit:      func() any { return nil },
-		LocalCombine:   func(dst, src any) any { return dst },
-	}
-	if _, err := eng.RunContext(context.Background(), withLocal, src); err == nil || !strings.Contains(err.Error(), "LocalInit") {
-		t.Fatalf("BlockReduction with LocalInit: got %v", err)
 	}
 }
 

@@ -176,18 +176,17 @@ func TestCombineValidationAndFinalizeFlush(t *testing.T) {
 	}
 }
 
-// TestCombineRequiresCellObject: a Combine hook on a LocalInit-only spec is
-// rejected at validation time instead of handing user code a nil object.
+// TestCombineRequiresCellObject: a Combine hook on a spec that declares no
+// reduction object is rejected at validation time (FRV045) instead of
+// handing user code a nil object.
 func TestCombineRequiresCellObject(t *testing.T) {
 	m := dataset.UniformMatrix(100, 1, 1, 0, 1)
 	spec := Spec{
-		Reduction:    func(a *ReductionArgs) error { return nil },
-		LocalInit:    func() any { return 0 },
-		LocalCombine: func(dst, src any) any { return dst },
-		Combine:      func(o *robj.Object) error { _ = o.Get(0, 0); return nil }, // would panic on nil o
+		Reduction: func(a *ReductionArgs) error { return nil },
+		Combine:   func(o *robj.Object) error { _ = o.Get(0, 0); return nil }, // would panic on nil o
 	}
 	_, err := New(Config{Threads: 2}).RunContext(context.Background(), spec, dataset.NewMemorySource(m))
-	if err == nil || !strings.Contains(err.Error(), "Combine requires a cell-based reduction object") {
+	if err == nil || !strings.Contains(err.Error(), "FRV045") || !strings.Contains(err.Error(), "declares no reduction object") {
 		t.Fatalf("err = %v, want descriptive validation error", err)
 	}
 }

@@ -38,7 +38,6 @@ type job struct {
 	firstErr error
 
 	jm           *obs.JobMetrics
-	locals       []any
 	workerCPU    []time.Duration
 	workerSplits []int64
 	workerRows   []int64
@@ -74,8 +73,8 @@ func (j *job) runSlot(slot int, ws *workerState) {
 	defer j.finishTickets(1)
 	// A slot whose job already failed or was cancelled while its ticket sat
 	// in the queue (a cancel mid-enqueue, a sibling slot's error) bails out
-	// before any setup: no spans, no LocalInit user code, and — critically —
-	// no scheduler traffic. Orphan tickets of a dead job retire for free.
+	// before any setup: no spans, no user code, and — critically — no
+	// scheduler traffic. Orphan tickets of a dead job retire for free.
 	if j.stop.Load() {
 		return
 	}
@@ -100,11 +99,10 @@ func (j *job) runSlot(slot int, ws *workerState) {
 		j.jm.Add("freeride_block_flushes_total", blockFlushes)
 		j.jm.Add("freeride_rows_fused_total", rowsFused)
 	}()
-	// Fused path: validated by RunContext to imply a cell-based object and no
-	// LocalInit. The worker-local accumulation buffer comes from the pool
+	// Fused path: the worker-local accumulation buffer comes from the pool
 	// worker's persistent state, so steady-state fused passes allocate
 	// nothing per split.
-	useBlock := j.spec.BlockReduction != nil && j.obj != nil
+	useBlock := j.spec.BlockReduction != nil
 	var bargs BlockArgs
 	var accID float64
 	args := ReductionArgs{Cols: j.cols, worker: slot, object: j.obj, scratch: ws.scratch}
@@ -139,12 +137,6 @@ func (j *job) runSlot(slot int, ws *workerState) {
 		defer func() { ws.scratch = bargs.scratch }()
 	} else {
 		defer func() { ws.scratch = args.scratch }()
-	}
-	if j.spec.LocalInit != nil {
-		args.Local = j.spec.LocalInit()
-		// The reduction function may replace args.Local (e.g. to grow a
-		// slice); capture the final value when the slot finishes.
-		defer func() { j.locals[slot] = args.Local }()
 	}
 	done := j.ctx.Done()
 	for {
@@ -251,13 +243,9 @@ func (e *Engine) RunContext(ctx context.Context, spec Spec, src dataset.Source) 
 		return nil, err
 	}
 	cfg := e.cfg
-	var obj *robj.Object
-	if spec.Object.Groups != 0 || spec.Object.Elems != 0 {
-		var err error
-		obj, err = e.objects.Get(cfg.Strategy, spec.Object.Op, spec.Object.Groups, spec.Object.Elems, cfg.Threads)
-		if err != nil {
-			return nil, err
-		}
+	obj, err := e.objects.Get(cfg.Strategy, spec.Object.Op, spec.Object.Groups, spec.Object.Elems, cfg.Threads)
+	if err != nil {
+		return nil, err
 	}
 	if err := e.Start(); err != nil {
 		return nil, err
@@ -344,7 +332,6 @@ func (e *Engine) RunContext(ctx context.Context, spec Spec, src dataset.Source) 
 		threads:      cfg.Threads,
 		measureCPU:   cputime.Supported(),
 		sparseAcc:    sparseAccFor(cfg, spec, obj),
-		locals:       make([]any, cfg.Threads),
 		workerCPU:    make([]time.Duration, cfg.Threads),
 		workerSplits: make([]int64, cfg.Threads),
 		workerRows:   make([]int64, cfg.Threads),
@@ -406,16 +393,7 @@ func (e *Engine) RunContext(ctx context.Context, spec Spec, src dataset.Source) 
 	// reported under PhaseLocalCombine.
 	t0 = time.Now()
 	lcSpan := runSpan.Child(PhaseLocalCombine)
-	if obj != nil {
-		obj.Merge()
-	}
-	if spec.LocalInit != nil {
-		merged := j.locals[0]
-		for _, l := range j.locals[1:] {
-			merged = spec.LocalCombine(merged, l)
-		}
-		res.Local = merged
-	}
+	obj.Merge()
 	lcSpan.End()
 	res.Stats.LocalCombineTime = time.Since(t0)
 	addPhase(PhaseLocalCombine, res.Stats.LocalCombineTime)
@@ -460,10 +438,7 @@ func (e *Engine) RunContext(ctx context.Context, spec Spec, src dataset.Source) 
 // Dense fused kernels that walk Acc() directly never set ScatterBlock and
 // always keep the dense mirror, whatever their object size.
 func sparseAccFor(cfg Config, spec Spec, obj *robj.Object) bool {
-	if spec.BlockReduction == nil || obj == nil {
-		return false
-	}
-	return cfg.SparseAccEngaged(obj.Groups()*obj.ElemsPerGroup(), spec.ScatterBlock)
+	return spec.BlockReduction != nil && cfg.SparseAccEngaged(obj.Groups()*obj.ElemsPerGroup(), spec.ScatterBlock)
 }
 
 // enqueue sends the job's tickets to the pool. Tickets not sent — because

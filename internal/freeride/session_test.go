@@ -48,22 +48,37 @@ func TestRunEmptySourceIdentity(t *testing.T) {
 	}
 }
 
-// TestRunEmptySourceLocalState: LocalInit-only specs on an empty source
-// merge the per-worker initial locals without running the reduction.
+// TestRunEmptySourceLocalState: on an empty source no worker touches its
+// local copy of the reduction object, so under every sharing strategy the
+// local merge of the per-worker copies yields the identity-filled object,
+// and Combine and Finalize still run on it.
 func TestRunEmptySourceLocalState(t *testing.T) {
-	eng := New(Config{Threads: 3, SplitRows: 16})
-	defer eng.Close()
-	spec := Spec{
-		LocalInit:    func() any { return 1 },
-		LocalCombine: func(a, b any) any { return a.(int) + b.(int) },
-		Reduction:    func(a *ReductionArgs) error { return errors.New("must not run") },
-	}
-	res, err := eng.RunContext(context.Background(), spec, dataset.NewMemorySource(dataset.NewMatrix(0, 1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Local.(int) != 3 {
-		t.Fatalf("merged local = %v, want 3 (one per worker slot)", res.Local)
+	empty := dataset.NewMemorySource(dataset.NewMatrix(0, 1))
+	for _, st := range robj.Strategies() {
+		eng := New(Config{Threads: 3, SplitRows: 16, Strategy: st})
+		var combined, finalized bool
+		spec := Spec{
+			Object:    ObjectSpec{Groups: 3, Elems: 2, Op: robj.OpMin},
+			Reduction: func(a *ReductionArgs) error { return errors.New("must not run") },
+			Combine:   func(o *robj.Object) error { combined = true; return nil },
+			Finalize:  func(r *Result) error { finalized = true; return nil },
+		}
+		res, err := eng.RunContext(context.Background(), spec, empty)
+		if err != nil {
+			t.Fatalf("%v: %v", st, err)
+		}
+		if !combined || !finalized {
+			t.Fatalf("%v: Combine ran %v, Finalize ran %v; both must run on an empty source", st, combined, finalized)
+		}
+		for c, v := range res.Object.Snapshot() {
+			if !math.IsInf(v, 1) {
+				t.Fatalf("%v: cell %d = %v, want the min identity +Inf", st, c, v)
+			}
+		}
+		if err := eng.Release(res); err != nil {
+			t.Fatal(err)
+		}
+		eng.Close()
 	}
 }
 

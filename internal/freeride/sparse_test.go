@@ -69,7 +69,6 @@ func TestSparseAccDecision(t *testing.T) {
 		{"disabled", Config{SparseAccCells: -1}.withDefaults(), fused, obj, false},
 		{"per-element spec never", Config{SparseAccCells: 1}.withDefaults(), elem, obj, false},
 		{"dense fused kernel never (no ScatterBlock)", Config{SparseAccCells: 1}.withDefaults(), dense, obj, false},
-		{"no object never", Config{SparseAccCells: 1}.withDefaults(), fused, nil, false},
 	}
 	for _, tc := range cases {
 		if got := sparseAccFor(tc.cfg, tc.spec, tc.obj); got != tc.want {

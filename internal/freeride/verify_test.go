@@ -23,26 +23,15 @@ func TestSpecVerify(t *testing.T) {
 		code verify.Code
 	}{
 		{"no reduction", Spec{Object: obj}, verify.CodeNoReduction},
-		{"LocalInit without LocalCombine",
-			Spec{Object: obj, Reduction: reduce, LocalInit: func() any { return 0 }},
-			verify.CodeLocalInitNoCombine},
 		{"negative object shape",
 			Spec{Object: ObjectSpec{Groups: -1, Elems: 3, Op: robj.OpAdd}, Reduction: reduce},
 			verify.CodeBadObjectShape},
 		{"BlockReduction without object",
 			Spec{BlockReduction: blockReduce},
-			verify.CodeBlockNeedsObject},
-		{"BlockReduction with LocalInit",
-			Spec{Object: obj, BlockReduction: blockReduce, Reduction: reduce,
-				LocalInit:    func() any { return 0 },
-				LocalCombine: func(dst, src any) any { return dst }},
-			verify.CodeBlockLocalInit},
+			verify.CodeNoState},
 		{"Combine without object",
-			Spec{Reduction: reduce,
-				LocalInit:    func() any { return 0 },
-				LocalCombine: func(dst, src any) any { return dst },
-				Combine:      func(o *robj.Object) error { return nil }},
-			verify.CodeCombineNeedsObject},
+			Spec{Reduction: reduce, Combine: func(o *robj.Object) error { return nil }},
+			verify.CodeNoState},
 		{"no state at all", Spec{Reduction: reduce}, verify.CodeNoState},
 	}
 
@@ -90,9 +79,9 @@ func TestSpecVerifyClean(t *testing.T) {
 	for name, spec := range map[string]Spec{
 		"object only": {Object: obj, Reduction: reduce},
 		"fused":       {Object: obj, BlockReduction: func(args *BlockArgs) error { return nil }},
-		"local state only": {Reduction: reduce,
-			LocalInit:    func() any { return 0 },
-			LocalCombine: func(dst, src any) any { return dst }},
+		"both kernels": {Object: obj, Reduction: reduce,
+			BlockReduction: func(args *BlockArgs) error { return nil },
+			Combine:        func(o *robj.Object) error { return nil }},
 	} {
 		if ds := spec.Verify(); len(ds) != 0 {
 			t.Errorf("%s: unexpected diagnostics %v", name, ds)

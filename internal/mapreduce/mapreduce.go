@@ -16,7 +16,6 @@ package mapreduce
 import (
 	"cmp"
 	"errors"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -35,14 +34,6 @@ type Config struct {
 	Workers int
 	// SplitRows is the number of rows per map split. Defaults to 4096.
 	SplitRows int
-	// SpillPairs bounds each map worker's in-memory intermediate pairs:
-	// when a worker's buffer reaches this count it is sorted (combined
-	// first, when a combiner is set) and spilled to a temporary run file,
-	// Hadoop-style; the sort phase merge-streams the runs. 0 disables
-	// spilling (fully in-memory).
-	SpillPairs int
-	// SpillDir is where run files go; defaults to the OS temp directory.
-	SpillDir string
 }
 
 func (c Config) withDefaults() Config {
@@ -106,10 +97,6 @@ type Stats struct {
 	EmittedPairs int
 	// Keys is the number of distinct keys reduced.
 	Keys int
-	// SpilledRuns counts run files written to disk (Config.SpillPairs).
-	SpilledRuns int
-	// SpilledPairs counts pairs that went through disk.
-	SpilledPairs int
 }
 
 // Total returns the sum of all phase times.
@@ -142,10 +129,7 @@ func (e *Engine[K, V]) Run(spec Spec[K, V], src dataset.Source) (map[K]V, Stats,
 	splits := freeride.DefaultSplitter(src.NumRows(), units)
 	s := sched.New(sched.Dynamic, len(splits), cfg.Workers, 1)
 	perWorker := make([][]Pair[K, V], cfg.Workers)
-	perWorkerRuns := make([][]string, cfg.Workers)
-	spillErrs := make([]error, cfg.Workers)
 	emitted := make([]int, cfg.Workers)
-	spilledPairs := make([]int, cfg.Workers)
 	var (
 		wg       sync.WaitGroup
 		errOnce  sync.Once
@@ -159,29 +143,9 @@ func (e *Engine[K, V]) Run(spec Spec[K, V], src dataset.Source) (map[K]V, Stats,
 			defer wg.Done()
 			var buf []float64
 			var local []Pair[K, V]
-			var spiller *spillWriter[K, V]
-			var emit func(K, V)
-			if cfg.SpillPairs > 0 {
-				spiller = newSpillWriter[K, V](cfg.SpillPairs, cfg.SpillDir, spec.Combine)
-				emit = func(k K, v V) {
-					spiller.add(Pair[K, V]{Key: k, Value: v})
-					emitted[w]++
-				}
-				defer func() {
-					mem, runs, err := spiller.finish()
-					if err != nil {
-						spillErrs[w] = err
-						return
-					}
-					perWorker[w] = mem
-					perWorkerRuns[w] = runs
-					spilledPairs[w] = spiller.spilled
-				}()
-			} else {
-				emit = func(k K, v V) {
-					local = append(local, Pair[K, V]{Key: k, Value: v})
-					emitted[w]++
-				}
+			emit := func(k K, v V) {
+				local = append(local, Pair[K, V]{Key: k, Value: v})
+				emitted[w]++
 			}
 			args := MapArgs{Cols: cols}
 			for {
@@ -213,72 +177,35 @@ func (e *Engine[K, V]) Run(spec Spec[K, V], src dataset.Source) (map[K]V, Stats,
 					}
 				}
 			}
-			if spiller == nil {
-				if spec.Combine != nil {
-					local = combineLocal(local, spec.Combine)
-				}
-				perWorker[w] = local
+			if spec.Combine != nil {
+				local = combineLocal(local, spec.Combine)
 			}
+			perWorker[w] = local
 		}(w)
 	}
 	wg.Wait()
 	stats.MapTime = time.Since(t0)
-	cleanupRuns := func() {
-		for _, runs := range perWorkerRuns {
-			for _, r := range runs {
-				os.Remove(r)
-			}
-		}
-	}
 	if firstErr != nil {
-		cleanupRuns()
 		return nil, stats, firstErr
-	}
-	for _, err := range spillErrs {
-		if err != nil {
-			cleanupRuns()
-			return nil, stats, err
-		}
 	}
 	for _, n := range emitted {
 		stats.EmittedPairs += n
-	}
-	for w := range perWorkerRuns {
-		stats.SpilledRuns += len(perWorkerRuns[w])
-		stats.SpilledPairs += spilledPairs[w]
 	}
 
 	// Sort/group phase: concatenate worker buffers and sort by key — the
 	// step Fig. 4 labels "Sort (i,val) pairs using i". Large pair sets are
 	// sorted with a parallel merge sort, as Phoenix does.
 	t0 = time.Now()
-	var all []Pair[K, V]
 	total := 0
 	for _, p := range perWorker {
 		total += len(p)
 	}
-	if stats.SpilledRuns > 0 {
-		// Disk runs exist: k-way merge the per-worker memory runs (already
-		// sorted by finish) with the spilled files.
-		var fileRuns []string
-		for _, runs := range perWorkerRuns {
-			fileRuns = append(fileRuns, runs...)
-		}
-		merged, err := mergeRunsStreaming(perWorker, fileRuns, total+stats.SpilledPairs)
-		cleanupRuns()
-		if err != nil {
-			return nil, stats, err
-		}
-		all = merged
-		stats.IntermediatePairs = len(all)
-	} else {
-		all = make([]Pair[K, V], 0, total)
-		for _, p := range perWorker {
-			all = append(all, p...)
-		}
-		stats.IntermediatePairs = len(all)
-		parallelSortPairs(all, cfg.Workers)
+	all := make([]Pair[K, V], 0, total)
+	for _, p := range perWorker {
+		all = append(all, p...)
 	}
+	stats.IntermediatePairs = len(all)
+	parallelSortPairs(all, cfg.Workers)
 	// Group into runs of equal key.
 	type group struct {
 		key    K

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"os"
 	"testing"
 	"testing/quick"
 
@@ -267,88 +266,5 @@ func TestLargeJobUsesParallelSort(t *testing.T) {
 		if out[k] != want {
 			t.Fatalf("bucket %d = %v, want %v", k, out[k], want)
 		}
-	}
-}
-
-func TestSpillToDiskMatchesInMemory(t *testing.T) {
-	m := bucketMatrix(20000, 97)
-	ref, _, err := New[int, float64](Config{Workers: 3, SplitRows: 256}).
-		Run(histogramSpec(false), dataset.NewMemorySource(m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New[int, float64](Config{
-		Workers: 3, SplitRows: 256,
-		SpillPairs: 512, SpillDir: t.TempDir(),
-	})
-	out, stats, err := e.Run(histogramSpec(false), dataset.NewMemorySource(m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.SpilledRuns == 0 || stats.SpilledPairs == 0 {
-		t.Fatalf("expected spills, stats = %+v", stats)
-	}
-	if len(out) != len(ref) {
-		t.Fatalf("key count %d != %d", len(out), len(ref))
-	}
-	for k, v := range ref {
-		if out[k] != v {
-			t.Fatalf("bucket %d: %v != %v", k, out[k], v)
-		}
-	}
-}
-
-func TestCombineOnSpillAvoidsDisk(t *testing.T) {
-	// Few distinct keys: the combiner collapses the buffer below the
-	// budget on every check, so nothing reaches disk.
-	m := bucketMatrix(20000, 5)
-	dir := t.TempDir()
-	e := New[int, float64](Config{
-		Workers: 2, SplitRows: 256,
-		SpillPairs: 64, SpillDir: dir,
-	})
-	out, stats, err := e.Run(histogramSpec(true), dataset.NewMemorySource(m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.SpilledRuns != 0 {
-		t.Fatalf("combiner should have prevented spills: %+v", stats)
-	}
-	for k := 0; k < 5; k++ {
-		if out[k] != 4000 {
-			t.Fatalf("bucket %d = %v", k, out[k])
-		}
-	}
-	// No stray run files left behind.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Fatalf("leftover files: %v", entries)
-	}
-}
-
-func TestSpillWithCombinerStillSpillsManyKeys(t *testing.T) {
-	// Many distinct keys defeat the combiner; spills happen, cleanup runs.
-	m := bucketMatrix(30000, 5000)
-	dir := t.TempDir()
-	e := New[int, float64](Config{
-		Workers: 2, SplitRows: 512,
-		SpillPairs: 1000, SpillDir: dir,
-	})
-	out, stats, err := e.Run(histogramSpec(true), dataset.NewMemorySource(m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.SpilledRuns == 0 {
-		t.Fatalf("expected spills with 5000 keys: %+v", stats)
-	}
-	if out[0] != 6 { // 30000/5000
-		t.Fatalf("bucket 0 = %v", out[0])
-	}
-	entries, _ := os.ReadDir(dir)
-	if len(entries) != 0 {
-		t.Fatalf("run files not cleaned up: %v", entries)
 	}
 }

@@ -90,6 +90,24 @@ func (s DatasetSpec) sizeBytes() int64 {
 	return int64(s.Rows) * int64(s.Dim) * 8
 }
 
+// checkFootprint rejects a generated recipe whose materialized footprint
+// (sizeBytes) exceeds twice the cache bound. Twice, not once: source serves
+// a dataset larger than the bound by keeping it resident alone until the
+// next miss. n×w×8 ≤ 2×max is tested as n ≤ max/4/w, exact in integers and
+// free of multiplication, so a shape whose product overflows int64 is
+// rejected instead of wrapping to a size the cache would accept.
+func (s DatasetSpec) checkFootprint(max int64) error {
+	n, w := int64(s.Rows), int64(s.Dim)
+	if s.Kind == "sparse" {
+		n, w = int64(s.NNZ), 3
+	}
+	if n > max/4/w {
+		return fmt.Errorf("serve: dataset %q materializes %d x %d x 8 bytes, more than twice the %d-byte dataset cache",
+			s.Name, n, w, max)
+	}
+	return nil
+}
+
 // materialize generates the matrix from the recipe.
 func (s DatasetSpec) materialize() *dataset.Matrix {
 	switch s.Kind {
@@ -151,11 +169,18 @@ func newDatasetCache(maxBytes int64) *datasetCache {
 // register validates and stores a recipe, returning the stored form: file
 // recipes come back with Rows/Dim filled from the file header, so callers
 // (and the HTTP response) see the shape the dataset will actually serve.
+// Generated recipes must fit twice the cache bound once materialized
+// (checkFootprint); a mapped file may exceed it, since its pages live in
+// the page cache.
 func (c *datasetCache) register(s DatasetSpec) (DatasetSpec, error) {
 	if err := s.validate(); err != nil {
 		return s, err
 	}
-	if s.Kind == "file" {
+	if s.Kind != "file" {
+		if err := s.checkFootprint(c.max); err != nil {
+			return s, err
+		}
+	} else {
 		fs, err := dataset.OpenFileSource(s.Path)
 		if err != nil {
 			return s, fmt.Errorf("serve: file dataset %q: %w", s.Name, err)

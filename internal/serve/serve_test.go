@@ -703,6 +703,51 @@ func TestDatasetEndpoints(t *testing.T) {
 	}
 }
 
+// TestOversizeRecipesRejected: a generated recipe whose materialized
+// footprint (rows×dim×8 bytes, nnz×3×8 for sparse) overflows int64 or
+// exceeds twice CacheBytes is refused at registration with 400. The
+// overflowing uniform recipe used to register with sizeBytes() == 0, and its
+// first job panicked in dataset.NewMatrix on the runner goroutine, taking
+// the whole server down.
+func TestOversizeRecipesRejected(t *testing.T) {
+	// The bound is 2 × 65532 = 131064 bytes. Dense footprints are whole
+	// words, so 16383×1 sits exactly on it and 1024×16 is one word over.
+	const cacheBytes = 65532
+	s, ts := testServer(t, Config{Engines: 1, Engine: freeride.Config{Threads: 1},
+		CacheBytes: cacheBytes})
+	for _, bad := range []DatasetSpec{
+		{Name: "overflow", Kind: "uniform", Rows: 1 << 31, Dim: 1 << 31},
+		{Name: "overflow-sparse", Kind: "sparse", Rows: 8, Dim: 8, NNZ: 1 << 61},
+		{Name: "word-over", Kind: "uniform", Rows: 1024, Dim: 16, Seed: 1},
+		{Name: "over-sparse", Kind: "sparse", Rows: 8, Dim: 8, NNZ: 5462},
+	} {
+		var eb errorBody
+		if resp := postJSON(t, ts.URL+"/v1/datasets", bad, &eb); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: registration returned %d, want 400", bad.Name, resp.StatusCode)
+		}
+		if !strings.Contains(eb.Error, "dataset cache") {
+			t.Fatalf("%s: 400 body %q does not name the cache bound", bad.Name, eb.Error)
+		}
+	}
+	if n := len(s.Datasets()); n != 0 {
+		t.Fatalf("%d oversize datasets registered, want none", n)
+	}
+	// A recipe exactly on the bound still registers and serves.
+	fits := DatasetSpec{Name: "fits", Kind: "uniform", Rows: 16383, Dim: 1, Seed: 1}
+	if resp := postJSON(t, ts.URL+"/v1/datasets", fits, nil); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("recipe of %d bytes under a %d-byte cache returned %d, want 201",
+			fits.sizeBytes(), cacheBytes, resp.StatusCode)
+	}
+	j, err := s.Submit("t", "pca", "fits", Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j.done
+	if st := j.status(); st.State != JobDone {
+		t.Fatalf("pca over the fitting recipe ended %v: %s", st.State, st.Error)
+	}
+}
+
 // TestOversizedBodiesRejected: a body past maxBodyBytes is refused with 413
 // on both POST endpoints, and no dataset is registered.
 func TestOversizedBodiesRejected(t *testing.T) {

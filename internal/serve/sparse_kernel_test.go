@@ -235,9 +235,10 @@ func TestServeSpMVFileDatasetEvicted(t *testing.T) {
 	if !sliced {
 		t.Skip("memory mapping unavailable: the zero-copy read is not exercised")
 	}
-	// 1 KiB holds x and y (8 x (64+48) B) but neither dataset.
+	// The bound holds the memory recipe, or the file, plus x and y
+	// (8 x (64+48) B), but never both datasets at once.
 	s, _ := testServer(t, Config{Engines: 1, Engine: freeride.Config{Threads: 2, SplitRows: 32},
-		MaxConcurrency: 2, TenantQuota: -1, CacheBytes: 1 << 10})
+		MaxConcurrency: 2, TenantQuota: -1, CacheBytes: spec.sizeBytes() + 1<<10})
 	if _, err := s.RegisterDataset(spec); err != nil {
 		t.Fatal(err)
 	}

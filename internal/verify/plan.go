@@ -236,50 +236,26 @@ type SpecPlan struct {
 	HasReduction      bool
 	HasBlockReduction bool
 	Object            Shape
-	HasLocalInit      bool
-	HasLocalCombine   bool
-	HasCombine        bool
 }
-
-// hasObject reports whether the spec declares a non-empty cell-based
-// object. A zero-shaped object is legal only for LocalInit-only specs.
-func (p SpecPlan) hasObject() bool { return p.Object.Groups != 0 || p.Object.Elems != 0 }
 
 // CheckSpec verifies a FREERIDE spec's legality — the structural checks the
 // engine used to scatter through run() as fmt.Errorf, now one diagnostic
-// pass that runs before any worker starts.
+// pass that runs before any worker starts. The reduction object is the only
+// state a pass carries, so every spec must declare one with cells.
 func CheckSpec(p SpecPlan) Diagnostics {
 	var ds Diagnostics
 	const pos = "spec"
 	if !p.HasReduction && !p.HasBlockReduction {
 		ds = errorf(ds, pos, CodeNoReduction, "freeride: Spec.Reduction (or BlockReduction) is required")
 	}
-	if p.HasLocalInit && !p.HasLocalCombine {
-		ds = errorf(ds, pos, CodeLocalInitNoCombine, "freeride: LocalInit requires LocalCombine")
-	}
-	if p.hasObject() && (p.Object.Groups <= 0 || p.Object.Elems <= 0) {
+	switch {
+	case p.Object.Groups == 0 && p.Object.Elems == 0:
+		ds = errorf(ds, pos, CodeNoState,
+			"freeride: spec declares no reduction object; set Object.Groups and Object.Elems (FREERIDE's reduction_object_alloc)")
+	case p.Object.Groups <= 0 || p.Object.Elems <= 0:
 		ds = errorf(ds, pos, CodeBadObjectShape,
-			"freeride: reduction object shape %dx%d has no cells; declare Groups >= 1 and Elems >= 1, or leave both zero for LocalInit-only state",
+			"freeride: reduction object shape %dx%d has no cells; declare Groups >= 1 and Elems >= 1",
 			p.Object.Groups, p.Object.Elems)
-	}
-	if p.HasBlockReduction {
-		if !p.hasObject() {
-			ds = errorf(ds, pos, CodeBlockNeedsObject,
-				"freeride: Spec.BlockReduction requires a cell-based reduction object (set Object.Groups/Elems) — its worker-local block buffer is the object's dense mirror")
-		}
-		if p.HasLocalInit {
-			ds = errorf(ds, pos, CodeBlockLocalInit,
-				"freeride: Spec.BlockReduction cannot be combined with LocalInit — the fused path accumulates only into the cell-based object; use the per-element Reduction for user-managed local state")
-		}
-	}
-	if !p.hasObject() {
-		if p.HasCombine {
-			ds = errorf(ds, pos, CodeCombineNeedsObject,
-				"freeride: Spec.Combine requires a cell-based reduction object (set Object.Groups/Elems); LocalInit-only state is merged by LocalCombine and post-processed in Finalize")
-		}
-		if !p.HasLocalInit {
-			ds = errorf(ds, pos, CodeNoState, "freeride: spec declares neither a reduction object shape nor LocalInit")
-		}
 	}
 	return ds
 }

@@ -128,15 +128,14 @@ const (
 const (
 	// CodeNoReduction: the spec has neither Reduction nor BlockReduction.
 	CodeNoReduction Code = "FRV040"
-	// CodeLocalInitNoCombine: LocalInit without LocalCombine.
-	CodeLocalInitNoCombine Code = "FRV041"
-	// CodeBlockNeedsObject: BlockReduction without a cell-based object.
-	CodeBlockNeedsObject Code = "FRV042"
-	// CodeBlockLocalInit: BlockReduction combined with LocalInit.
-	CodeBlockLocalInit Code = "FRV043"
-	// CodeCombineNeedsObject: Combine without a cell-based object.
-	CodeCombineNeedsObject Code = "FRV044"
-	// CodeNoState: the spec declares neither an object shape nor LocalInit.
+	// FRV041–FRV044 are retired and never reused. FRV041 (LocalInit
+	// without LocalCombine) and FRV043 (BlockReduction with LocalInit)
+	// named a per-worker side channel the engine no longer has; FRV042
+	// (BlockReduction without an object) and FRV044 (Combine without an
+	// object) are special cases of FRV045.
+
+	// CodeNoState: the spec declares no reduction object (a zero shape),
+	// the only state a pass carries.
 	CodeNoState Code = "FRV045"
 )
 

@@ -205,35 +205,22 @@ func TestCheckSpec(t *testing.T) {
 			msgPart: "Spec.Reduction (or BlockReduction) is required",
 		},
 		{
-			name:    "local init without combine",
-			plan:    SpecPlan{HasReduction: true, Object: Shape{Groups: 1, Elems: 1}, HasLocalInit: true},
-			code:    CodeLocalInitNoCombine,
-			msgPart: "LocalInit requires LocalCombine",
-		},
-		{
 			name:    "block reduction without object",
 			plan:    SpecPlan{HasBlockReduction: true, HasReduction: true},
-			code:    CodeBlockNeedsObject,
-			msgPart: "BlockReduction requires a cell-based reduction object",
-		},
-		{
-			name: "block reduction with local init",
-			plan: SpecPlan{HasBlockReduction: true, Object: Shape{Groups: 1, Elems: 1},
-				HasLocalInit: true, HasLocalCombine: true},
-			code:    CodeBlockLocalInit,
-			msgPart: "cannot be combined with LocalInit",
-		},
-		{
-			name:    "combine without object",
-			plan:    SpecPlan{HasReduction: true, HasLocalInit: true, HasLocalCombine: true, HasCombine: true},
-			code:    CodeCombineNeedsObject,
-			msgPart: "Combine requires a cell-based reduction object",
+			code:    CodeNoState,
+			msgPart: "declares no reduction object",
 		},
 		{
 			name:    "no state at all",
 			plan:    SpecPlan{HasReduction: true},
 			code:    CodeNoState,
-			msgPart: "neither a reduction object shape nor LocalInit",
+			msgPart: "declares no reduction object",
+		},
+		{
+			name:    "one zero dimension",
+			plan:    SpecPlan{HasReduction: true, Object: Shape{Groups: 3, Elems: 0}},
+			code:    CodeBadObjectShape,
+			msgPart: "3x0",
 		},
 		{
 			name:    "negative object shape",

@@ -8,11 +8,10 @@ import (
 // kernelFields are the struct fields / assignment targets whose function
 // literals are reduction bodies: FREERIDE runs them concurrently across
 // worker slots, so they must be pure up to their explicit accumulation
-// channels (the ReductionArgs/BlockArgs object, LocalCombine's operands).
+// channel (the ReductionArgs/BlockArgs reduction object).
 var kernelFields = map[string]bool{
 	"Reduction":      true,
 	"BlockReduction": true,
-	"LocalCombine":   true,
 	"Kernel":         true,
 	"BlockKernel":    true,
 }
@@ -99,9 +98,9 @@ func checkKernelBody(pass *Pass, field string, fl *ast.FuncLit) {
 
 // reportCapturedWrite flags a write whose base identifier is neither
 // declared inside the kernel nor one of its parameters. Writes through
-// parameters (args.Local, dst/src in LocalCombine, the acc buffer) are the
-// kernel's sanctioned channels; writes to anything captured from an
-// enclosing scope are cross-worker races.
+// parameters (the args struct, the acc buffer) are the kernel's sanctioned
+// channels; writes to anything captured from an enclosing scope are
+// cross-worker races.
 func reportCapturedWrite(pass *Pass, field string, lhs ast.Expr, declared, pkgVars map[string]bool) {
 	root := rootIdent(lhs)
 	if root == nil || root.Name == "_" || declared[root.Name] {
@@ -111,7 +110,7 @@ func reportCapturedWrite(pass *Pass, field string, lhs ast.Expr, declared, pkgVa
 	if pkgVars[root.Name] {
 		what = "package-level variable"
 	}
-	pass.Report(lhs, "%s kernel writes %s %q; worker slots run concurrently — accumulate through the reduction object or LocalInit state instead", field, what, root.Name)
+	pass.Report(lhs, "%s kernel writes %s %q; worker slots run concurrently — accumulate through the reduction object instead", field, what, root.Name)
 }
 
 // declaredIdents collects every identifier the function literal declares:

@@ -9,7 +9,7 @@ import (
 // LockOrder flags user-callback invocations made while a mutex is held.
 // FREERIDE's contract is that strategy locks (robj's per-group/per-cell
 // locks, the engine's bookkeeping mutexes) guard only the engine's own
-// state: user callbacks (Combine, LocalCombine, Reduction, Finalize, the
+// state: user callbacks (Combine, Reduction, Finalize, the
 // kernels) run lock-free, so a callback can take arbitrarily long — or call
 // back into the engine — without deadlocking the worker pool or serializing
 // other workers behind it.
@@ -28,11 +28,9 @@ var LockOrder = &Analyzer{
 // a lock is a contract violation.
 var callbackNames = map[string]bool{
 	"Combine":        true,
-	"LocalCombine":   true,
 	"Reduction":      true,
 	"BlockReduction": true,
 	"Finalize":       true,
-	"LocalInit":      true,
 	"Kernel":         true,
 	"BlockKernel":    true,
 }

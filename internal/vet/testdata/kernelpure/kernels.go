@@ -9,10 +9,9 @@ import (
 type Spec struct {
 	Reduction      func(args *Args) error
 	BlockReduction func(args *Args) error
-	LocalCombine   func(dst, src any) any
 }
 
-type Args struct{ Local any }
+type Args struct{ Acc []float64 }
 
 var shared float64
 var table = map[int]int{}
@@ -49,16 +48,11 @@ func good() Spec {
 		Reduction: func(args *Args) error {
 			local := 0.0
 			local += scale
-			args.Local = local
 			for i := 0; i < 3; i++ {
 				local += float64(i)
 			}
+			args.Acc[0] = local // writes through a parameter are the kernel's channel
 			return nil
-		},
-		LocalCombine: func(dst, src any) any {
-			d := dst.(float64)
-			d += src.(float64)
-			return d
 		},
 	}
 }

@@ -4,8 +4,8 @@ package locks
 import "sync"
 
 type Spec struct {
-	Combine      func(o any) error
-	LocalCombine func(dst, src any) any
+	Combine  func(o any) error
+	Finalize func(r any) error
 }
 
 type store struct {
@@ -47,9 +47,9 @@ func (s *store) mergeGood(o any) error {
 }
 
 // Lock guards only engine state; callback on the unlocked path: clean.
-func (s *store) window(dst, src any) any {
+func (s *store) window(r any) error {
 	s.mu.Lock()
 	s.vals = append(s.vals, 1)
 	s.mu.Unlock()
-	return s.spec.LocalCombine(dst, src)
+	return s.spec.Finalize(r)
 }
