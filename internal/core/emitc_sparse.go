@@ -47,17 +47,27 @@ func EmitSparseC(class *SparseClass, opt OptLevel) (string, error) {
 			fmt.Fprintf(&b, "    /* gather vector linearized by the compiler (opt-2) */\n")
 			fmt.Fprintf(&b, "    double* x = linearized_hot_0; /* was: %s */\n", class.Hot.Ty)
 		}
-		fmt.Fprintf(&b, "    for (int i = 0; i < args->num_rows; i++) {\n")
-		fmt.Fprintf(&b, "        int e = args->begin + i;      /* global nonzero index */\n")
-		fmt.Fprintf(&b, "        double v = args->data[i];     /* CSR-ordered value stream */\n")
+		fmt.Fprintf(&b, "    if (args->num_rows == 0) return;\n")
+		fmt.Fprintf(&b, "    /* CSR order (inspector): a row's entries in a split are one run */\n")
+		fmt.Fprintf(&b, "    const int* out = out_table + args->begin; /* scatter cells */\n")
+		g0, gi := "0.0", "0.0" // gather-free reduction
 		if hasHot {
-			fmt.Fprintf(&b, "        double g = x[in_table[e]];    /* table-driven gather */\n")
-		} else {
-			fmt.Fprintf(&b, "        double g = 0.0;               /* gather-free reduction */\n")
+			fmt.Fprintf(&b, "    const int* in = in_table + args->begin;   /* gather offsets */\n")
+			g0, gi = "x[in[0]]", "x[in[i]]"
 		}
-		fmt.Fprintf(&b, "        /* scattered write: aliased out-cells merge via the associative op */\n")
-		fmt.Fprintf(&b, "        acc[out_table[e]] op= kernel(v, g); /* no lock, no CAS */\n")
+		fmt.Fprintf(&b, "    int cell = out[0];\n")
+		fmt.Fprintf(&b, "    double sum = kernel(args->data[0], %s); /* register sum of the run */\n", g0)
+		fmt.Fprintf(&b, "    for (int i = 1; i < args->num_rows; i++) {\n")
+		fmt.Fprintf(&b, "        double v = kernel(args->data[i], %s);\n", gi)
+		fmt.Fprintf(&b, "        if (out[i] != cell) {\n")
+		fmt.Fprintf(&b, "            acc[cell] op= sum; /* one accumulate per row run */\n")
+		fmt.Fprintf(&b, "            cell = out[i];\n")
+		fmt.Fprintf(&b, "            sum = v;\n")
+		fmt.Fprintf(&b, "        } else {\n")
+		fmt.Fprintf(&b, "            sum op= v;         /* fold in a register: no lookup, no lock */\n")
+		fmt.Fprintf(&b, "        }\n")
 		fmt.Fprintf(&b, "    }\n")
+		fmt.Fprintf(&b, "    acc[cell] op= sum;         /* the split's last run */\n")
 		fmt.Fprintf(&b, "    /* one scattered flush of the touched cells per split */\n")
 		fmt.Fprintf(&b, "    accumulate_block(args->worker, acc);\n")
 		fmt.Fprintf(&b, "}\n")

@@ -10,16 +10,19 @@ import (
 // on: the accessors a kernel calls once per element (or per centroid per
 // element in the fallbacks) inline into it, so the strength-reduced loads are
 // plain slice arithmetic in the kernel body and only the generated/boxed slow
-// bodies cost a call. The compiler's own -m report is the oracle; an edit that
-// pushes one of them past the inliner's budget fails here instead of showing
-// up as a silent 1.5× on kmeans_translated.
+// bodies cost a call. The same holds for the operator the opt-3 sparse
+// executor folds every nonzero into its row run with (robj.Op.Apply). The
+// compiler's own -m report is the oracle; an edit that pushes one of them
+// past the inliner's budget fails here instead of showing up as a silent
+// 1.5× on kmeans_translated or spmv_power.
 func TestHotPathInlines(t *testing.T) {
 	goTool, err := exec.LookPath("go")
 	if err != nil {
 		t.Skip("go tool not available")
 	}
 	out, err := exec.Command(goTool, "build", "-gcflags=-m",
-		"chapelfreeride/internal/core", "chapelfreeride/internal/freeride").CombinedOutput()
+		"chapelfreeride/internal/core", "chapelfreeride/internal/freeride",
+		"chapelfreeride/internal/robj").CombinedOutput()
 	if err != nil {
 		t.Fatalf("go build -gcflags=-m: %v\n%s", err, out)
 	}
@@ -32,6 +35,7 @@ func TestHotPathInlines(t *testing.T) {
 		"(*StateVec).Dense",
 		"(*ReductionArgs).Scratch",
 		"(*ReductionArgs).Accumulate",
+		"Op.Apply",
 	} {
 		if !strings.Contains(report, "can inline "+fn+"\n") {
 			t.Errorf("%s is no longer inlinable", fn)

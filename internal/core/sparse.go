@@ -202,10 +202,24 @@ func (t *SparseTranslation) Source() dataset.Source {
 //	generated — per-entry, gather through the boxed Chapel vector
 //	opt-1/2   — per-entry, gather on linearized words (opt-1 keeps the
 //	            boxed gather, matching the dense levels' hot treatment)
-//	opt-3     — fused: one call per split walks the tables and accumulates
-//	            into the worker-local buffer (dense, or hashed when the
-//	            engine decides the touched-cell set is sparse), flushed to
-//	            the shared object once per split
+//	opt-3     — fused: one call per split walks the tables as a row-run
+//	            fold and accumulates into the worker-local buffer (dense, or
+//	            hashed when the engine decides the touched-cell set is
+//	            sparse), flushed to the shared object once per split
+//
+// The opt-3 row-run fold exploits the inspector's CSR order: within a split
+// all of a row's nonzeros are adjacent, so the executor keeps the current
+// row's cell and running value in registers, folds each kernel(v, g) into it
+// with the object's Op.Apply, and calls Accumulate once per run — when the
+// row changes and at split end — instead of once per nonzero. Each cell sees
+// the fold sequence the per-nonzero calls gave it: the hashed accumulator
+// stores a cell's first value on first touch and applies the op in entry
+// order on every rehit, so results on the hashed path are bit-identical for
+// every op and value. On the dense mirror the cell becomes id ⊕ (a ⊕ b ⊕ …)
+// instead of ((id ⊕ a) ⊕ b) ⊕ …, which is the same bits for OpAdd, and for
+// OpMin/OpMax whenever no NaN is in the run. Below opt-3 the executors stay
+// per-element: accumulating straight into the shared object is what §III's
+// sharing-strategy comparison measures.
 func (t *SparseTranslation) Spec() freeride.Spec {
 	spec := freeride.Spec{Object: t.class.Object, Combine: t.class.Combine, Finalize: t.class.Finalize}
 	kernel := t.class.Kernel
@@ -258,26 +272,52 @@ func (t *SparseTranslation) Spec() freeride.Spec {
 			}
 		}
 		if t.opt >= Opt3 {
-			// Opt-3 fusion: one call per split; Accumulate lands in the
-			// worker-local buffer (dense mirror or hashed, the engine's
-			// choice) and the engine flushes once per split. ScatterBlock
-			// records that the kernels below never touch Acc() directly,
-			// which is what licenses the hashed substitution.
+			// Opt-3 fusion: one call per split, folded per CSR row run.
+			// Accumulate lands in the worker-local buffer (dense mirror or
+			// hashed, the engine's choice) and the engine flushes once per
+			// split. ScatterBlock records that the kernels below never
+			// touch Acc() directly, which is what licenses the hashed
+			// substitution.
 			spec.ScatterBlock = true
+			op := t.class.Object.Op
 			if x == nil {
 				spec.BlockReduction = func(args *freeride.BlockArgs) error {
-					for i := 0; i < args.NumRows; i++ {
-						e := args.Begin + i
-						args.Accumulate(int(out[e]), 0, kernel(args.Data[i], 0))
+					n := args.NumRows
+					if n == 0 {
+						return nil
 					}
+					cells, vals := out[args.Begin:args.Begin+n], args.Data[:n]
+					cell, run := cells[0], kernel(vals[0], 0)
+					for e := 1; e < n; e++ {
+						v := kernel(vals[e], 0)
+						if cells[e] != cell {
+							args.Accumulate(int(cell), 0, run)
+							cell, run = cells[e], v
+							continue
+						}
+						run = op.Apply(run, v)
+					}
+					args.Accumulate(int(cell), 0, run)
 					return nil
 				}
 			} else {
 				spec.BlockReduction = func(args *freeride.BlockArgs) error {
-					for i := 0; i < args.NumRows; i++ {
-						e := args.Begin + i
-						args.Accumulate(int(out[e]), 0, kernel(args.Data[i], x[in[e]]))
+					n := args.NumRows
+					if n == 0 {
+						return nil
 					}
+					cells, cols, vals := out[args.Begin:args.Begin+n], in[args.Begin:args.Begin+n], args.Data[:n]
+					cell, run := cells[0], kernel(vals[0], x[cols[0]])
+					for e := 1; e < n; e++ {
+						v := kernel(vals[e], x[cols[e]])
+						if cells[e] != cell {
+							args.Accumulate(int(cell), 0, run)
+							cell, run = cells[e], v
+							continue
+						}
+						run = op.Apply(run, v)
+					}
+					args.Accumulate(int(cell), 0, run)
 					return nil
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -280,5 +281,140 @@ func TestEmitSparseCGolden(t *testing.T) {
 					name, path, got, want)
 			}
 		})
+	}
+}
+
+// TestSparseFusedFoldOrder pins the order in which each executor folds a
+// cell's values, with data that makes any reordering visible: random
+// non-integer values and gather elements, duplicate (row, col) entries, and
+// 7-entry splits so rows straddle split boundaries. On one thread under full
+// replication both references are sequential left folds from the identity
+// in the plan's CSR order:
+//
+//   - opt-2 folds each kernel value into its cell, entry by entry;
+//   - opt-3 folds each split's row run from its first value, then folds the
+//     run into its cell, split by split (the engine flushes per split).
+//
+// Results are compared with ==, in both worker-local accumulator modes. A
+// row that no split boundary cuts has one run, so there opt-3 must also equal
+// opt-2 bit for bit.
+func TestSparseFusedFoldOrder(t *testing.T) {
+	const rows, cols, nnz, splitRows = 23, 11, 160, 7
+	rng := rand.New(rand.NewSource(2011))
+	coo := &SparseCOO{Rows: rows, Cols: cols}
+	for len(coo.V) < nnz {
+		r, c := int32(rng.Intn(rows)), int32(rng.Intn(cols))
+		if n := len(coo.V); n > 0 && rng.Intn(4) == 0 {
+			k := rng.Intn(n) // duplicate an earlier entry's coordinates
+			r, c = coo.R[k], coo.C[k]
+		}
+		coo.R, coo.C = append(coo.R, r), append(coo.C, c)
+		coo.V = append(coo.V, rng.Float64()*20-10)
+	}
+	xv := make([]float64, cols)
+	for j := range xv {
+		xv[j] = rng.Float64()*4 - 2
+	}
+	x := chapel.RealArray(xv...)
+	gather := func(v, g float64) float64 { return v * g }
+	classes := []*SparseClass{
+		{Name: "spmv", Object: freeride.ObjectSpec{Groups: rows, Elems: 1, Op: robj.OpAdd}, Hot: x, Kernel: gather},
+		{Name: "rowsum", Object: freeride.ObjectSpec{Groups: rows, Elems: 1, Op: robj.OpAdd},
+			Kernel: func(v, _ float64) float64 { return v / 3 }},
+		{Name: "rowmin", Object: freeride.ObjectSpec{Groups: rows, Elems: 1, Op: robj.OpMin}, Hot: x, Kernel: gather},
+	}
+	for _, class := range classes {
+		for _, accCells := range []int{1, -1} {
+			name := fmt.Sprintf("%s/acc%d", class.Name, accCells)
+			cfg := freeride.Config{Threads: 1, Strategy: robj.FullReplication, SplitRows: splitRows, SparseAccCells: accCells}
+			op := class.Object.Op
+			got := map[OptLevel][]float64{}
+			var straddles []bool
+			for _, opt := range []OptLevel{Opt2, Opt3} {
+				tr, err := TranslateSparse(class, coo, opt)
+				if err != nil {
+					t.Fatalf("%s %s: TranslateSparse: %v", name, opt, err)
+				}
+				out, in, vals := tr.plan.out, tr.plan.in, tr.plan.vals
+				value := func(e int) float64 {
+					if class.Hot == nil {
+						return class.Kernel(vals[e], 0)
+					}
+					return class.Kernel(vals[e], xv[in[e]])
+				}
+				// Record the splits in the order the worker takes them.
+				var splits [][2]int
+				spec := tr.Spec()
+				if blk := spec.BlockReduction; blk != nil {
+					spec.BlockReduction = func(a *freeride.BlockArgs) error {
+						splits = append(splits, [2]int{a.Begin, a.NumRows})
+						return blk(a)
+					}
+				} else {
+					red := spec.Reduction
+					spec.Reduction = func(a *freeride.ReductionArgs) error {
+						splits = append(splits, [2]int{a.Begin, a.NumRows})
+						return red(a)
+					}
+				}
+				eng := freeride.New(cfg)
+				res, err := eng.RunContext(context.Background(), spec, tr.Source())
+				if err != nil {
+					eng.Close()
+					t.Fatalf("%s %s: run: %v", name, opt, err)
+				}
+				got[opt] = append([]float64(nil), res.Object.Snapshot()...)
+				eng.Close()
+
+				want := make([]float64, rows)
+				for i := range want {
+					want[i] = op.Identity()
+				}
+				straddles = make([]bool, rows)
+				next := 0
+				for _, s := range splits {
+					if s[0] != next {
+						t.Fatalf("%s %s: split at %d, want %d (one thread takes the splits in order)", name, opt, s[0], next)
+					}
+					next = s[0] + s[1]
+					if s[0] > 0 && out[s[0]] == out[s[0]-1] {
+						straddles[out[s[0]]] = true
+					}
+					for e := s[0]; e < next; e++ {
+						if opt < Opt3 {
+							want[out[e]] = op.Apply(want[out[e]], value(e))
+							continue
+						}
+						run := value(e)
+						for e+1 < next && out[e+1] == out[e] {
+							e++
+							run = op.Apply(run, value(e))
+						}
+						want[out[e]] = op.Apply(want[out[e]], run)
+					}
+				}
+				if next != nnz {
+					t.Fatalf("%s %s: splits cover %d entries, want %d", name, opt, next, nnz)
+				}
+				for i := range want {
+					if got[opt][i] != want[i] {
+						t.Errorf("%s %s: y[%d] = %v, want %v", name, opt, i, got[opt][i], want[i])
+					}
+				}
+			}
+			cut := 0
+			for i, s := range straddles {
+				if s {
+					cut++
+					continue
+				}
+				if got[Opt3][i] != got[Opt2][i] {
+					t.Errorf("%s: y[%d] opt-3 %v, opt-2 %v on a row no split cuts", name, i, got[Opt3][i], got[Opt2][i])
+				}
+			}
+			if cut == 0 {
+				t.Fatalf("%s: no row straddles a split boundary", name)
+			}
+		}
 	}
 }

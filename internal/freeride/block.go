@@ -134,6 +134,12 @@ func fillIdentity(s []float64, id float64) {
 // needs when the reduction object (a row vector over a large sparse matrix)
 // dwarfs the number of cells any one split scatters into.
 //
+// The sparse translator's opt-3 executor folds each CSR row run in a
+// register and calls Accumulate once per run, so under it every touched
+// cell is inserted once per split and add never takes the rehit branch;
+// rehits come only from generic ScatterBlock kernels that accumulate per
+// element in no particular order.
+//
 // Layout: table is the probe array holding index+1 into cells (0 = empty),
 // with power-of-two capacity; cells/vals record the touched cells in first-
 // touch order, which is also the flush order handed to AccumulateScattered.

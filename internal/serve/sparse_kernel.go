@@ -64,15 +64,17 @@ func spmvKernel(ctx context.Context, eng *freeride.Engine, src dataset.Source, p
 		return nil, err
 	}
 
-	// Logical shape: explicit params win; otherwise the tightest shape the
-	// triples fit (max coordinate + 1), so a bare submission still runs.
+	// Logical shape: explicit params win; each omitted dimension is the
+	// tightest the triples fit (max coordinate + 1), so a bare submission
+	// still runs. An explicit dimension is never raised: triples past it
+	// fail the job (FRV013) instead of being served under another shape.
 	rows, cols := p.Rows, p.Cols
-	if rows == 0 || cols == 0 {
+	if inferRows, inferCols := rows == 0, cols == 0; inferRows || inferCols {
 		for i := 0; i < len(words); i += 3 {
-			if r := int(words[i]) + 1; r > rows {
+			if r := int(words[i]) + 1; inferRows && r > rows {
 				rows = r
 			}
-			if c := int(words[i+1]) + 1; c > cols {
+			if c := int(words[i+1]) + 1; inferCols && c > cols {
 				cols = c
 			}
 		}

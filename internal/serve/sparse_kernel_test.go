@@ -108,6 +108,55 @@ func TestServeSpMVInfersShape(t *testing.T) {
 	}
 }
 
+// TestServeSpMVExplicitDimensionWins: a job that gives one dimension and
+// omits the other has only the omitted one inferred from the triples. The
+// given one is never raised to fit them: triples past it fail the job with
+// FRV013 instead of being served under a shape the client did not ask for.
+func TestServeSpMVExplicitDimensionWins(t *testing.T) {
+	s, ts := testServer(t, Config{Engines: 1, Engine: freeride.Config{Threads: 1}})
+	// Largest row 9, largest column 2: the inferred shape is 10x3.
+	path := filepath.Join(t.TempDir(), "triples.frds")
+	m := dataset.NewMatrix(3, 3)
+	copy(m.Data, []float64{0, 0, 1, 9, 2, 2, 4, 1, 3})
+	if err := dataset.WriteFile(path, m); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RegisterDataset(DatasetSpec{Name: "t", Kind: "file", Path: path}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		p          Params
+		rows, cols int // 0: the job must fail with FRV013
+	}{
+		{Params{Rows: 12}, 12, 3},
+		{Params{Cols: 5}, 10, 5},
+		{Params{Rows: 5}, 0, 0},
+		{Params{Cols: 2}, 0, 0},
+		{Params{Rows: 5, Cols: 3}, 0, 0},
+	} {
+		var st Status
+		postJSON(t, ts.URL+"/v1/jobs", JobRequest{Kernel: "spmv", Dataset: "t", Params: tc.p, Wait: true}, &st)
+		if tc.rows == 0 {
+			if st.State != JobFailed || !strings.Contains(st.Error, "FRV013") {
+				t.Errorf("params %+v: job %q (%q), want failed with FRV013", tc.p, st.State, st.Error)
+			}
+			continue
+		}
+		if st.State != JobDone {
+			t.Errorf("params %+v: job %q (%q), want done", tc.p, st.State, st.Error)
+			continue
+		}
+		raw, _ := json.Marshal(st.Result)
+		var out SpMVOutput
+		if err := json.Unmarshal(raw, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Rows != tc.rows || out.Cols != tc.cols {
+			t.Errorf("params %+v: served as %dx%d, want %dx%d", tc.p, out.Rows, out.Cols, tc.rows, tc.cols)
+		}
+	}
+}
+
 // TestServeSpMVShapeRejected: a negative matrix shape, one past what an
 // int32 index table addresses, or one past a sparse recipe's own shape is a
 // 400 at submission instead of a kernel that sizes its vectors from it. A
