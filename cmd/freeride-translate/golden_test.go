@@ -105,13 +105,13 @@ func TestAnalyzeGoldenDiagnostics(t *testing.T) {
 			U0: 4, U1: 1, WordLen: 400, Levels: 2, AllReal: true,
 		},
 	}
-	// Target 3: an inspector table with an out-of-range entry (FRV020
-	// family, error) over a degenerately skewed scatter.
+	// Target 3: CSR row pointers that place only 3 of the 4 entries
+	// (FRV014, error); the profile still folds the 3 rows they do place.
 	badTable := &verify.Plan{
 		Class: "bad-table", Opt: 3, OptName: "opt-3", HasKernel: true, HasBlockKernel: true,
 		Object: verify.Shape{Groups: 8, Elems: 1},
 		Tables: []verify.TableAccess{
-			{Name: "out", Domain: 4, Entries: []int32{0, 1, 99, 2}, Bound: 8},
+			{Name: "rowPtr", Domain: 4, Entries: []int32{0, 1, 2, 3, 3, 3, 3, 3, 3}, Bound: 8},
 		},
 	}
 	targets := []analysisTarget{

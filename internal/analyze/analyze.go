@@ -266,12 +266,13 @@ func readFootprint(a verify.Access, isData bool) ReadFootprint {
 }
 
 // analyzeTables folds the inspector-materialized tables into exact write
-// and gather statistics: a touched-cell histogram over the scatter ("out")
-// table and a distinct-offset count over the gather ("in") table.
+// and gather statistics: a touched-cell histogram over the scatter row
+// pointers ("rowPtr") and a distinct-offset count over the gather ("in")
+// table.
 func (pr *PlanProfile) analyzeTables(p *verify.Plan) {
 	for _, t := range p.Tables {
 		switch t.Name {
-		case "out":
+		case "rowPtr":
 			pr.Domain = t.Domain
 			pr.foldScatter(t)
 		case "in":
@@ -281,28 +282,17 @@ func (pr *PlanProfile) analyzeTables(p *verify.Plan) {
 }
 
 // foldScatter builds the exact touched-cell histogram and conflict-degree
-// distribution from the scatter table.
+// distribution from the scatter row pointers: row r takes
+// rowPtr[r+1]-rowPtr[r] writes, and the writes arrive in row order.
 func (pr *PlanProfile) foldScatter(t verify.TableAccess) {
-	if t.Bound <= 0 || t.Domain == 0 {
+	if t.Bound <= 0 || t.Domain == 0 || len(t.Entries) != t.Bound+1 {
 		return
 	}
-	counts := make([]int32, t.Bound)
-	sorted := true
-	var prev int32 = -1
-	for _, e := range t.Entries {
-		if e < 0 || int(e) >= t.Bound {
-			continue // verifier rejects these; keep the fold total anyway
-		}
-		counts[e]++
-		if e < prev {
-			sorted = false
-		}
-		prev = e
-	}
 	touched, max := 0, int32(0)
-	for _, c := range counts {
+	for r := 0; r < t.Bound; r++ {
+		c := t.Entries[r+1] - t.Entries[r]
 		if c > 0 {
-			touched++
+			touched++ // a decreasing pointer is the verifier's FRV014; skip it
 		}
 		if c > max {
 			max = c
@@ -310,7 +300,7 @@ func (pr *PlanProfile) foldScatter(t verify.TableAccess) {
 	}
 	pr.Writes.TouchedCells = touched
 	pr.Writes.MaxAliases = int(max)
-	pr.Writes.Sorted = sorted
+	pr.Writes.Sorted = true
 	if touched > 0 {
 		pr.Writes.MeanAliases = float64(t.Domain) / float64(touched)
 		pr.Writes.HotCellShare = float64(max) / float64(t.Domain)

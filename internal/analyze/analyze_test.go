@@ -20,12 +20,20 @@ func densePlan(rows, cols, groups, elems int) *verify.Plan {
 	}
 }
 
-// scatterPlan builds an inspector plan whose out table is given explicitly.
+// scatterPlan builds an inspector plan whose scatter targets are given per
+// write, compressed into CSR row pointers as the inspector stores them.
 func scatterPlan(out []int32, bound int) *verify.Plan {
+	rowPtr := make([]int32, bound+1)
+	for _, r := range out {
+		rowPtr[r+1]++
+	}
+	for r := 1; r <= bound; r++ {
+		rowPtr[r] += rowPtr[r-1]
+	}
 	return &verify.Plan{
 		Class: "t", Opt: 3, OptName: "opt-3", HasKernel: true, HasBlockKernel: true,
 		Object: verify.Shape{Groups: bound, Elems: 1},
-		Tables: []verify.TableAccess{{Name: "out", Domain: len(out), Entries: out, Bound: bound}},
+		Tables: []verify.TableAccess{{Name: "rowPtr", Domain: len(out), Entries: rowPtr, Bound: bound}},
 	}
 }
 
@@ -95,11 +103,20 @@ func TestProfileInspectorHistogram(t *testing.T) {
 		t.Fatalf("mean/hot/skew = %v/%v/%v", w.MeanAliases, w.HotCellShare, w.Skew)
 	}
 	if !w.Sorted {
-		t.Fatal("sorted table not detected")
+		t.Fatal("row pointers not reported as row-sorted")
 	}
-	pr = Profile(scatterPlan([]int32{3, 1, 3}, 8), Options{})
-	if pr.Writes.Sorted {
-		t.Fatal("unsorted table reported as sorted")
+	// Pointers the verifier rejects (FRV014) fold without panicking: a
+	// short table leaves the profile empty, a decreasing pointer counts no
+	// writes for its row.
+	p := scatterPlan(out, 8)
+	p.Tables[0].Entries = p.Tables[0].Entries[:5]
+	if pr = Profile(p, Options{}); pr.Writes.TouchedCells != 8 || pr.Writes.Sorted {
+		t.Fatalf("short row pointers folded to %+v", pr.Writes)
+	}
+	p = scatterPlan(out, 8)
+	p.Tables[0].Entries[2] = 0
+	if pr = Profile(p, Options{}); pr.Writes.TouchedCells != 4 || pr.Writes.MaxAliases != 4 {
+		t.Fatalf("decreasing row pointer folded to %+v", pr.Writes)
 	}
 }
 

@@ -147,7 +147,7 @@ func TestSpMVRejectsBadShapes(t *testing.T) {
 		t.Fatal("short X not rejected")
 	}
 	// A triple whose row is out of range: the densified reference rejects it
-	// directly, the translated versions through the verifier's FRV013.
+	// directly, the translated versions through the inspector's FRV013.
 	bad := dataset.NewMatrix(1, 3)
 	copy(bad.Data, []float64{5, 0, 1})
 	cfg := SpMVConfig{Rows: 2, Cols: 2, X: []float64{1, 1}, Engine: freeride.Config{Threads: 1}}

@@ -19,10 +19,10 @@ import (
 //     uses it; SpecFromWords and EmitC bake its constants into the loop
 //     nest.
 //   - InspectorPlan — the inspector–executor model for sparse/irregular
-//     sources: a translate-time inspector materializes per-entry index
-//     tables (scatter target and gather offset per nonzero), and the
-//     verifier proves the tables total and element-wise in bounds
-//     (FRV013/FRV014) because no closed form exists.
+//     sources: a translate-time inspector materializes CSR tables (row
+//     pointers for the scatter target, a gather offset per nonzero), and
+//     the verifier proves them total and in bounds (FRV013/FRV014)
+//     because no closed form exists.
 //
 // The split mirrors the inspector–executor compilation of irregular PGAS
 // accesses: pay an analysis pass once at translate time so the per-pass
@@ -117,22 +117,29 @@ var (
 
 // InspectorPlan is the table-driven addressing model for sparse sources:
 // the inspector sorts a COO source into CSR order once at translate time
-// and materializes, per nonzero entry e,
+// and materializes the compressed sparse row tables
 //
-//	out[e] — the reduction-object cell the entry accumulates into
-//	in[e]  — the gather offset into the hot vector (column index)
+//	rowPtr[r] — the first entry of row r (rows+1 pointers; row r holds the
+//	            entries [rowPtr[r], rowPtr[r+1]) and its cell is r)
+//	in[e]     — entry e's gather offset into the hot vector (column index)
 //
 // plus the CSR-ordered values the engine streams as an nnz×1 source. The
 // executor walks the tables with no mapping arithmetic; safety comes from
-// the verifier's table proofs (every entry in [0,Bound), one entry per
-// domain element), not from per-element checks.
+// the verifier's table proofs (row pointers total over the entries, every
+// column in [0,Cols)), not from per-element checks.
+//
+// The tables are int32: a plan holds at most MaxInt32 entries (so
+// rowPtr[rows] = nnz fits) of a matrix at most MaxInt32 × MaxInt32.
+// rowPtr costs 4·(Rows+1) bytes whatever the nonzero count, as the
+// reduction object costs 8 B per row, so a tall matrix pays O(Rows) even
+// when it is nearly empty.
 type InspectorPlan struct {
 	rows, cols int // logical sparse-matrix shape
 	nnz        int
 
-	vals []float64
-	out  []int32
-	in   []int32
+	vals   []float64
+	rowPtr []int32
+	in     []int32
 
 	buildTime  time.Duration
 	tableBytes int
@@ -140,17 +147,18 @@ type InspectorPlan struct {
 
 // NewInspectorPlan runs the inspector over a COO source: sorts the entries
 // into CSR order (row-major, column within row) and materializes the
-// executor's index tables. The sort is stable — entries with equal (row,
-// col) keep their input order, so results are reproducible across runs —
-// and linear: a two-level counting sort costing O(nnz + Rows/1024) time and,
-// beyond the tables, O(Rows/1024 + largest 1024-row bucket) memory. Entries
-// whose row is outside [0, Rows) sort last, in input order.
+// executor's tables. The sort is stable — entries with equal (row, col)
+// keep their input order, so results are reproducible across runs — and
+// linear: a counting sort on the row, O(nnz + Rows) time, then a column
+// sort of each row through a scratch the size of the longest row.
 //
-// Entry coordinates are NOT bounds-checked here; the verifier's table
-// proofs (FRV013/FRV014) reject out-of-range entries when the plan is bound
-// to a class, which keeps the proof in one place. The shape is checked:
-// Rows or Cols outside [0, MaxInt32] cannot be addressed by int32 tables
-// and is rejected with FRV007 before anything is allocated.
+// A shape no int32 table can address — Rows or Cols outside [0, MaxInt32],
+// or more than MaxInt32 entries — is rejected with FRV007 before anything
+// is allocated. An entry whose row is outside [0, Rows) has no place in the
+// row pointers and is rejected with FRV013 while the rows are counted,
+// before any other table is built. Columns are NOT checked here; the
+// verifier's table proof (FRV013) rejects them when the plan is bound to a
+// class, which keeps that proof in one place.
 func NewInspectorPlan(coo *SparseCOO) (*InspectorPlan, error) {
 	if coo == nil {
 		return nil, fmt.Errorf("core: inspector needs a COO source")
@@ -160,28 +168,26 @@ func NewInspectorPlan(coo *SparseCOO) (*InspectorPlan, error) {
 		return nil, fmt.Errorf("core: COO arrays disagree: %d rows, %d cols, %d values",
 			len(coo.R), len(coo.C), nnz)
 	}
-	if err := CheckSparseShape(coo.Rows, coo.Cols); err != nil {
+	if err := CheckSparseShape(coo.Rows, coo.Cols, nnz); err != nil {
 		return nil, err
 	}
 	t0 := time.Now()
-	p := &InspectorPlan{
-		rows: coo.Rows, cols: coo.Cols, nnz: nnz,
-		vals: make([]float64, nnz),
-		out:  make([]int32, nnz),
-		in:   make([]int32, nnz),
+	p := &InspectorPlan{rows: coo.Rows, cols: coo.Cols, nnz: nnz}
+	if err := p.sortCSR(coo); err != nil {
+		return nil, err
 	}
-	p.sortCSR(coo)
 	p.buildTime = time.Since(t0)
-	p.tableBytes = 4 * (len(p.out) + len(p.in))
+	p.tableBytes = 4 * (len(p.rowPtr) + len(p.in))
 	mInspectorBuildNS.Add(p.buildTime.Nanoseconds())
 	mIndexTableBytes.Add(int64(p.tableBytes))
 	return p, nil
 }
 
-// CheckSparseShape rejects a sparse matrix shape the inspector's int32
-// index tables cannot address — rows or cols outside [0, MaxInt32] — with
-// a *verify.Error carrying FRV007.
-func CheckSparseShape(rows, cols int) error {
+// CheckSparseShape rejects a sparse matrix the inspector's int32 tables
+// cannot address — rows or cols outside [0, MaxInt32], or more than
+// MaxInt32 nonzeros — with a *verify.Error carrying FRV007. Pass nnz = 0
+// when only the shape is known.
+func CheckSparseShape(rows, cols, nnz int) error {
 	if rows < 0 || rows > math.MaxInt32 || cols < 0 || cols > math.MaxInt32 {
 		return verify.Diagnostics{{
 			Pos: "coo", Severity: verify.SeverityError, Code: verify.CodeBadObjectShape,
@@ -189,104 +195,75 @@ func CheckSparseShape(rows, cols int) error {
 				rows, cols, math.MaxInt32),
 		}}.Err()
 	}
+	if nnz < 0 || nnz > math.MaxInt32 {
+		return verify.Diagnostics{{
+			Pos: "coo", Severity: verify.SeverityError, Code: verify.CodeBadObjectShape,
+			Msg: fmt.Sprintf("core: %d nonzeros is outside [0, %d]; int32 row pointers cannot count them",
+				nnz, math.MaxInt32),
+		}}.Err()
+	}
 	return nil
 }
 
-// The inspector's first-level bucket spans 1 << rowBucketShift rows: at a
-// few entries per row a bucket's entries fit in L2 while the second level
-// sorts them, and the bucket counts cost 8 B per 1024 rows.
-const (
-	rowBucketShift = 10
-	rowBucketRows  = 1 << rowBucketShift
-	// insertionRowMax is the longest row the column pass insertion-sorts.
-	// Longer rows — hub rows, or a source given as one row — take the radix
-	// column pass, so a skewed source still sorts in linear time.
-	insertionRowMax = 32
-)
+// insertionRowMax is the longest row the column pass insertion-sorts.
+// Longer rows — hub rows, or a source given as one row — take the radix
+// column pass, so a skewed source still sorts in linear time.
+const insertionRowMax = 32
 
-// sortCSR fills the tables with coo's entries in CSR order in two stable
-// counting passes, each the histogram → prefix sum → scatter of one radix
-// digit. Pass 1 buckets entries by row >> rowBucketShift straight into the
-// tables; bucket nb collects the rows outside [0, rows) and keeps their
-// input order. Pass 2 finishes each in-range bucket through one scratch
-// sized to the largest bucket.
-func (p *InspectorPlan) sortCSR(coo *SparseCOO) {
+// sortCSR builds the tables from coo with the stable COO → CSR counting
+// sort: histogram the rows into rowPtr, take the prefix sum, scatter each
+// entry's column and value through a per-row cursor, then order the columns
+// of each row. The cursor is rowPtr itself: the scatter advances rowPtr[r]
+// from the start of row r to its end, and one shift restores the starts.
+func (p *InspectorPlan) sortCSR(coo *SparseCOO) error {
 	R := coo.R
 	C, V := coo.C[:len(R)], coo.V[:len(R)]
-	nb := (p.rows + rowBucketRows - 1) >> rowBucketShift
-	next := make([]int, nb+2)
-	for _, r := range R {
-		next[rowBucket(r, p.rows, nb)+1]++
-	}
-	widest := 0
-	for b := 1; b < len(next); b++ {
-		if b <= nb {
-			widest = max(widest, next[b])
-		}
-		next[b] += next[b-1]
-	}
+	rowPtr := make([]int32, p.rows+1)
+	counts := rowPtr[:p.rows]
 	for e, r := range R {
-		b := rowBucket(r, p.rows, nb)
-		i := next[b]
-		next[b]++
-		p.out[i], p.in[i], p.vals[i] = r, C[e], V[e]
-	}
-	// next[b] now ends bucket b.
-	s := csrScratch{out: make([]int32, widest), in: make([]int32, widest), vals: make([]float64, widest)}
-	lo := 0
-	for _, hi := range next[:nb] {
-		if hi-lo > 1 {
-			s.sortBucket(p.out[lo:hi], p.in[lo:hi], p.vals[lo:hi])
+		if r < 0 || int(r) >= p.rows {
+			return verify.Diagnostics{{
+				Pos: "coo", Severity: verify.SeverityError, Code: verify.CodeTableOOB,
+				Msg: fmt.Sprintf("core: COO entry %d has row %d, outside the matrix's rows [0,%d); no row pointer can place it",
+					e, r, p.rows),
+			}}.Err()
 		}
-		lo = hi
+		counts[r]++
 	}
-}
+	var start, widest int32
+	for r, n := range counts {
+		counts[r] = start
+		start += n
+		widest = max(widest, n)
+	}
+	in, vals := make([]int32, len(R)), make([]float64, len(R))
+	for e, r := range R {
+		i := counts[r]
+		counts[r]++
+		in[i], vals[i] = C[e], V[e]
+	}
+	// counts[r] now ends row r: shift the ends up one row to restore the
+	// starts.
+	copy(rowPtr[1:], counts)
+	rowPtr[0] = 0
+	p.rowPtr, p.in, p.vals = rowPtr, in, vals
 
-// rowBucket is row r's first-level bucket: r >> rowBucketShift for r in
-// [0, rows), and nb — the out-of-range bucket — otherwise.
-func rowBucket(r int32, rows, nb int) int {
-	if r < 0 || int(r) >= rows {
-		return nb
+	var s csrScratch
+	if widest > insertionRowMax {
+		s = csrScratch{in: make([]int32, widest), vals: make([]float64, widest)}
 	}
-	return int(r) >> rowBucketShift
-}
-
-// csrScratch is the second level's working copy of one bucket.
-type csrScratch struct {
-	out, in []int32
-	vals    []float64
-}
-
-// sortBucket orders one bucket's entries — rows within one 1024-row span —
-// by row and then column, stably: a counting pass on the row's low bits
-// from the scratch copy back into place, then a column sort of each row.
-func (s *csrScratch) sortBucket(out, in []int32, vals []float64) {
-	n := len(out)
-	sOut, sIn, sVals := s.out[:n], s.in[:n], s.vals[:n]
-	copy(sOut, out)
-	copy(sIn, in)
-	copy(sVals, vals)
-	var next [rowBucketRows + 1]int
-	for _, r := range sOut {
-		next[r&(rowBucketRows-1)+1]++
-	}
-	for k := 1; k < len(next); k++ {
-		next[k] += next[k-1]
-	}
-	for e, r := range sOut {
-		k := r & (rowBucketRows - 1)
-		i := next[k]
-		next[k]++
-		out[i], in[i], vals[i] = r, sIn[e], sVals[e]
-	}
-	// next[k] now ends row k of the span, and the scratch is free again.
-	lo := 0
-	for _, hi := range next[:rowBucketRows] {
-		if hi-lo > 1 {
+	for r := 0; r < p.rows; r++ {
+		if lo, hi := rowPtr[r], rowPtr[r+1]; hi-lo > 1 {
 			s.sortRow(in[lo:hi], vals[lo:hi])
 		}
-		lo = hi
 	}
+	return nil
+}
+
+// csrScratch is the radix column pass's ping-pong copy of one row.
+type csrScratch struct {
+	in   []int32
+	vals []float64
 }
 
 // sortRow stably orders one row's entries by column. Rows hold a few
@@ -343,7 +320,7 @@ func (p *InspectorPlan) Domain() int { return p.nnz }
 // bounds for the executor.
 func (p *InspectorPlan) Verify(vp *verify.Plan) {
 	vp.Tables = append(vp.Tables,
-		verify.TableAccess{Name: "out", Domain: p.nnz, Entries: p.out, Bound: p.rows},
+		verify.TableAccess{Name: "rowPtr", Domain: p.nnz, Entries: p.rowPtr, Bound: p.rows},
 		verify.TableAccess{Name: "in", Domain: p.nnz, Entries: p.in, Bound: p.cols},
 	)
 }
@@ -358,9 +335,10 @@ func (p *InspectorPlan) Cols() int { return p.cols }
 func (p *InspectorPlan) NNZ() int { return p.nnz }
 
 // BuildTime reports how long the inspector spent sorting and materializing
-// tables — the O(nnz + Rows/1024) translate-time cost the bench report
+// tables — the O(nnz + Rows) translate-time cost the bench report
 // surfaces.
 func (p *InspectorPlan) BuildTime() time.Duration { return p.buildTime }
 
-// TableBytes reports the index tables' memory footprint.
+// TableBytes reports the index tables' memory footprint: 4·nnz for the
+// columns plus 4·(Rows+1) for the row pointers.
 func (p *InspectorPlan) TableBytes() int { return p.tableBytes }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"chapelfreeride/internal/verify"
@@ -33,19 +35,14 @@ func randomCOO(rng *rand.Rand, rows, cols, nnz, rowSpan, colSpan int, oob float6
 }
 
 // csrReference is the order the inspector must produce: sort.SliceStable
-// on (row, col) over the entries whose row is in [0, Rows), then the
-// out-of-range entries in input order.
+// on (row, col) over the entries.
 func csrReference(coo *SparseCOO) []int {
 	perm := make([]int, len(coo.V))
 	for i := range perm {
 		perm[i] = i
 	}
-	inRange := func(r int32) bool { return r >= 0 && int(r) < coo.Rows }
 	sort.SliceStable(perm, func(a, b int) bool {
 		ra, rb := coo.R[perm[a]], coo.R[perm[b]]
-		if !inRange(ra) || !inRange(rb) {
-			return inRange(ra) && !inRange(rb)
-		}
 		if ra != rb {
 			return ra < rb
 		}
@@ -54,27 +51,44 @@ func csrReference(coo *SparseCOO) []int {
 	return perm
 }
 
-// checkCSROrder builds the plan for coo and fails unless its tables hold
-// coo's entries in the reference order.
+// entryRows expands a plan's row pointers into each entry's row: the
+// per-entry scatter table the row pointers compress.
+func entryRows(plan *InspectorPlan) []int32 {
+	rows := make([]int32, 0, plan.nnz)
+	for r := 0; r < plan.rows; r++ {
+		for e := plan.rowPtr[r]; e < plan.rowPtr[r+1]; e++ {
+			rows = append(rows, int32(r))
+		}
+	}
+	return rows
+}
+
+// checkCSROrder builds the plan for coo and fails unless its row pointers
+// are well formed and its tables hold coo's entries in the reference order.
 func checkCSROrder(t *testing.T, name string, coo *SparseCOO) {
 	t.Helper()
 	plan, err := NewInspectorPlan(coo)
 	if err != nil {
 		t.Fatalf("%s: NewInspectorPlan: %v", name, err)
 	}
+	if len(plan.rowPtr) != coo.Rows+1 || plan.rowPtr[0] != 0 || int(plan.rowPtr[coo.Rows]) != len(coo.V) {
+		t.Fatalf("%s: %d row pointers from %d to %d, want %d from 0 to %d",
+			name, len(plan.rowPtr), plan.rowPtr[0], plan.rowPtr[len(plan.rowPtr)-1], coo.Rows+1, len(coo.V))
+	}
+	rows := entryRows(plan)
 	for e, src := range csrReference(coo) {
-		if plan.out[e] != coo.R[src] || plan.in[e] != coo.C[src] || plan.vals[e] != coo.V[src] {
+		if rows[e] != coo.R[src] || plan.in[e] != coo.C[src] || plan.vals[e] != coo.V[src] {
 			t.Fatalf("%s: entry %d = (%d,%d,%v), want input entry %d = (%d,%d,%v)",
-				name, e, plan.out[e], plan.in[e], plan.vals[e], src, coo.R[src], coo.C[src], coo.V[src])
+				name, e, rows[e], plan.in[e], plan.vals[e], src, coo.R[src], coo.C[src], coo.V[src])
 		}
 	}
 }
 
 // TestInspectorPlanMatchesStableSort: the inspector's CSR order equals a
 // stable sort on (row, col) — duplicates keep their input order — over
-// shapes around the 1024-row bucket (below it, not a multiple of it, many
-// empty rows), empty sources, and sources whose entries share one row
-// (long enough for the radix column pass) or a few.
+// small and large shapes with many empty rows, empty sources, and sources
+// whose entries share one row (long enough for the radix column pass) or a
+// few.
 func TestInspectorPlanMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	for _, rows := range []int{1, 7, 1000, 1024, 1025, 3000, 5000} {
@@ -103,35 +117,78 @@ func TestInspectorPlanMatchesStableSort(t *testing.T) {
 	checkCSROrder(t, "one signed row", coo)
 }
 
-// TestInspectorPlanOutOfRangeRowsLast: entries whose row is −1, Rows or
-// MaxInt32 sort after every in-range entry, in input order and with their
-// values, and the verifier still rejects the plan with FRV013.
+// TestInspectorPlanOutOfRangeRowsLast: an entry whose row is −1, Rows or
+// MaxInt32 has no place in the row pointers, so the inspector refuses the
+// source with FRV013, naming the first such entry, and TranslateSparse
+// passes the refusal through.
 func TestInspectorPlanOutOfRangeRowsLast(t *testing.T) {
 	rng := rand.New(rand.NewSource(2011))
 	for _, rows := range []int{1, 5, 1024, 2500} {
 		coo := randomCOO(rng, rows, 8, 600, rows, 8, 0.2)
-		checkCSROrder(t, "out-of-range rows", coo)
+		first := -1
+		for e, r := range coo.R {
+			if r < 0 || int(r) >= rows {
+				first = e
+				break
+			}
+		}
+		if first < 0 {
+			t.Fatalf("rows=%d: no out-of-range entry drawn", rows)
+		}
+		plan, err := NewInspectorPlan(coo)
+		if plan != nil {
+			t.Fatalf("rows=%d: inspector built a plan over out-of-range rows", rows)
+		}
+		want := fmt.Sprintf("entry %d has row %d", first, coo.R[first])
+		if !hasDiag(err, verify.CodeTableOOB, want) {
+			t.Fatalf("rows=%d: want %s naming %q, got %v", rows, verify.CodeTableOOB, want, err)
+		}
+		_, err = TranslateSparse(spmvTestClass(rows, nil), coo, Opt1)
+		if !hasDiag(err, verify.CodeTableOOB, want) {
+			t.Fatalf("rows=%d: TranslateSparse: want %s naming %q, got %v", rows, verify.CodeTableOOB, want, err)
+		}
+	}
+}
 
-		_, err := TranslateSparse(spmvTestClass(rows, nil), coo, Opt1)
-		verr := verify.AsError(err)
-		if verr == nil {
-			t.Fatalf("rows=%d: want *verify.Error, got %v", rows, err)
+// hasDiag reports whether err is a *verify.Error with a code diagnostic
+// whose message contains msg.
+func hasDiag(err error, code verify.Code, msg string) bool {
+	verr := verify.AsError(err)
+	if verr == nil {
+		return false
+	}
+	for _, d := range verr.Diags {
+		if d.Code == code && strings.Contains(d.Msg, msg) {
+			return true
 		}
-		found := false
-		for _, d := range verr.Diags {
-			found = found || d.Code == verify.CodeTableOOB
+	}
+	return false
+}
+
+// TestCheckSparseShapeNNZ: row pointers are int32, so rowPtr[rows] = nnz
+// must fit one. More than MaxInt32 nonzeros is refused with FRV007 from the
+// count alone, before any table is sized.
+func TestCheckSparseShapeNNZ(t *testing.T) {
+	for _, tc := range []struct {
+		nnz int
+		ok  bool
+	}{{0, true}, {math.MaxInt32, true}, {math.MaxInt32 + 1, false}, {-1, false}} {
+		err := CheckSparseShape(4, 4, tc.nnz)
+		if tc.ok != (err == nil) {
+			t.Fatalf("nnz %d: error %v, want ok=%v", tc.nnz, err, tc.ok)
 		}
-		if !found {
-			t.Fatalf("rows=%d: want %s, got:\n%s", rows, verify.CodeTableOOB, verr.Diags.Render())
+		if !tc.ok && !hasDiag(err, verify.CodeBadObjectShape, "nonzeros") {
+			t.Fatalf("nnz %d: want %s, got %v", tc.nnz, verify.CodeBadObjectShape, err)
 		}
 	}
 }
 
 // TestInspectorPlanAllocs is the inspector's memory guard. Building a plan
-// allocates its tables (16 B an entry: value, out, in), one count per
-// 1024-row bucket and a scratch the size of the largest bucket — no
-// permutation and no other full-size temporary. A matrix with MaxInt32
-// rows and three entries pays for its bucket counts only.
+// allocates its tables — 12 B an entry (value, column) and 4 B a row (row
+// pointers) — and, only when a row is longer than insertionRowMax, a
+// scratch the size of the longest row: no permutation and no other
+// full-size temporary. A tall matrix with three entries pays for its row
+// pointers only.
 func TestInspectorPlanAllocs(t *testing.T) {
 	allocated := func(coo *SparseCOO) uint64 {
 		var before, after runtime.MemStats
@@ -142,22 +199,27 @@ func TestInspectorPlanAllocs(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
+	// Large allocations round up to whole pages; the plan itself is small.
+	const slack = 32 << 10
 
 	const nnz, rows = 200000, 200000
 	coo := randomCOO(rand.New(rand.NewSource(1)), rows, rows, nnz, rows, rows, 0)
-	counts := 8 * ((rows+1023)/1024 + 2)
-	budget := uint64(1.1*16*nnz) + uint64(counts)
-	if got := allocated(coo); got > budget {
-		t.Fatalf("a %d-entry plan allocated %d B, budget %d B (tables %d B + bucket counts %d B + 10 %%)",
-			nnz, got, budget, 16*nnz, counts)
+	tables := 12*nnz + 4*(rows+1)
+	got := allocated(coo)
+	t.Logf("a %d-entry plan of %d rows allocated %d B (tables %d B)", nnz, rows, got, tables)
+	if got > uint64(tables+slack) {
+		t.Fatalf("a %d-entry plan allocated %d B, budget %d B (tables %d B + %d B slack)",
+			nnz, got, tables+slack, tables, slack)
 	}
 
+	const tall = 1 << 22
 	wide := &SparseCOO{
-		Rows: math.MaxInt32, Cols: 4,
-		R: []int32{5, 0, math.MaxInt32 - 1}, C: []int32{1, 2, 3}, V: []float64{1, 2, 3},
+		Rows: tall, Cols: 4,
+		R: []int32{5, 0, tall - 1}, C: []int32{1, 2, 3}, V: []float64{1, 2, 3},
 	}
-	if got := allocated(wide); got > 32<<20 {
-		t.Fatalf("a 3-entry plan with MaxInt32 rows allocated %d B, want < 32 MB", got)
+	if got, budget := allocated(wide), uint64(4*(tall+1)+slack); got > budget {
+		t.Fatalf("a 3-entry plan with %d rows allocated %d B, budget %d B (row pointers %d B + %d B slack)",
+			tall, got, budget, 4*(tall+1), slack)
 	}
 }
 

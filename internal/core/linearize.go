@@ -302,8 +302,9 @@ func wordsInto(dst []float64, off int, v chapel.Value) int {
 // SparseCOO is the raw coordinate-form sparse matrix the inspector consumes:
 // nnz entries (R[e], C[e], V[e]) with 0-based coordinates in a logical
 // Rows×Cols shape. Coordinates are deliberately NOT bounds-checked at
-// construction — the verifier's table proofs (FRV013) reject out-of-range
-// entries when an InspectorPlan built from the COO is bound to a class.
+// construction — the inspector refuses rows outside the shape and the
+// verifier's table proof refuses columns outside it (both FRV013) when an
+// InspectorPlan is built from the COO and bound to a class.
 type SparseCOO struct {
 	// Rows and Cols are the logical matrix shape.
 	Rows, Cols int
@@ -320,7 +321,8 @@ type SparseCOO struct {
 // style) and converted to 0-based; rows and cols declare the logical shape.
 // Structural problems (wrong record shape, fractional coordinates,
 // coordinates no int32 holds) are linearization errors; coordinates outside
-// the matrix pass through for the verifier to reject with its table proofs.
+// the matrix pass through for the inspector (rows) and the verifier
+// (columns) to reject with FRV013.
 func LinearizeCOO(arr *chapel.Array, rows, cols int) (*SparseCOO, error) {
 	if arr == nil {
 		return nil, fmt.Errorf("core: LinearizeCOO needs a COO array")

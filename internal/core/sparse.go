@@ -14,7 +14,7 @@ import (
 // SparseKernel is the per-entry accumulate body of a sparse reduction: v is
 // the entry's stored value, g the hot-vector element gathered at the
 // entry's in-table offset (0 when the class declares no gather vector), and
-// the result is accumulated into the entry's out-table cell. The executor
+// the result is accumulated into the cell of the entry's row. The executor
 // owns the table walk, the gather, and the accumulate — the kernel is pure
 // arithmetic, which is what lets one kernel serve every optimization level
 // (SpMV: v*g; PageRank push: v*g over contributions; degree count: 1).
@@ -112,7 +112,7 @@ func SparsePlanFor(class *SparseClass, plan *InspectorPlan, opt OptLevel) *verif
 		if class.Object.Groups != plan.Rows() {
 			p.Pre = append(p.Pre, verify.Diagnostic{
 				Pos: p.Class, Severity: verify.SeverityError, Code: verify.CodeBadObjectShape,
-				Msg: fmt.Sprintf("core: reduction object has %d groups but the sparse matrix has %d rows; the out table scatters one cell per row",
+				Msg: fmt.Sprintf("core: reduction object has %d groups but the sparse matrix has %d rows; each row scatters into its own cell",
 					class.Object.Groups, plan.Rows()),
 			})
 		}
@@ -139,10 +139,11 @@ func SparsePlanFor(class *SparseClass, plan *InspectorPlan, opt OptLevel) *verif
 }
 
 // TranslateSparse compiles a SparseClass over a COO source into a FREERIDE
-// execution: the inspector sorts the source into CSR order and materializes
-// the index tables once at translate time; the verifier proves the tables
-// safe (rejecting with FRV013/FRV014 on out-of-range or non-total maps);
-// the executor specs then walk the tables with no per-element checks.
+// execution: the inspector sorts the source into CSR tables once at
+// translate time, refusing rows outside the matrix (FRV013); the verifier
+// proves the tables safe (rejecting with FRV013/FRV014 on out-of-range
+// columns or non-total row pointers); the executor specs then walk the
+// tables with no per-element checks.
 func TranslateSparse(class *SparseClass, coo *SparseCOO, opt OptLevel) (*SparseTranslation, error) {
 	if class == nil {
 		return nil, VerifySparse(nil, nil, opt).Err()
@@ -197,131 +198,145 @@ func (t *SparseTranslation) Source() dataset.Source {
 }
 
 // Spec assembles the FREERIDE spec whose executor walks the inspector's
-// index tables at the translation's optimization level:
+// CSR tables at the translation's optimization level:
 //
 //	generated — per-entry, gather through the boxed Chapel vector
 //	opt-1/2   — per-entry, gather on linearized words (opt-1 keeps the
 //	            boxed gather, matching the dense levels' hot treatment)
-//	opt-3     — fused: one call per split walks the tables as a row-run
-//	            fold and accumulates into the worker-local buffer (dense, or
-//	            hashed when the engine decides the touched-cell set is
-//	            sparse), flushed to the shared object once per split
+//	opt-3     — fused: one call per split gathers the split's x, then folds
+//	            each row piece in a register and accumulates into the
+//	            worker-local buffer (dense, or hashed when the engine
+//	            decides the touched-cell set is sparse), flushed to the
+//	            shared object once per split
 //
-// The opt-3 row-run fold exploits the inspector's CSR order: within a split
-// all of a row's nonzeros are adjacent, so the executor keeps the current
-// row's cell and running value in registers, folds each kernel(v, g) into it
-// with the object's Op.Apply, and calls Accumulate once per run — when the
-// row changes and at split end — instead of once per nonzero. Each cell sees
-// the fold sequence the per-nonzero calls gave it: the hashed accumulator
-// stores a cell's first value on first touch and applies the op in entry
-// order on every rehit, so results on the hashed path are bit-identical for
-// every op and value. On the dense mirror the cell becomes id ⊕ (a ⊕ b ⊕ …)
-// instead of ((id ⊕ a) ⊕ b) ⊕ …, which is the same bits for OpAdd, and for
-// OpMin/OpMax whenever no NaN is in the run. Below opt-3 the executors stay
-// per-element: accumulating straight into the shared object is what §III's
-// sharing-strategy comparison measures.
+// Every executor binary-searches rowPtr once per split for the row holding
+// its first entry and then walks the row pointers forward. Opt-3 first
+// copies x[in[e]] for the split's entries into a worker scratch, in a loop
+// with no call and no branch, so the irregular reads are all in flight
+// before the fold needs them. The fold keeps a row piece's running value in
+// a register, folds each kernel(v, g) into it with the object's Op.Apply,
+// and calls Accumulate once per non-empty row piece instead of once per
+// nonzero. Each cell sees the fold sequence the per-nonzero calls gave it:
+// the hashed accumulator stores a cell's first value on first touch and
+// applies the op in entry order on every rehit, so results on the hashed
+// path are bit-identical for every op and value. On the dense mirror the
+// cell becomes id ⊕ (a ⊕ b ⊕ …) instead of ((id ⊕ a) ⊕ b) ⊕ …, which is the
+// same bits for OpAdd, and for OpMin/OpMax whenever no NaN is in the piece.
+// Below opt-3 the executors stay per-element: accumulating straight into
+// the shared object is what §III's sharing-strategy comparison measures.
 func (t *SparseTranslation) Spec() freeride.Spec {
 	spec := freeride.Spec{Object: t.class.Object, Combine: t.class.Combine, Finalize: t.class.Finalize}
 	kernel := t.class.Kernel
-	out, in := t.plan.out, t.plan.in
+	rowPtr, in := t.plan.rowPtr, t.plan.in
+	// Below opt-2 the gather walks the boxed Chapel vector per entry — the
+	// same boxed-hot-state overhead the dense levels carry; from opt-2 on it
+	// reads the words linearized once at translate time.
+	hot, x := t.class.Hot, t.hotWords
 
 	switch {
-	case t.opt < Opt2:
-		// Generated/opt-1: gather walks the boxed Chapel vector per entry —
-		// the same boxed-hot-state overhead the dense levels carry below
-		// opt-2.
-		hot := t.class.Hot
-		if hot == nil {
-			spec.Reduction = func(args *freeride.ReductionArgs) error {
-				for i := 0; i < args.NumRows; i++ {
-					e := args.Begin + i
-					args.Accumulate(int(out[e]), 0, kernel(args.Data[i], 0))
+	case hot == nil:
+		spec.Reduction = func(args *freeride.ReductionArgs) error {
+			r := rowOf(rowPtr, args.Begin)
+			for i := 0; i < args.NumRows; i++ {
+				for args.Begin+i >= int(rowPtr[r+1]) {
+					r++
 				}
-				return nil
+				args.Accumulate(r, 0, kernel(args.Data[i], 0))
 			}
-			break
+			return nil
 		}
+	case x == nil:
 		lo := hot.Ty.Lo
 		spec.Reduction = func(args *freeride.ReductionArgs) error {
+			r := rowOf(rowPtr, args.Begin)
 			for i := 0; i < args.NumRows; i++ {
 				e := args.Begin + i
+				for e >= int(rowPtr[r+1]) {
+					r++
+				}
 				g := hot.At(lo + int(in[e])).(*chapel.Real).Val
-				args.Accumulate(int(out[e]), 0, kernel(args.Data[i], g))
+				args.Accumulate(r, 0, kernel(args.Data[i], g))
 			}
 			return nil
 		}
 	default:
-		// Opt-2: the gather vector is linearized once; the executor reads
-		// dense words.
-		x := t.hotWords
-		if x == nil {
-			spec.Reduction = func(args *freeride.ReductionArgs) error {
-				for i := 0; i < args.NumRows; i++ {
-					e := args.Begin + i
-					args.Accumulate(int(out[e]), 0, kernel(args.Data[i], 0))
+		spec.Reduction = func(args *freeride.ReductionArgs) error {
+			r := rowOf(rowPtr, args.Begin)
+			for i := 0; i < args.NumRows; i++ {
+				e := args.Begin + i
+				for e >= int(rowPtr[r+1]) {
+					r++
 				}
-				return nil
+				args.Accumulate(r, 0, kernel(args.Data[i], x[in[e]]))
 			}
-		} else {
-			spec.Reduction = func(args *freeride.ReductionArgs) error {
-				for i := 0; i < args.NumRows; i++ {
-					e := args.Begin + i
-					args.Accumulate(int(out[e]), 0, kernel(args.Data[i], x[in[e]]))
-				}
-				return nil
-			}
-		}
-		if t.opt >= Opt3 {
-			// Opt-3 fusion: one call per split, folded per CSR row run.
-			// Accumulate lands in the worker-local buffer (dense mirror or
-			// hashed, the engine's choice) and the engine flushes once per
-			// split. ScatterBlock records that the kernels below never
-			// touch Acc() directly, which is what licenses the hashed
-			// substitution.
-			spec.ScatterBlock = true
-			op := t.class.Object.Op
-			if x == nil {
-				spec.BlockReduction = func(args *freeride.BlockArgs) error {
-					n := args.NumRows
-					if n == 0 {
-						return nil
-					}
-					cells, vals := out[args.Begin:args.Begin+n], args.Data[:n]
-					cell, run := cells[0], kernel(vals[0], 0)
-					for e := 1; e < n; e++ {
-						v := kernel(vals[e], 0)
-						if cells[e] != cell {
-							args.Accumulate(int(cell), 0, run)
-							cell, run = cells[e], v
-							continue
-						}
-						run = op.Apply(run, v)
-					}
-					args.Accumulate(int(cell), 0, run)
-					return nil
-				}
-			} else {
-				spec.BlockReduction = func(args *freeride.BlockArgs) error {
-					n := args.NumRows
-					if n == 0 {
-						return nil
-					}
-					cells, cols, vals := out[args.Begin:args.Begin+n], in[args.Begin:args.Begin+n], args.Data[:n]
-					cell, run := cells[0], kernel(vals[0], x[cols[0]])
-					for e := 1; e < n; e++ {
-						v := kernel(vals[e], x[cols[e]])
-						if cells[e] != cell {
-							args.Accumulate(int(cell), 0, run)
-							cell, run = cells[e], v
-							continue
-						}
-						run = op.Apply(run, v)
-					}
-					args.Accumulate(int(cell), 0, run)
-					return nil
-				}
-			}
+			return nil
 		}
 	}
+	if t.opt < Opt3 {
+		return spec
+	}
+	// Opt-3 fusion: one call per split, folded per CSR row piece.
+	// Accumulate lands in the worker-local buffer (dense mirror or hashed,
+	// the engine's choice) and the engine flushes once per split.
+	// ScatterBlock records that the kernels below never touch Acc()
+	// directly, which is what licenses the hashed substitution.
+	spec.ScatterBlock = true
+	op := t.class.Object.Op
+	if x == nil {
+		spec.BlockReduction = func(args *freeride.BlockArgs) error {
+			n, b := args.NumRows, args.Begin
+			vals := args.Data[:n]
+			for r, e := rowOf(rowPtr, b), 0; e < n; r++ {
+				end := min(int(rowPtr[r+1])-b, n)
+				if e == end {
+					continue
+				}
+				run := kernel(vals[e], 0)
+				for e++; e < end; e++ {
+					run = op.Apply(run, kernel(vals[e], 0))
+				}
+				args.Accumulate(r, 0, run)
+			}
+			return nil
+		}
+		return spec
+	}
+	spec.BlockReduction = func(args *freeride.BlockArgs) error {
+		n, b := args.NumRows, args.Begin
+		cols := in[b : b+n]
+		g := args.Scratch(0, n)[:len(cols)]
+		for e, c := range cols {
+			g[e] = x[c]
+		}
+		vals := args.Data[:n]
+		for r, e := rowOf(rowPtr, b), 0; e < n; r++ {
+			end := min(int(rowPtr[r+1])-b, n)
+			if e == end {
+				continue
+			}
+			run := kernel(vals[e], g[e])
+			for e++; e < end; e++ {
+				run = op.Apply(run, kernel(vals[e], g[e]))
+			}
+			args.Accumulate(r, 0, run)
+		}
+		return nil
+	}
 	return spec
+}
+
+// rowOf returns the row holding entry e of a CSR table: the last r with
+// rowPtr[r] <= e, for e in [0, rowPtr[len(rowPtr)-1]). Past the last entry
+// (an empty split) it returns a row that no loop then reads.
+func rowOf(rowPtr []int32, e int) int {
+	lo, hi := 0, len(rowPtr)-1 // rowPtr[lo] <= e < rowPtr[hi]
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if int(rowPtr[mid]) <= e {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }

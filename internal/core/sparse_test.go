@@ -105,14 +105,21 @@ func TestInspectorPlanCSROrder(t *testing.T) {
 	wantOut := []int32{0, 0, 1, 2, 2}
 	wantIn := []int32{0, 1, 3, 0, 2}
 	wantVals := []float64{1, 2, 7, 5, 4}
-	for i := range wantOut {
-		if plan.out[i] != wantOut[i] || plan.in[i] != wantIn[i] || plan.vals[i] != wantVals[i] {
-			t.Fatalf("entry %d = (%d,%d,%v), want (%d,%d,%v)",
-				i, plan.out[i], plan.in[i], plan.vals[i], wantOut[i], wantIn[i], wantVals[i])
+	wantRowPtr := []int32{0, 2, 3, 5}
+	for r, p := range wantRowPtr {
+		if plan.rowPtr[r] != p {
+			t.Fatalf("rowPtr = %v, want %v", plan.rowPtr, wantRowPtr)
 		}
 	}
-	if plan.TableBytes() != 4*(5+5) {
-		t.Fatalf("TableBytes = %d, want 40", plan.TableBytes())
+	rows := entryRows(plan)
+	for i := range wantOut {
+		if rows[i] != wantOut[i] || plan.in[i] != wantIn[i] || plan.vals[i] != wantVals[i] {
+			t.Fatalf("entry %d = (%d,%d,%v), want (%d,%d,%v)",
+				i, rows[i], plan.in[i], plan.vals[i], wantOut[i], wantIn[i], wantVals[i])
+		}
+	}
+	if plan.TableBytes() != 4*(5+3+1) {
+		t.Fatalf("TableBytes = %d, want 36 (5 columns, 4 row pointers)", plan.TableBytes())
 	}
 }
 
@@ -335,7 +342,7 @@ func TestSparseFusedFoldOrder(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %s: TranslateSparse: %v", name, opt, err)
 				}
-				out, in, vals := tr.plan.out, tr.plan.in, tr.plan.vals
+				out, in, vals := entryRows(tr.plan), tr.plan.in, tr.plan.vals
 				value := func(e int) float64 {
 					if class.Hot == nil {
 						return class.Kernel(vals[e], 0)
@@ -416,5 +423,41 @@ func TestSparseFusedFoldOrder(t *testing.T) {
 				t.Fatalf("%s: no row straddles a split boundary", name)
 			}
 		}
+	}
+}
+
+// BenchmarkSparseOpt3Pass times one warm opt-3 pass at the spmv_power
+// shape: 2 M uniformly placed entries of a 500 000 × 500 000 matrix, an
+// integer-valued x, two worker threads.
+//
+//	go test -bench SparseOpt3Pass -run '^$' ./internal/core
+func BenchmarkSparseOpt3Pass(b *testing.B) {
+	const dim, nnz = 500000, 2000000
+	coo := randomCOO(rand.New(rand.NewSource(1)), dim, dim, nnz, dim, dim, 0)
+	xv := make([]float64, dim)
+	for j := range xv {
+		xv[j] = float64(j%7 + 1)
+	}
+	tr, err := TranslateSparse(spmvTestClass(dim, chapel.RealArray(xv...)), coo, Opt3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := freeride.New(freeride.Config{Threads: 2})
+	defer eng.Close()
+	spec, src := tr.Spec(), tr.Source()
+	pass := func() {
+		res, err := eng.RunContext(context.Background(), spec, src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := eng.Release(res); err != nil {
+			b.Fatal(err)
+		}
+	}
+	pass() // warm the session pools and the worker scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
 	}
 }

@@ -30,7 +30,7 @@ type Execution struct {
 // synchronous 4xx instead of a failed job — or, for a negative shape, a
 // kernel that panics sizing its vectors and takes the server down.
 func validatePins(p Params) error {
-	if err := core.CheckSparseShape(p.Rows, p.Cols); err != nil {
+	if err := core.CheckSparseShape(p.Rows, p.Cols, 0); err != nil {
 		return fmt.Errorf("serve: params rows/cols: %w", err)
 	}
 	if p.Strategy != "" {

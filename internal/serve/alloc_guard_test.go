@@ -38,7 +38,8 @@ func TestServeSpMVAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perNNZ := float64(after.TotalAlloc-before.TotalAlloc) / reps / nnz
 	t.Logf("warm spmv request: %.1f B per nonzero", perNNZ)
-	// ≈ 64 B today: COO 16, inspector tables 18, the boxed gather vector
+	// ≈ 60 B today: COO 16, inspector tables 14 (values 8, columns 4, row
+	// pointers 2 at two entries a row), the boxed gather vector
 	// (apps.SpMVClass) 16, x and y 8, its linearized words 4, the pass's
 	// object the rest.
 	if budget := 80.0; perNNZ > budget {

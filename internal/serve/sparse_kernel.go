@@ -21,11 +21,12 @@ type SpMVOutput struct {
 	// NNZ is the nonzero (triple) count consumed.
 	NNZ int `json:"nnz"`
 	// InspectorNs is the translate-time inspector cost for this job — the
-	// COO→CSR counting sort, O(nnz + Rows/1024), plus index-table
+	// COO→CSR counting sort, O(nnz + Rows), plus index-table
 	// materialization, reported so serving latency never hides table
 	// construction inside pass time.
 	InspectorNs int64 `json:"inspector_ns"`
-	// IndexTableBytes is the size of the materialized out+in index tables.
+	// IndexTableBytes is the size of the materialized CSR tables: the row
+	// pointers and the per-entry column indices.
 	IndexTableBytes int `json:"index_table_bytes"`
 	// Iterations echoes the pass count performed (each pass re-walks the
 	// tables; the inspector runs once, at translate time).
@@ -78,9 +79,9 @@ func spmvKernel(ctx context.Context, eng *freeride.Engine, src dataset.Source, p
 				cols = c
 			}
 		}
-		if err := core.CheckSparseShape(rows, cols); err != nil {
-			return nil, err
-		}
+	}
+	if err := core.CheckSparseShape(rows, cols, nnz); err != nil {
+		return nil, err
 	}
 	if vec := 8 * (int64(rows) + int64(cols)); vec > maxVecBytes {
 		return nil, fmt.Errorf("serve: spmv shape %dx%d needs %d bytes of x and y vectors, over the server's %d-byte cache bound",

@@ -74,19 +74,32 @@ type Access struct {
 // the executor's iteration domain [0, Domain) to targets in [0, Bound) —
 // object cells for scatter tables, hot-vector offsets for gather tables.
 // Unlike the affine Access, the map has no closed form; the proof obligation
-// is discharged by checking the materialized entries themselves (totality:
-// exactly one entry per domain element; bounds: every entry in [0, Bound)).
+// is discharged by checking the materialized entries themselves.
+//
+// A table holds the map in one of two encodings:
+//
+//   - element-wise (any Name but "rowPtr"): Entries[i] is element i's
+//     target. Totality is exactly one entry per domain element; bounds are
+//     every entry in [0, Bound).
+//   - row pointers (Name "rowPtr", the CSR scatter table): target r owns
+//     the elements [Entries[r], Entries[r+1]). Entries holds Bound+1
+//     pointers with Entries[0] = 0, never decreasing, and
+//     Entries[Bound] = Domain; together these put every domain element in
+//     exactly one target in [0, Bound), so totality implies bounds.
+//
 // Scatter tables are deliberately NOT required to be injective: the
 // reduction object's accumulate is associative, so aliased targets merge
 // correctly — that aliasing is the whole point of a sparse push reduction.
 type TableAccess struct {
-	// Name locates the table in diagnostics: "out" (scatter targets) or
-	// "in" (gather offsets).
+	// Name locates the table in diagnostics and selects its encoding:
+	// "rowPtr" (CSR scatter targets) or an element-wise table such as "in"
+	// (gather offsets).
 	Name string
 	// Domain is the executor's iteration-domain length the table must
 	// cover (the nonzero count for COO/CSR sources).
 	Domain int
-	// Entries are the materialized table values.
+	// Entries are the materialized table values: one per domain element,
+	// or Bound+1 row pointers.
 	Entries []int32
 	// Bound is the exclusive upper bound every entry must satisfy.
 	Bound int
@@ -201,13 +214,16 @@ func checkAccess(ds Diagnostics, pos string, a Access, notRealCode Code) Diagnos
 }
 
 // checkTable proves one index table safe: total over its domain (exactly
-// one entry per iteration) and every entry inside [0, Bound). With both
-// facts established at translate time, the executor's table walk —
-// out[Begin+i] into the worker-local accumulator, in[Begin+i] into the hot
+// one target per iteration) and every target inside [0, Bound). With both
+// facts established at translate time, the executor's table walk — the
+// row pointers into the worker-local accumulator, in[Begin+i] into the hot
 // vector — needs no per-element bounds checks, mirroring how checkAccess
 // lets the affine hot path elide them.
 func checkTable(ds Diagnostics, pos string, t TableAccess) Diagnostics {
 	at := pos + ": table " + t.Name
+	if t.Name == "rowPtr" {
+		return checkRowPtr(ds, at, t)
+	}
 	if t.Domain < 0 || len(t.Entries) != t.Domain {
 		ds = errorf(ds, at, CodeTableNotTotal,
 			"index table holds %d entries for a domain of %d; the inspector must materialize exactly one target per split-domain element",
@@ -225,6 +241,34 @@ func checkTable(ds Diagnostics, pos string, t TableAccess) Diagnostics {
 				"entry %d maps to %d, outside the target space [0,%d)", i, e, t.Bound)
 			return ds // one finding per table; the first OOB entry names the bug
 		}
+	}
+	return ds
+}
+
+// checkRowPtr proves a CSR row-pointer table total: Bound+1 pointers that
+// start at 0, never decrease and end at Domain. One finding per table; the
+// first broken pointer names the bug.
+func checkRowPtr(ds Diagnostics, at string, t TableAccess) Diagnostics {
+	p := t.Entries
+	switch {
+	case t.Domain < 0 || t.Bound < 0 || len(p) != t.Bound+1:
+		return errorf(ds, at, CodeTableNotTotal,
+			"row pointer table holds %d pointers for %d rows and a domain of %d; CSR needs rows+1 pointers",
+			len(p), t.Bound, t.Domain)
+	case p[0] != 0:
+		return errorf(ds, at, CodeTableNotTotal,
+			"row pointers start at %d; row 0 must start at element 0", p[0])
+	}
+	for r := 0; r < t.Bound; r++ {
+		if p[r+1] < p[r] {
+			return errorf(ds, at, CodeTableNotTotal,
+				"row pointers decrease from %d to %d at row %d", p[r], p[r+1], r)
+		}
+	}
+	if int(p[t.Bound]) != t.Domain {
+		return errorf(ds, at, CodeTableNotTotal,
+			"row pointers end at %d for a domain of %d; every domain element needs exactly one row",
+			p[t.Bound], t.Domain)
 	}
 	return ds
 }

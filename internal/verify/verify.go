@@ -88,7 +88,8 @@ const (
 	// a cell or gather offset outside the object/vector it targets.
 	CodeTableOOB Code = "FRV013"
 	// CodeTableNotTotal: an index table does not cover its declared domain
-	// (one entry per split-domain element), so some executor iterations
+	// (one entry per split-domain element, or row pointers from 0 that
+	// never decrease and end at the domain), so some executor iterations
 	// would have no mapping.
 	CodeTableNotTotal Code = "FRV014"
 	// CodeHotShape: a hot variable has a shape the boxed accessors cannot
