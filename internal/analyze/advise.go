@@ -20,9 +20,6 @@ type Advice struct {
 	Scheduler sched.Policy `json:"scheduler"`
 	// SplitRows is the advised split chunk size (domain rows per split).
 	SplitRows int `json:"split_rows"`
-	// SparseAccCells overrides the hashed-accumulator threshold: 0 keeps
-	// the engine default, negative disables the hashed path.
-	SparseAccCells int `json:"sparse_acc_cells"`
 	// Trace lists the rules that fired, in order — the explainable "why"
 	// behind each knob.
 	Trace []string `json:"trace"`
@@ -32,12 +29,11 @@ type Advice struct {
 // "worksteal", ...) so the -analyze-json output is self-describing.
 func (a Advice) MarshalJSON() ([]byte, error) {
 	return json.Marshal(struct {
-		Strategy       string   `json:"strategy"`
-		Scheduler      string   `json:"scheduler"`
-		SplitRows      int      `json:"split_rows"`
-		SparseAccCells int      `json:"sparse_acc_cells,omitempty"`
-		Trace          []string `json:"trace"`
-	}{a.Strategy.String(), a.Scheduler.String(), a.SplitRows, a.SparseAccCells, a.Trace})
+		Strategy  string   `json:"strategy"`
+		Scheduler string   `json:"scheduler"`
+		SplitRows int      `json:"split_rows"`
+		Trace     []string `json:"trace"`
+	}{a.Strategy.String(), a.Scheduler.String(), a.SplitRows, a.Trace})
 }
 
 // Apply overlays the advice onto a base engine configuration, leaving every
@@ -47,9 +43,6 @@ func (a Advice) Apply(base freeride.Config) freeride.Config {
 	base.Scheduler = a.Scheduler
 	if a.SplitRows > 0 {
 		base.SplitRows = a.SplitRows
-	}
-	if a.SparseAccCells != 0 {
-		base.SparseAccCells = a.SparseAccCells
 	}
 	return base
 }
@@ -136,16 +129,6 @@ func Advise(p *PlanProfile, threads int) Advice {
 	// --- Chunk ---
 	a.SplitRows = adviseSplitRows(p.Domain, threads)
 	trace("chunk %d rows: ~%d splits per thread over a %d-row domain, clamped to [%d,%d]", a.SplitRows, splitsPerThread, p.Domain, minSplitRows, maxSplitRows)
-
-	// --- Hashed accumulator ---
-	if p.Flush.SparseAccEligible && p.Flush.SparseAccEngaged {
-		if p.Flush.HashedCellsPerFlush > 0 && p.Flush.HashedCellsPerFlush*2 > p.Flush.DenseCellsPerFlush {
-			a.SparseAccCells = -1
-			trace("hashed flush would retire ~%d of %d cells per split: the dense sweep is cheaper; disable the hashed accumulator", p.Flush.HashedCellsPerFlush, p.Flush.DenseCellsPerFlush)
-		} else {
-			trace("hashed accumulator engaged: ~%d touched cells per split flush vs a %d-cell dense sweep", p.Flush.HashedCellsPerFlush, p.Flush.DenseCellsPerFlush)
-		}
-	}
 	return a
 }
 

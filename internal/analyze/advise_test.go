@@ -115,17 +115,17 @@ func TestAdviseSplitRows(t *testing.T) {
 
 func TestAdviceApply(t *testing.T) {
 	base := freeride.Config{Threads: 4, SplitRows: 4096}
-	a := Advice{Strategy: robj.AtomicCAS, Scheduler: sched.WorkStealing, SplitRows: 512, SparseAccCells: -1}
+	a := Advice{Strategy: robj.AtomicCAS, Scheduler: sched.WorkStealing, SplitRows: 512}
 	got := a.Apply(base)
 	if got.Threads != 4 {
 		t.Fatalf("Apply must not touch Threads, got %d", got.Threads)
 	}
-	if got.Strategy != robj.AtomicCAS || got.Scheduler != sched.WorkStealing || got.SplitRows != 512 || got.SparseAccCells != -1 {
+	if got.Strategy != robj.AtomicCAS || got.Scheduler != sched.WorkStealing || got.SplitRows != 512 {
 		t.Fatalf("Apply = %+v", got)
 	}
-	// Zero SparseAccCells / SplitRows leave the base values alone.
+	// A zero SplitRows leaves the base value alone.
 	got = Advice{Strategy: robj.FullLocking, Scheduler: sched.Guided}.Apply(base)
-	if got.SplitRows != 4096 || got.SparseAccCells != 0 {
+	if got.SplitRows != 4096 {
 		t.Fatalf("Apply with zero knobs = %+v", got)
 	}
 }

@@ -3,11 +3,11 @@
 // same plan IR (verify.Plan): where the verifier proves the lowered loop
 // nest *safe*, this pass predicts how it will *perform* — per-split
 // write-set footprints from the affine closed form off(i,k)=U0·i+Off0+U1·k,
-// exact touched-cell histograms and conflict-degree distributions folded
-// from inspector-materialized index tables, and a fused-flush cost model —
-// and condenses them into a PlanProfile a deterministic advisor (advise.go)
-// turns into a (strategy, scheduler, chunk) pick before the first row is
-// read. Statically-provable pathologies surface as FRV050+ diagnostics.
+// and exact touched-cell histograms and conflict-degree distributions
+// folded from inspector-materialized index tables — and condenses them
+// into a PlanProfile a deterministic advisor (advise.go) turns into a
+// (strategy, scheduler, chunk) pick before the first row is read.
+// Statically-provable pathologies surface as FRV050+ diagnostics.
 //
 // The package depends only on verify (the neutral IR), robj/sched (the
 // advised enum types), and freeride (to apply advice onto a Config); core
@@ -26,12 +26,12 @@ const (
 	// FRV051 fires: 1 MiB, roughly half a per-core L2, leaving headroom
 	// for the data stream the worker is scanning at the same time.
 	DefaultCacheBudgetBytes = 1 << 20
-	// DefaultSparseAccCells mirrors freeride.Config.SparseAccCells's
-	// default engagement threshold.
-	DefaultSparseAccCells = 4096
-	// DefaultSplitRows mirrors freeride.Config.SplitRows and sizes the
-	// per-split interval examples and flush estimates.
+	// DefaultSplitRows mirrors freeride.Config.SplitRows: the chunk the
+	// advisor falls back to for an empty domain.
 	DefaultSplitRows = 4096
+	// skewMinCells is the smallest object FRV052 reports degenerate skew
+	// on: below it the touched set cannot be much smaller than the object.
+	skewMinCells = 4096
 	// wordBytes is the linearized word size (float64).
 	wordBytes = 8
 )
@@ -42,23 +42,11 @@ type Options struct {
 	// object larger than this draws FRV051 and steers the advisor away
 	// from replication-style dense mirrors.
 	CacheBudgetBytes int64
-	// SparseAccCells is the hashed-accumulator engagement threshold the
-	// target engine will run with (freeride.Config.SparseAccCells);
-	// negative disables the hashed path in the flush model.
-	SparseAccCells int
-	// SplitRows is the split size assumed by per-split estimates.
-	SplitRows int
 }
 
 func (o Options) withDefaults() Options {
 	if o.CacheBudgetBytes == 0 {
 		o.CacheBudgetBytes = DefaultCacheBudgetBytes
-	}
-	if o.SparseAccCells == 0 {
-		o.SparseAccCells = DefaultSparseAccCells
-	}
-	if o.SplitRows <= 0 {
-		o.SplitRows = DefaultSplitRows
 	}
 	return o
 }
@@ -137,24 +125,6 @@ type WriteSet struct {
 	Sorted bool `json:"sorted,omitempty"`
 }
 
-// FlushEstimate models the per-split cost of retiring a fused pass's
-// worker-local accumulator into the shared object.
-type FlushEstimate struct {
-	// DenseCellsPerFlush is what the dense mirror costs: AccumulateBlock
-	// sweeps every object cell once per split flush.
-	DenseCellsPerFlush int `json:"dense_cells_per_flush"`
-	// HashedCellsPerFlush is the expected distinct-cell count one split's
-	// writes touch — what AccumulateScattered retires per flush on the
-	// hashed path. Zero when the hashed path is not eligible.
-	HashedCellsPerFlush int `json:"hashed_cells_per_flush,omitempty"`
-	// SparseAccEligible reports the plan runs a ScatterBlock fused kernel
-	// (the only shape the hashed accumulator serves).
-	SparseAccEligible bool `json:"sparse_acc_eligible"`
-	// SparseAccEngaged reports the engine would engage the hashed
-	// accumulator at Options.SparseAccCells for this object size.
-	SparseAccEngaged bool `json:"sparse_acc_engaged"`
-}
-
 // PlanProfile is the structured result of the analysis: everything the
 // advisor (and -analyze-json tooling) needs, derived statically from the
 // plan IR at translate time.
@@ -173,8 +143,6 @@ type PlanProfile struct {
 	Reads []ReadFootprint `json:"reads"`
 	// Writes summarizes the reduction-object write set.
 	Writes WriteSet `json:"writes"`
-	// Flush is the fused-flush cost estimate.
-	Flush FlushEstimate `json:"flush"`
 	// Diags carries the FRV050+ advisory diagnostics the analysis
 	// produced (never errors — pathologies inform the advisor, they do
 	// not reject the plan).
@@ -239,7 +207,6 @@ func Profile(p *verify.Plan, opts Options) *PlanProfile {
 		pr.Writes.MeanAliases = float64(pr.Domain) / float64(cells)
 	}
 
-	pr.estimateFlush(p, opts)
 	pr.diagnose(opts)
 	return pr
 }
@@ -332,33 +299,6 @@ func (pr *PlanProfile) foldGather(t verify.TableAccess) {
 	})
 }
 
-// estimateFlush models the per-split fused-flush cost: the dense mirror
-// sweeps every object cell, the hashed accumulator retires only the cells
-// one split actually touched.
-func (pr *PlanProfile) estimateFlush(p *verify.Plan, opts Options) {
-	pr.Flush.DenseCellsPerFlush = pr.Writes.Cells
-	// Only inspector plans lower to ScatterBlock fused kernels in this
-	// pipeline (dense opt-3 block kernels write their group run directly).
-	pr.Flush.SparseAccEligible = pr.Kind == "inspector" && p.HasBlockKernel
-	if !pr.Flush.SparseAccEligible {
-		return
-	}
-	pr.Flush.SparseAccEngaged = opts.SparseAccCells > 0 && pr.Writes.Cells >= opts.SparseAccCells
-	// Expected distinct cells per split: a window of SplitRows entries in
-	// a sorted table covers about SplitRows/MeanAliases distinct cells;
-	// an unsorted scatter is bounded by the same estimate in expectation.
-	if pr.Writes.MeanAliases > 0 {
-		est := int(float64(opts.SplitRows)/pr.Writes.MeanAliases) + 1
-		if est > pr.Writes.TouchedCells && pr.Writes.TouchedCells > 0 {
-			est = pr.Writes.TouchedCells
-		}
-		if est > pr.Writes.Cells {
-			est = pr.Writes.Cells
-		}
-		pr.Flush.HashedCellsPerFlush = est
-	}
-}
-
 // diagnose raises the FRV050+ advisory diagnostics on statically-provable
 // pathologies.
 func (pr *PlanProfile) diagnose(opts Options) {
@@ -383,10 +323,10 @@ func (pr *PlanProfile) diagnose(opts Options) {
 			Msg: fmt.Sprintf("per-worker write set is %d bytes (%d cells), over the %d-byte cache budget; replicated mirrors will thrash and every dense flush sweeps the full object", pr.Writes.Bytes, pr.Writes.Cells, opts.CacheBudgetBytes),
 		})
 	}
-	if pr.Kind == "inspector" && pr.Writes.Skew >= 8 && pr.Writes.Cells >= opts.SparseAccCells && opts.SparseAccCells > 0 {
+	if pr.Kind == "inspector" && pr.Writes.Skew >= 8 && pr.Writes.Cells >= skewMinCells {
 		pr.Diags = append(pr.Diags, verify.Diagnostic{
 			Pos: pos, Severity: verify.SeverityInfo, Code: verify.CodeDegenerateSkew,
-			Msg: fmt.Sprintf("scatter table shows degenerate skew (max %d vs mean %.1f writes/cell over %d touched of %d cells); the hashed scatter accumulator keeps flushes proportional to the touched set", pr.Writes.MaxAliases, pr.Writes.MeanAliases, pr.Writes.TouchedCells, pr.Writes.Cells),
+			Msg: fmt.Sprintf("scatter table shows degenerate skew (max %d vs mean %.1f writes/cell over %d touched of %d cells)", pr.Writes.MaxAliases, pr.Writes.MeanAliases, pr.Writes.TouchedCells, pr.Writes.Cells),
 		})
 	}
 }
@@ -450,16 +390,6 @@ func SparseShapeProfile(class string, nnz, cells int, opts Options) *PlanProfile
 	if touched > 0 {
 		pr.Writes.MeanAliases = float64(nnz) / float64(touched)
 		pr.Writes.Skew = 1
-	}
-	pr.Flush.DenseCellsPerFlush = cells
-	pr.Flush.SparseAccEligible = true
-	pr.Flush.SparseAccEngaged = opts.SparseAccCells > 0 && cells >= opts.SparseAccCells
-	if pr.Writes.MeanAliases > 0 {
-		est := int(float64(opts.SplitRows)/pr.Writes.MeanAliases) + 1
-		if est > touched {
-			est = touched
-		}
-		pr.Flush.HashedCellsPerFlush = est
 	}
 	pr.diagnose(opts)
 	return pr

@@ -68,9 +68,6 @@ func TestProfileAffine(t *testing.T) {
 	if w.MeanAliases != 25 { // 1000 rows / 40 cells
 		t.Fatalf("mean aliases = %v", w.MeanAliases)
 	}
-	if pr.Flush.DenseCellsPerFlush != 40 || pr.Flush.SparseAccEligible {
-		t.Fatalf("flush = %+v", pr.Flush)
-	}
 	if len(pr.Diags) != 0 {
 		t.Fatalf("unexpected diagnostics: %s", pr.Diags.Render())
 	}
@@ -148,7 +145,10 @@ func TestDiagnosticsFire(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		big[i] = 7 // ...plus a heavy alias pile-up on one cell
 	}
-	pr = Profile(scatterPlan(big, 8192), Options{SparseAccCells: 4096})
+	if small := Profile(scatterPlan(big, 4095), Options{}); hasCode(small.Diags, verify.CodeDegenerateSkew) {
+		t.Fatalf("FRV052 on a %d-cell object, below its 4096-cell floor: %s", small.Writes.Cells, small.Diags.Render())
+	}
+	pr = Profile(scatterPlan(big, 8192), Options{})
 	if !hasCode(pr.Diags, verify.CodeDegenerateSkew) {
 		t.Fatalf("FRV052 missing: %s", pr.Diags.Render())
 	}
@@ -178,9 +178,6 @@ func TestShapeProfiles(t *testing.T) {
 	}
 	if sp.Writes.Skew != 1 {
 		t.Fatalf("shape-only profile must assume uniform skew, got %v", sp.Writes.Skew)
-	}
-	if !sp.Flush.SparseAccEngaged {
-		t.Fatal("8192-cell object should engage the hashed accumulator at the default threshold")
 	}
 }
 

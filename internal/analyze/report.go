@@ -35,18 +35,8 @@ func (pr *PlanProfile) Report(adv Advice, threads int) string {
 		fmt.Fprintf(&b, ", >=%.1f writes/cell", w.MeanAliases)
 	}
 	b.WriteByte('\n')
-	fmt.Fprintf(&b, "fused flush:      dense sweep %d cells/split", pr.Flush.DenseCellsPerFlush)
-	if pr.Flush.SparseAccEligible {
-		fmt.Fprintf(&b, "; hashed ~%d cells/split (engaged: %v)",
-			pr.Flush.HashedCellsPerFlush, pr.Flush.SparseAccEngaged)
-	}
-	b.WriteByte('\n')
-	fmt.Fprintf(&b, "advice (threads=%d): strategy=%s scheduler=%s splitRows=%d",
+	fmt.Fprintf(&b, "advice (threads=%d): strategy=%s scheduler=%s splitRows=%d\n",
 		threads, adv.Strategy, adv.Scheduler, adv.SplitRows)
-	if adv.SparseAccCells != 0 {
-		fmt.Fprintf(&b, " sparseAccCells=%d", adv.SparseAccCells)
-	}
-	b.WriteByte('\n')
 	for _, t := range adv.Trace {
 		fmt.Fprintf(&b, "  - %s\n", t)
 	}

@@ -23,26 +23,24 @@ func randomEdges(n, nodes int, seed int64) *dataset.Matrix {
 
 // TestPropertyDegreeMatchesDensified: the gather-free sparse pipeline (nil
 // hot vector) agrees bit-identically with the densified adjacency row-sum
-// across schedulers, strategies, thread counts, and accumulator modes.
+// across schedulers, strategies, and thread counts.
 func TestPropertyDegreeMatchesDensified(t *testing.T) {
 	policies := []sched.Policy{sched.Static, sched.Dynamic, sched.Guided, sched.WorkStealing}
 	strategies := robj.Strategies()
 	threadChoices := []int{1, 2, 4, 8}
-	accModes := []int{1, -1}
 	prop := func(seed int64, pick uint16, shape uint16) bool {
 		nodes := 1 + int(shape)%50
 		n := int(shape>>8)%80 + 1
 		policy := policies[int(pick)%len(policies)]
 		strategy := strategies[int(pick/4)%len(strategies)]
 		threads := threadChoices[int(pick/32)%len(threadChoices)]
-		sparseAcc := accModes[int(pick/256)%len(accModes)]
 
 		edges := randomEdges(n, nodes, seed)
 		cfg := DegreeConfig{
 			Nodes: nodes,
 			Engine: freeride.Config{
 				Threads: threads, Scheduler: policy, Strategy: strategy,
-				SplitRows: 1 + n/5, SparseAccCells: sparseAcc,
+				SplitRows: 1 + n/5,
 			},
 		}
 		want, err := DegreeSeq(edges, cfg)
@@ -58,8 +56,8 @@ func TestPropertyDegreeMatchesDensified(t *testing.T) {
 			}
 			for i := range want.Degrees {
 				if got.Degrees[i] != want.Degrees[i] {
-					t.Logf("%v deg[%d] = %v, want %v (policy %v, strategy %v, threads %d, acc %d)",
-						v, i, got.Degrees[i], want.Degrees[i], policy, strategy, threads, sparseAcc)
+					t.Logf("%v deg[%d] = %v, want %v (policy %v, strategy %v, threads %d)",
+						v, i, got.Degrees[i], want.Degrees[i], policy, strategy, threads)
 					return false
 				}
 			}

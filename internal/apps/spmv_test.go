@@ -41,13 +41,11 @@ var sparseVersions = []Version{Generated, Opt1, Opt2, Opt3, ManualFR}
 // strategies, 1/2/4/8 threads, and every version, the sparse SpMV executors
 // produce results bit-identical to the densified sequential reference —
 // integer-valued data makes float accumulation exact, so the comparison is
-// ==, not within-epsilon. Both worker-local accumulator modes are exercised:
-// SparseAccCells 1 forces the hashed map, -1 the dense mirror.
+// ==, not within-epsilon.
 func TestPropertySpMVMatchesDensified(t *testing.T) {
 	policies := []sched.Policy{sched.Static, sched.Dynamic, sched.Guided, sched.WorkStealing}
 	strategies := robj.Strategies()
 	threadChoices := []int{1, 2, 4, 8}
-	accModes := []int{1, -1}
 	prop := func(seed int64, pick uint16, shape uint16) bool {
 		rows := 1 + int(shape)%40
 		cols := 1 + int(shape>>6)%30
@@ -55,14 +53,13 @@ func TestPropertySpMVMatchesDensified(t *testing.T) {
 		policy := policies[int(pick)%len(policies)]
 		strategy := strategies[int(pick/4)%len(strategies)]
 		threads := threadChoices[int(pick/32)%len(threadChoices)]
-		sparseAcc := accModes[int(pick/256)%len(accModes)]
 
 		data := randomTriples(nnz, rows, cols, seed)
 		cfg := SpMVConfig{
 			Rows: rows, Cols: cols, X: intVector(cols, seed^0x5ca1ab1e),
 			Engine: freeride.Config{
 				Threads: threads, Scheduler: policy, Strategy: strategy,
-				SplitRows: 1 + nnz/5, SparseAccCells: sparseAcc,
+				SplitRows: 1 + nnz/5,
 			},
 		}
 		want, err := SpMVSeq(data, cfg)
@@ -78,8 +75,8 @@ func TestPropertySpMVMatchesDensified(t *testing.T) {
 			}
 			for i := range want.Y {
 				if got.Y[i] != want.Y[i] {
-					t.Logf("%v y[%d] = %v, want %v (policy %v, strategy %v, threads %d, acc %d)",
-						v, i, got.Y[i], want.Y[i], policy, strategy, threads, sparseAcc)
+					t.Logf("%v y[%d] = %v, want %v (policy %v, strategy %v, threads %d)",
+						v, i, got.Y[i], want.Y[i], policy, strategy, threads)
 					return false
 				}
 			}

@@ -38,12 +38,9 @@ func EmitSparseC(class *SparseClass, opt OptLevel) (string, error) {
 	fmt.Fprintf(&b, "   executor below elides every per-entry bounds check */\n")
 
 	if opt >= Opt3 {
-		fmt.Fprintf(&b, "void %s_block_reduction(block_args_t* args) {\n", name)
-		fmt.Fprintf(&b, "    /* opt-3 fusion: worker-local mirror of the reduction object —\n")
-		fmt.Fprintf(&b, "       dense when the split touches most cells, hashed when the\n")
-		fmt.Fprintf(&b, "       touched-cell set is sparse (the runtime picks per job) */\n")
-		fmt.Fprintf(&b, "    double acc[%d];\n", groups)
-		fmt.Fprintf(&b, "    fill_identity(acc, %d);\n", groups)
+		fmt.Fprintf(&b, "void %s_reduction(reduction_args_t* args) {\n", name)
+		fmt.Fprintf(&b, "    /* opt-3: one call per split; each row piece is folded in a\n")
+		fmt.Fprintf(&b, "       register and written straight into the reduction object */\n")
 		fmt.Fprintf(&b, "    int n = args->num_rows, b = args->begin;\n")
 		fmt.Fprintf(&b, "    if (n == 0) return;\n")
 		g := "0.0" // gather-free reduction
@@ -67,10 +64,8 @@ func EmitSparseC(class *SparseClass, opt OptLevel) (string, error) {
 		fmt.Fprintf(&b, "        double sum = kernel(v[e], %s); /* register sum of the piece */\n", g)
 		fmt.Fprintf(&b, "        for (e++; e < end; e++)\n")
 		fmt.Fprintf(&b, "            sum op= kernel(v[e], %s); /* no lookup, no lock */\n", g)
-		fmt.Fprintf(&b, "        acc[r] op= sum;                  /* one accumulate per row piece */\n")
+		fmt.Fprintf(&b, "        accumulate(args->worker, r, 0, sum); /* one per row piece */\n")
 		fmt.Fprintf(&b, "    }\n")
-		fmt.Fprintf(&b, "    /* one scattered flush of the touched cells per split */\n")
-		fmt.Fprintf(&b, "    accumulate_block(args->worker, acc);\n")
 		fmt.Fprintf(&b, "}\n")
 		return b.String(), nil
 	}

@@ -203,11 +203,9 @@ func (t *SparseTranslation) Source() dataset.Source {
 //	generated — per-entry, gather through the boxed Chapel vector
 //	opt-1/2   — per-entry, gather on linearized words (opt-1 keeps the
 //	            boxed gather, matching the dense levels' hot treatment)
-//	opt-3     — fused: one call per split gathers the split's x, then folds
-//	            each row piece in a register and accumulates into the
-//	            worker-local buffer (dense, or hashed when the engine
-//	            decides the touched-cell set is sparse), flushed to the
-//	            shared object once per split
+//	opt-3     — one call per split gathers the split's x, then folds
+//	            each row piece in a register and accumulates it straight
+//	            into the shared object under the configured strategy
 //
 // Every executor binary-searches rowPtr once per split for the row holding
 // its first entry and then walks the row pointers forward. Opt-3 first
@@ -216,14 +214,11 @@ func (t *SparseTranslation) Source() dataset.Source {
 // before the fold needs them. The fold keeps a row piece's running value in
 // a register, folds each kernel(v, g) into it with the object's Op.Apply,
 // and calls Accumulate once per non-empty row piece instead of once per
-// nonzero. Each cell sees the fold sequence the per-nonzero calls gave it:
-// the hashed accumulator stores a cell's first value on first touch and
-// applies the op in entry order on every rehit, so results on the hashed
-// path are bit-identical for every op and value. On the dense mirror the
-// cell becomes id ⊕ (a ⊕ b ⊕ …) instead of ((id ⊕ a) ⊕ b) ⊕ …, which is the
-// same bits for OpAdd, and for OpMin/OpMax whenever no NaN is in the piece.
-// Below opt-3 the executors stay per-element: accumulating straight into
-// the shared object is what §III's sharing-strategy comparison measures.
+// nonzero. A cell whose row no split cuts becomes id ⊕ (a ⊕ b ⊕ …) instead
+// of ((id ⊕ a) ⊕ b) ⊕ …, which is the same bits for OpAdd, and for
+// OpMin/OpMax whenever no NaN is in the piece. Every level accumulates
+// straight into the shared object: that is what §III's sharing-strategy
+// comparison measures.
 func (t *SparseTranslation) Spec() freeride.Spec {
 	spec := freeride.Spec{Object: t.class.Object, Combine: t.class.Combine, Finalize: t.class.Finalize}
 	kernel := t.class.Kernel
@@ -275,15 +270,11 @@ func (t *SparseTranslation) Spec() freeride.Spec {
 	if t.opt < Opt3 {
 		return spec
 	}
-	// Opt-3 fusion: one call per split, folded per CSR row piece.
-	// Accumulate lands in the worker-local buffer (dense mirror or hashed,
-	// the engine's choice) and the engine flushes once per split.
-	// ScatterBlock records that the kernels below never touch Acc()
-	// directly, which is what licenses the hashed substitution.
-	spec.ScatterBlock = true
+	// Opt-3 replaces the per-entry executor: one call per split, one
+	// Accumulate per CSR row piece.
 	op := t.class.Object.Op
 	if x == nil {
-		spec.BlockReduction = func(args *freeride.BlockArgs) error {
+		spec.Reduction = func(args *freeride.ReductionArgs) error {
 			n, b := args.NumRows, args.Begin
 			vals := args.Data[:n]
 			for r, e := rowOf(rowPtr, b), 0; e < n; r++ {
@@ -301,7 +292,7 @@ func (t *SparseTranslation) Spec() freeride.Spec {
 		}
 		return spec
 	}
-	spec.BlockReduction = func(args *freeride.BlockArgs) error {
+	spec.Reduction = func(args *freeride.ReductionArgs) error {
 		n, b := args.NumRows, args.Begin
 		cols := in[b : b+n]
 		g := args.Scratch(0, n)[:len(cols)]

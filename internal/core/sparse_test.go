@@ -300,11 +300,10 @@ func TestEmitSparseCGolden(t *testing.T) {
 //
 //   - opt-2 folds each kernel value into its cell, entry by entry;
 //   - opt-3 folds each split's row run from its first value, then folds the
-//     run into its cell, split by split (the engine flushes per split).
+//     run into its cell, split by split.
 //
-// Results are compared with ==, in both worker-local accumulator modes. A
-// row that no split boundary cuts has one run, so there opt-3 must also equal
-// opt-2 bit for bit.
+// Results are compared with ==. A row that no split boundary cuts has one
+// run, so there opt-3 must also equal opt-2 bit for bit.
 func TestSparseFusedFoldOrder(t *testing.T) {
 	const rows, cols, nnz, splitRows = 23, 11, 160, 7
 	rng := rand.New(rand.NewSource(2011))
@@ -331,96 +330,164 @@ func TestSparseFusedFoldOrder(t *testing.T) {
 		{Name: "rowmin", Object: freeride.ObjectSpec{Groups: rows, Elems: 1, Op: robj.OpMin}, Hot: x, Kernel: gather},
 	}
 	for _, class := range classes {
-		for _, accCells := range []int{1, -1} {
-			name := fmt.Sprintf("%s/acc%d", class.Name, accCells)
-			cfg := freeride.Config{Threads: 1, Strategy: robj.FullReplication, SplitRows: splitRows, SparseAccCells: accCells}
-			op := class.Object.Op
-			got := map[OptLevel][]float64{}
-			var straddles []bool
-			for _, opt := range []OptLevel{Opt2, Opt3} {
-				tr, err := TranslateSparse(class, coo, opt)
-				if err != nil {
-					t.Fatalf("%s %s: TranslateSparse: %v", name, opt, err)
+		name := class.Name
+		cfg := freeride.Config{Threads: 1, Strategy: robj.FullReplication, SplitRows: splitRows}
+		op := class.Object.Op
+		got := map[OptLevel][]float64{}
+		var straddles []bool
+		for _, opt := range []OptLevel{Opt2, Opt3} {
+			tr, err := TranslateSparse(class, coo, opt)
+			if err != nil {
+				t.Fatalf("%s %s: TranslateSparse: %v", name, opt, err)
+			}
+			out, in, vals := entryRows(tr.plan), tr.plan.in, tr.plan.vals
+			value := func(e int) float64 {
+				if class.Hot == nil {
+					return class.Kernel(vals[e], 0)
 				}
-				out, in, vals := entryRows(tr.plan), tr.plan.in, tr.plan.vals
-				value := func(e int) float64 {
-					if class.Hot == nil {
-						return class.Kernel(vals[e], 0)
-					}
-					return class.Kernel(vals[e], xv[in[e]])
-				}
-				// Record the splits in the order the worker takes them.
-				var splits [][2]int
-				spec := tr.Spec()
-				if blk := spec.BlockReduction; blk != nil {
-					spec.BlockReduction = func(a *freeride.BlockArgs) error {
-						splits = append(splits, [2]int{a.Begin, a.NumRows})
-						return blk(a)
-					}
-				} else {
-					red := spec.Reduction
-					spec.Reduction = func(a *freeride.ReductionArgs) error {
-						splits = append(splits, [2]int{a.Begin, a.NumRows})
-						return red(a)
-					}
-				}
-				eng := freeride.New(cfg)
-				res, err := eng.RunContext(context.Background(), spec, tr.Source())
-				if err != nil {
-					eng.Close()
-					t.Fatalf("%s %s: run: %v", name, opt, err)
-				}
-				got[opt] = append([]float64(nil), res.Object.Snapshot()...)
+				return class.Kernel(vals[e], xv[in[e]])
+			}
+			// Record the splits in the order the worker takes them.
+			var splits [][2]int
+			spec := tr.Spec()
+			red := spec.Reduction
+			spec.Reduction = func(a *freeride.ReductionArgs) error {
+				splits = append(splits, [2]int{a.Begin, a.NumRows})
+				return red(a)
+			}
+			eng := freeride.New(cfg)
+			res, err := eng.RunContext(context.Background(), spec, tr.Source())
+			if err != nil {
 				eng.Close()
+				t.Fatalf("%s %s: run: %v", name, opt, err)
+			}
+			got[opt] = append([]float64(nil), res.Object.Snapshot()...)
+			eng.Close()
 
-				want := make([]float64, rows)
-				for i := range want {
-					want[i] = op.Identity()
+			want := make([]float64, rows)
+			for i := range want {
+				want[i] = op.Identity()
+			}
+			straddles = make([]bool, rows)
+			next := 0
+			for _, s := range splits {
+				if s[0] != next {
+					t.Fatalf("%s %s: split at %d, want %d (one thread takes the splits in order)", name, opt, s[0], next)
 				}
-				straddles = make([]bool, rows)
-				next := 0
-				for _, s := range splits {
-					if s[0] != next {
-						t.Fatalf("%s %s: split at %d, want %d (one thread takes the splits in order)", name, opt, s[0], next)
-					}
-					next = s[0] + s[1]
-					if s[0] > 0 && out[s[0]] == out[s[0]-1] {
-						straddles[out[s[0]]] = true
-					}
-					for e := s[0]; e < next; e++ {
-						if opt < Opt3 {
-							want[out[e]] = op.Apply(want[out[e]], value(e))
-							continue
-						}
-						run := value(e)
-						for e+1 < next && out[e+1] == out[e] {
-							e++
-							run = op.Apply(run, value(e))
-						}
-						want[out[e]] = op.Apply(want[out[e]], run)
-					}
+				next = s[0] + s[1]
+				if s[0] > 0 && out[s[0]] == out[s[0]-1] {
+					straddles[out[s[0]]] = true
 				}
-				if next != nnz {
-					t.Fatalf("%s %s: splits cover %d entries, want %d", name, opt, next, nnz)
-				}
-				for i := range want {
-					if got[opt][i] != want[i] {
-						t.Errorf("%s %s: y[%d] = %v, want %v", name, opt, i, got[opt][i], want[i])
+				for e := s[0]; e < next; e++ {
+					if opt < Opt3 {
+						want[out[e]] = op.Apply(want[out[e]], value(e))
+						continue
 					}
+					run := value(e)
+					for e+1 < next && out[e+1] == out[e] {
+						e++
+						run = op.Apply(run, value(e))
+					}
+					want[out[e]] = op.Apply(want[out[e]], run)
 				}
 			}
-			cut := 0
-			for i, s := range straddles {
-				if s {
-					cut++
-					continue
-				}
-				if got[Opt3][i] != got[Opt2][i] {
-					t.Errorf("%s: y[%d] opt-3 %v, opt-2 %v on a row no split cuts", name, i, got[Opt3][i], got[Opt2][i])
+			if next != nnz {
+				t.Fatalf("%s %s: splits cover %d entries, want %d", name, opt, next, nnz)
+			}
+			for i := range want {
+				if got[opt][i] != want[i] {
+					t.Errorf("%s %s: y[%d] = %v, want %v", name, opt, i, got[opt][i], want[i])
 				}
 			}
-			if cut == 0 {
-				t.Fatalf("%s: no row straddles a split boundary", name)
+		}
+		cut := 0
+		for i, s := range straddles {
+			if s {
+				cut++
+				continue
+			}
+			if got[Opt3][i] != got[Opt2][i] {
+				t.Errorf("%s: y[%d] opt-3 %v, opt-2 %v on a row no split cuts", name, i, got[Opt3][i], got[Opt2][i])
+			}
+		}
+		if cut == 0 {
+			t.Fatalf("%s: no row straddles a split boundary", name)
+		}
+	}
+}
+
+// TestSparseOpt3WritesThrough: for every sharing strategy, the opt-3
+// executor accumulates each row piece straight into the shared object. Its
+// y is bit-identical to opt-2's (integer values make float addition exact),
+// on a matrix with duplicate (row, col) entries whose rows are cut by split
+// boundaries, and the pass runs no fused block: no block buffer is flushed
+// and no row goes through a BlockReduction kernel.
+func TestSparseOpt3WritesThrough(t *testing.T) {
+	const rows, cols, nnz, splitRows = 40, 30, 280, 7 // 40 splits of 7 entries
+	rng := rand.New(rand.NewSource(32))
+	coo := &SparseCOO{Rows: rows, Cols: cols}
+	for len(coo.V) < nnz {
+		r, c := int32(rng.Intn(rows)), int32(rng.Intn(cols))
+		if n := len(coo.V); n > 0 && rng.Intn(4) == 0 {
+			k := rng.Intn(n) // duplicate an earlier entry's coordinates
+			r, c = coo.R[k], coo.C[k]
+		}
+		coo.R, coo.C = append(coo.R, r), append(coo.C, c)
+		coo.V = append(coo.V, float64(rng.Intn(19)-9))
+	}
+	xv := make([]float64, cols)
+	for j := range xv {
+		xv[j] = float64(rng.Intn(7) - 3)
+	}
+	class := spmvTestClass(rows, chapel.RealArray(xv...))
+	tr3, err := TranslateSparse(class, coo, Opt3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := 0
+	for r := 0; r < rows; r++ {
+		lo, hi := int(tr3.plan.rowPtr[r]), int(tr3.plan.rowPtr[r+1])
+		if hi-lo > 1 && (hi-1)/splitRows != lo/splitRows {
+			cut++
+		}
+	}
+	if cut == 0 {
+		t.Fatal("no row straddles a split boundary")
+	}
+	tr2, err := TranslateSparse(class, coo, Opt2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, strategy := range robj.Strategies() {
+		cfg := freeride.Config{Threads: 4, SplitRows: splitRows, Strategy: strategy}
+		run := func(tr *SparseTranslation) *freeride.Result {
+			t.Helper()
+			eng := freeride.New(cfg)
+			defer eng.Close()
+			res, err := eng.RunContext(context.Background(), tr.Spec(), tr.Source())
+			if err != nil {
+				t.Fatalf("%v %s: %v", strategy, tr.Opt(), err)
+			}
+			return res
+		}
+		want := run(tr2).Object.Snapshot()
+		res := run(tr3)
+		got := res.Object.Snapshot()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%v: y[%d] opt-3 %v, opt-2 %v", strategy, i, got[i], want[i])
+			}
+		}
+		deltas := map[string]int64{}
+		for _, d := range res.Stats.JobDeltas {
+			deltas[d.Name] += d.Value
+		}
+		if deltas["freeride_rows_total"] != nnz {
+			t.Errorf("%v: freeride_rows_total = %d, want %d", strategy, deltas["freeride_rows_total"], nnz)
+		}
+		for _, name := range []string{"freeride_block_flushes_total", "freeride_rows_fused_total"} {
+			if deltas[name] != 0 {
+				t.Errorf("%v: %s = %d, want 0 (opt-3 writes through)", strategy, name, deltas[name])
 			}
 		}
 	}

@@ -111,60 +111,6 @@ func TestFusedPassAllocs(t *testing.T) {
 	}
 }
 
-// TestSparseFusedPassAllocs is the allocation-regression guard for the
-// sparse fused path: the hashed touched-cell accumulator lives in the pool
-// worker's persistent state and its capacity tracks the high-water touched
-// count, so a warm sparse pass costs the same small per-pass constant — a
-// per-split hash (or table) allocation over 1000 splits would blow the
-// budget three orders of magnitude.
-func TestSparseFusedPassAllocs(t *testing.T) {
-	m := dataset.NewMatrix(64_000, 2)
-	const groups = 8192 // past the default SparseAccCells threshold
-	r := int64(17)
-	for i := 0; i < 64_000; i++ {
-		r = r*6364136223846793005 + 1442695040888963407
-		m.Data[2*i] = float64(uint64(r) >> 33 % groups)
-		m.Data[2*i+1] = 1
-	}
-	src := dataset.NewMemorySource(m)
-	spec := Spec{
-		Object:       ObjectSpec{Groups: groups, Elems: 1, Op: robj.OpAdd},
-		ScatterBlock: true,
-		BlockReduction: func(a *BlockArgs) error {
-			for i := 0; i < a.NumRows; i++ {
-				row := a.Row(i)
-				a.Accumulate(int(row[0]), 0, row[1])
-			}
-			return nil
-		},
-	}
-	eng := New(Config{Threads: 4, SplitRows: 64, Scheduler: sched.Dynamic})
-	defer eng.Close()
-	for i := 0; i < 3; i++ { // warm the session pools and worker hash maps
-		res, err := eng.RunContext(context.Background(), spec, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Release(res); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		res, err := eng.RunContext(context.Background(), spec, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Release(res); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("steady-state sparse fused pass: %.1f allocs", allocs)
-	if allocs > 150 {
-		t.Fatalf("steady-state sparse fused pass allocated %.0f times (budget 150) — "+
-			"the hashed accumulator (or another pooled resource) is being reallocated per split or per pass", allocs)
-	}
-}
-
 // TestZeroCopyPassAllocs is the allocation-regression guard for mmap-backed
 // zero-copy ingestion: with a mapped row-major file the engine's reads are
 // sub-slices of the mapping (no split buffer fills at all), so a warm fused

@@ -59,11 +59,6 @@ type workerState struct {
 	// (BlockArgs.Acc), sized to the largest reduction object the worker has
 	// served — session-pooled so steady-state fused passes allocate nothing.
 	acc []float64
-	// hash is the sparse fused path's worker-local touched-cell accumulator,
-	// created on the worker's first sparse job and reused (capacity tracks
-	// the high-water touched count) so steady-state sparse passes allocate
-	// nothing either.
-	hash *cellHash
 }
 
 // Engine executes reduction Specs over data Sources. It is a session: the

@@ -139,16 +139,6 @@ type Config struct {
 	// SplitRows is the number of data instances per split handed to the
 	// user reduction function. Defaults to 4096.
 	SplitRows int
-	// SparseAccCells is the reduction-object cell count at which the fused
-	// path degrades its worker-local buffer from the dense cell mirror to a
-	// hashed touched-cell map flushed through robj.AccumulateScattered. The
-	// dense mirror pays O(cells) per split (identity fill + flush) no matter
-	// how few cells the split touches; past this threshold that sweep
-	// dominates sparse push reductions, whose splits touch at most one cell
-	// per accumulate. 0 means the default (4096, the default split size —
-	// i.e. objects at least as large as a split's row count); negative
-	// disables the hashed mode entirely.
-	SparseAccCells int
 }
 
 func (c Config) withDefaults() Config {
@@ -158,21 +148,7 @@ func (c Config) withDefaults() Config {
 	if c.SplitRows < 1 {
 		c.SplitRows = 4096
 	}
-	if c.SparseAccCells == 0 {
-		c.SparseAccCells = 4096
-	}
 	return c
-}
-
-// SparseAccEngaged reports whether a fused pass over an object with the
-// given cell count runs on the hashed touched-cell accumulator instead of
-// the dense mirror: the kernel opted in (ScatterBlock) and the cell count
-// crossed SparseAccCells. Exported so translate-time analysis
-// (internal/analyze's fused-flush cost model) and the engine's run path
-// share one engagement rule; callers must pass a defaults-resolved config
-// (Engine.Config(), or after setting SparseAccCells explicitly).
-func (c Config) SparseAccEngaged(cells int, scatter bool) bool {
-	return scatter && c.SparseAccCells > 0 && cells >= c.SparseAccCells
 }
 
 // ReductionArgs mirrors FREERIDE's reduction_args_t: one split of the input
@@ -249,14 +225,6 @@ type Spec struct {
 	// robj.AccumulateBlock. Specs may set both callbacks: engines (and
 	// future execution tiers) without a fused path fall back to Reduction.
 	BlockReduction func(args *BlockArgs) error
-	// ScatterBlock declares that BlockReduction accumulates exclusively
-	// through BlockArgs.Accumulate and never touches the Acc() buffer
-	// directly. That contract is what lets the engine substitute the hashed
-	// worker-local accumulator for the dense mirror on large objects
-	// (Config.SparseAccCells) — a dense fused kernel that walks Acc()
-	// in place must leave this false. The sparse translator sets it; results
-	// are bit-identical in both accumulator modes.
-	ScatterBlock bool
 	// Splitter optionally overrides the default splitter. It must partition
 	// [0, totalRows) into disjoint, covering chunks. requestedUnits is the
 	// engine's hint (derived from Config.SplitRows).

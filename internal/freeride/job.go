@@ -28,10 +28,6 @@ type job struct {
 	cols       int
 	threads    int
 	measureCPU bool
-	// sparseAcc marks a fused job whose object crossed Config.SparseAccCells:
-	// worker slots accumulate into hashed touched-cell maps instead of dense
-	// mirrors and flush through AccumulateScattered.
-	sparseAcc bool
 
 	stop     atomic.Bool
 	errOnce  sync.Once
@@ -115,24 +111,13 @@ func (j *job) runSlot(slot int, ws *workerState) {
 			elems:   j.obj.ElemsPerGroup(),
 			scratch: ws.scratch,
 		}
-		if j.sparseAcc {
-			// Sparse fused path: the object is large relative to a split, so
-			// the dense mirror's per-split O(cells) sweep would dominate.
-			// Accumulate lands in the worker's pooled hashed map instead.
-			if ws.hash == nil {
-				ws.hash = newCellHash()
-			}
-			ws.hash.reset()
-			bargs.hash = ws.hash
-		} else {
-			cells := bargs.groups * bargs.elems
-			if cap(ws.acc) < cells {
-				ws.acc = make([]float64, cells)
-			}
-			bargs.acc = ws.acc[:cells]
-			accID = bargs.op.Identity()
-			fillIdentity(bargs.acc, accID)
+		cells := bargs.groups * bargs.elems
+		if cap(ws.acc) < cells {
+			ws.acc = make([]float64, cells)
 		}
+		bargs.acc = ws.acc[:cells]
+		accID = bargs.op.Identity()
+		fillIdentity(bargs.acc, accID)
 		// Keep whatever scratch growth the kernel caused for the next pass.
 		defer func() { ws.scratch = bargs.scratch }()
 	} else {
@@ -174,16 +159,9 @@ func (j *job) runSlot(slot int, ws *workerState) {
 					return
 				}
 				// One bulk synchronization event per split, then re-arm the
-				// local buffer: scattered flush of the touched cells on the
-				// sparse path, dense merge + identity refill otherwise.
-				if bargs.hash != nil {
-					j.obj.AccumulateScattered(slot, bargs.hash.cells, bargs.hash.vals)
-					bargs.hash.reset()
-					mScatterFlushes.Inc()
-				} else {
-					j.obj.AccumulateBlock(slot, bargs.acc)
-					fillIdentity(bargs.acc, accID)
-				}
+				// local buffer with the identity.
+				j.obj.AccumulateBlock(slot, bargs.acc)
+				fillIdentity(bargs.acc, accID)
 				mBlockFlushes.Inc()
 				mRowsFused.Add(int64(n))
 				blockFlushes++
@@ -331,7 +309,6 @@ func (e *Engine) RunContext(ctx context.Context, spec Spec, src dataset.Source) 
 		cols:         src.Cols(),
 		threads:      cfg.Threads,
 		measureCPU:   cputime.Supported(),
-		sparseAcc:    sparseAccFor(cfg, spec, obj),
 		workerCPU:    make([]time.Duration, cfg.Threads),
 		workerSplits: make([]int64, cfg.Threads),
 		workerRows:   make([]int64, cfg.Threads),
@@ -428,17 +405,6 @@ func (e *Engine) RunContext(ctx context.Context, spec Spec, src dataset.Source) 
 	res.Stats.JobDeltas = jm.Finish()
 	obs.Log.AddRun(jobID, res.Stats.Spans)
 	return res, nil
-}
-
-// sparseAccFor decides whether a fused job runs on the hashed worker-local
-// accumulator: the spec opted in (ScatterBlock — the kernel accumulates
-// only through BlockArgs.Accumulate, so the engine may swap the buffer)
-// and the object's cell count has crossed Config.SparseAccCells (negative
-// disables the mode; withDefaults resolved 0 to the default threshold).
-// Dense fused kernels that walk Acc() directly never set ScatterBlock and
-// always keep the dense mirror, whatever their object size.
-func sparseAccFor(cfg Config, spec Spec, obj *robj.Object) bool {
-	return spec.BlockReduction != nil && cfg.SparseAccEngaged(obj.Groups()*obj.ElemsPerGroup(), spec.ScatterBlock)
 }
 
 // enqueue sends the job's tickets to the pool. Tickets not sent — because

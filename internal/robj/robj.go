@@ -466,15 +466,14 @@ func (o *Object) AccumulateBlock(w int, block []float64) {
 
 // AccumulateScattered folds a sparse set of touched cells — flat cell
 // indices with their accumulated values — into the object on behalf of
-// worker w. It is the scattered counterpart of AccumulateBlock, used when a
-// split's touched-cell set is far smaller than the object (the hashed
-// worker-local accumulator of sparse push reductions): where the block path
-// sweeps all groups×elems cells to find the touched ones, the scattered
-// path visits exactly len(cells) non-contiguous cells. Cell indices come
-// from the fused executor's accumulator, whose targets the verifier proved
-// in bounds at translate time (FRV013), so they are not re-checked here;
-// duplicate indices are legal and fold associatively. Safe for concurrent
-// use by distinct workers.
+// worker w. It is the scattered counterpart of AccumulateBlock: where the
+// block path sweeps all groups×elems cells to find the touched ones, the
+// scattered path visits exactly len(cells) non-contiguous cells. No engine
+// path calls it — the sparse executors accumulate each row piece straight
+// into the object — and it stays because the benchmark's layer suite
+// measures it (robj.scatter_flush_ns_per_cell). Cell indices are not
+// re-checked here, so callers pass in-bounds cells; duplicate indices are
+// legal and fold associatively. Safe for concurrent use by distinct workers.
 func (o *Object) AccumulateScattered(w int, cells []int32, vals []float64) {
 	if len(cells) != len(vals) {
 		panic(fmt.Sprintf("robj: AccumulateScattered got %d cells, %d values", len(cells), len(vals)))

@@ -126,7 +126,7 @@ func (s *Server) engineFor(cfg freeride.Config) *freeride.Engine {
 	if cfg == s.engines[0].Config() {
 		return s.engines[s.nextEng.Add(1)%uint64(len(s.engines))]
 	}
-	key := fmt.Sprintf("%d/%d/%d/%d", cfg.Strategy, cfg.Scheduler, cfg.SplitRows, cfg.SparseAccCells)
+	key := fmt.Sprintf("%d/%d/%d", cfg.Strategy, cfg.Scheduler, cfg.SplitRows)
 	s.altMu.Lock()
 	defer s.altMu.Unlock()
 	if eng, ok := s.altEngines[key]; ok {

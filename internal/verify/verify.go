@@ -119,9 +119,9 @@ const (
 	CodeFootprintBudget Code = "FRV051"
 	// CodeDegenerateSkew (info): an inspector scatter table shows
 	// degenerate alias skew — a few cells absorb most writes while the
-	// touched set stays far smaller than the object. The hashed scatter
-	// accumulator (Config.SparseAccCells) keeps per-split flushes
-	// proportional to the touched set instead of the object size.
+	// touched set stays far smaller than the object (4096 cells or more).
+	// Split costs are then uneven, which the advisor answers with work
+	// stealing.
 	CodeDegenerateSkew Code = "FRV052"
 )
 

@@ -26,10 +26,8 @@ import (
 // justified exceptions use //frds:vet-ignore rowalias.
 //
 // Block kernels get a second, looser contract for args.Acc(): the
-// worker-local accumulation buffer is pooled across splits (and swapped
-// for a hashed map on ScatterBlock jobs whose object crosses
-// Config.SparseAccCells), so element writes are the buffer's whole
-// purpose, but the slice itself must not outlive the call or be resized.
+// worker-local accumulation buffer is pooled across splits, so element
+// writes are the buffer's whole purpose, but the slice itself must not outlive the call or be resized.
 // Flagged shapes for Acc() views: append with the view as destination
 // (resizing detaches the kernel from the pooled buffer), append retaining
 // the view as an element, and stores to captured variables, package
