@@ -25,7 +25,7 @@ func randomEdges(n, nodes int, seed int64) *dataset.Matrix {
 // hot vector) agrees bit-identically with the densified adjacency row-sum
 // across schedulers, strategies, and thread counts.
 func TestPropertyDegreeMatchesDensified(t *testing.T) {
-	policies := []sched.Policy{sched.Static, sched.Dynamic, sched.Guided, sched.WorkStealing}
+	policies := sched.Policies()
 	strategies := robj.Strategies()
 	threadChoices := []int{1, 2, 4, 8}
 	prop := func(seed int64, pick uint16, shape uint16) bool {

@@ -223,7 +223,7 @@ func TestBoxUnboxRoundTrip(t *testing.T) {
 // splits are folded in: the translated levels are compared bit for bit on
 // one thread (one order) and to 1e-9 of manual FREERIDE otherwise.
 func TestPropertyFusedKMeansMatchesOpt2AndManual(t *testing.T) {
-	policies := []sched.Policy{sched.Static, sched.Dynamic, sched.Guided, sched.WorkStealing}
+	policies := sched.Policies()
 	f := func(seed int64, pick uint8, nRaw, thrRaw uint8) bool {
 		n := int(nRaw%150) + 20
 		engine := freeride.Config{

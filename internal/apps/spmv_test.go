@@ -43,7 +43,7 @@ var sparseVersions = []Version{Generated, Opt1, Opt2, Opt3, ManualFR}
 // integer-valued data makes float accumulation exact, so the comparison is
 // ==, not within-epsilon.
 func TestPropertySpMVMatchesDensified(t *testing.T) {
-	policies := []sched.Policy{sched.Static, sched.Dynamic, sched.Guided, sched.WorkStealing}
+	policies := sched.Policies()
 	strategies := robj.Strategies()
 	threadChoices := []int{1, 2, 4, 8}
 	prop := func(seed int64, pick uint16, shape uint16) bool {

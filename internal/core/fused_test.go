@@ -49,8 +49,9 @@ func withBlockKernel(cls *ReductionClass, k, dim int) *ReductionClass {
 }
 
 // TestOpt3FusedMatchesReference: an Opt3 translation of a class with a
-// BlockKernel wires Spec.BlockReduction, and the fused execution produces
-// the reference result bit for bit across thread counts (integer data).
+// BlockKernel wires Spec.BlockReduction and only it, and the fused execution
+// produces the reference result bit for bit across thread counts (integer
+// data).
 func TestOpt3FusedMatchesReference(t *testing.T) {
 	const n, k, dim = 240, 4, 3
 	data := makePoints(n, dim, 1)
@@ -64,8 +65,8 @@ func TestOpt3FusedMatchesReference(t *testing.T) {
 	if spec.BlockReduction == nil {
 		t.Fatal("Opt3 translation of a class with a BlockKernel must wire Spec.BlockReduction")
 	}
-	if spec.Reduction == nil {
-		t.Fatal("Opt3 must keep the per-element Reduction as fallback")
+	if spec.Reduction != nil {
+		t.Fatal("Opt3 with a BlockKernel must not also wire the per-element Reduction")
 	}
 	for _, threads := range []int{1, 4} {
 		eng := freeride.New(freeride.Config{Threads: threads, SplitRows: 32})

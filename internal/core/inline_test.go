@@ -11,10 +11,12 @@ import (
 // element in the fallbacks) inline into it, so the strength-reduced loads are
 // plain slice arithmetic in the kernel body and only the generated/boxed slow
 // bodies cost a call. The same holds for the operator the opt-3 sparse
-// executor folds every nonzero into its row run with (robj.Op.Apply). The
-// compiler's own -m report is the oracle; an edit that pushes one of them
-// past the inliner's budget fails here instead of showing up as a silent
-// 1.5× on kmeans_translated or spmv_power.
+// executor folds every nonzero into its row run with (robj.Op.Apply), and
+// for the split handle's Row, Acc and Accumulate that fused kernels call
+// once per row. The compiler's own -m report is the oracle; an edit that
+// pushes one of them past the inliner's budget fails here instead of
+// showing up as a silent 1.5× on kmeans_translated, ingest_fused or
+// spmv_power.
 func TestHotPathInlines(t *testing.T) {
 	goTool, err := exec.LookPath("go")
 	if err != nil {
@@ -35,6 +37,9 @@ func TestHotPathInlines(t *testing.T) {
 		"(*StateVec).Dense",
 		"(*ReductionArgs).Scratch",
 		"(*ReductionArgs).Accumulate",
+		"(*ReductionArgs).Row",
+		"(*BlockArgs).Accumulate",
+		"(*BlockArgs).Acc",
 		"Op.Apply",
 	} {
 		if !strings.Contains(report, "can inline "+fn+"\n") {

@@ -604,8 +604,8 @@ func (t *Translation) Spec() freeride.Spec { return t.spec }
 func SpecFromWords(class *ReductionClass, words []float64, meta *Meta, hot []*StateVec, opt OptLevel) freeride.Spec {
 	spec := freeride.Spec{Object: class.Object, Combine: class.Combine, Finalize: class.Finalize}
 	kernel := class.Kernel
-	switch opt {
-	case OptNone:
+	switch {
+	case opt == OptNone:
 		// Generated code: ComputeIndex in the innermost loop, boxed
 		// hot-variable access.
 		spec.Reduction = func(args *freeride.ReductionArgs) error {
@@ -615,6 +615,14 @@ func SpecFromWords(class *ReductionClass, words []float64, meta *Meta, hot []*St
 				kernel(&vec, hot, args)
 			}
 			return nil
+		}
+	case opt >= Opt3 && class.BlockKernel != nil:
+		// Opt-3 fusion: hand the engine a devirtualized split-granular
+		// kernel in place of the per-element one.
+		view := AffinePlanFromMeta(meta, 0, len(words)).View(words)
+		bk := class.BlockKernel
+		spec.BlockReduction = func(args *freeride.BlockArgs) error {
+			return bk(args, view, hot)
 		}
 	default:
 		// Opt-1/Opt-2: strength reduction — "the start point for the
@@ -636,16 +644,6 @@ func SpecFromWords(class *ReductionClass, words []float64, meta *Meta, hot []*St
 			}
 			return nil
 		}
-		if opt >= Opt3 && class.BlockKernel != nil {
-			// Opt-3 fusion: hand the engine a devirtualized split-granular
-			// kernel. The per-element Reduction above stays wired as the
-			// fallback for execution tiers without a fused path.
-			view := ap.View(words)
-			bk := class.BlockKernel
-			spec.BlockReduction = func(args *freeride.BlockArgs) error {
-				return bk(args, view, hot)
-			}
-		}
 	}
 	return spec
 }
@@ -654,7 +652,7 @@ func SpecFromWords(class *ReductionClass, words []float64, meta *Meta, hot []*St
 // zero-copy RowSlicer fast path. Rows views borrow the caller's backing
 // array: the engine's no-retention contract applies (kernels treat the view
 // as read-only and drop it before the call returns — see
-// freeride.BlockArgs.Data), and the caller must not mutate words while a
+// freeride.ReductionArgs.Data), and the caller must not mutate words while a
 // pass is running over the source.
 type WordSource struct {
 	words []float64

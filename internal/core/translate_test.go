@@ -432,7 +432,7 @@ func TestTranslationAccessors(t *testing.T) {
 // splits short enough that all but the first start at a non-zero Begin
 // (integer coordinates keep float arithmetic exact).
 func TestPropertyOptLevelsEquivalent(t *testing.T) {
-	policies := []sched.Policy{sched.Static, sched.Dynamic, sched.Guided, sched.WorkStealing}
+	policies := sched.Policies()
 	f := func(seed int64, nRaw, kRaw, dimRaw, pick uint8) bool {
 		n := int(nRaw%100) + 10
 		k := int(kRaw%5) + 1

@@ -8,163 +8,90 @@ import (
 	"testing"
 
 	"chapelfreeride/internal/dataset"
-	"chapelfreeride/internal/robj"
 	"chapelfreeride/internal/sched"
 )
 
-// TestSessionSteadyStateAllocs is the allocation-regression guard for the
-// session architecture (run explicitly in CI): once a session is warm, a
-// RunContext+Release pass reuses the pooled reduction object, scheduler, split
-// table, and per-worker buffers, so steady-state allocations are a small
-// per-pass constant (observability spans, the Result) — independent of the
-// split count. The raceless build is required because -race instrumentation
-// inflates allocation counts.
+// The allocation-regression guards for warm session passes (run explicitly
+// in CI) share one body, checkPassAllocs, and differ only in kernel form and
+// source. Once a session is warm, a RunContext+Release pass reuses the
+// pooled reduction object, scheduler, split table and per-worker split
+// handles, so its allocations are a small per-pass constant (observability
+// spans, stats, the Result) — independent of the split count and nearly
+// independent of the thread count. Every guard reduces 1000 splits
+// (SplitRows 64), so a per-split allocation shows up as ≥1000 allocs per
+// pass, and a per-slot one as a steep thread-count slope. The raceless build
+// is required because -race instrumentation inflates allocation counts.
+
+// TestSessionSteadyStateAllocs guards the per-element kernel form over a
+// memory source.
 func TestSessionSteadyStateAllocs(t *testing.T) {
-	m := dataset.UniformMatrix(64_000, 2, 5, 0, 1)
-	src := dataset.NewMemorySource(m)
-	spec := Spec{
-		Object: ObjectSpec{Groups: 8, Elems: 2, Op: robj.OpAdd},
-		Reduction: func(a *ReductionArgs) error {
-			for i := 0; i < a.NumRows; i++ {
-				row := a.Row(i)
-				a.Accumulate(int(row[0]*8)%8, 0, 1)
-				a.Accumulate(int(row[0]*8)%8, 1, row[1])
-			}
-			return nil
-		},
-	}
-	// SplitRows 64 ⇒ 1000 splits: a per-split allocation would show up as
-	// ≥1000 allocs/pass, three orders of magnitude over the budget.
-	eng := New(Config{Threads: 4, SplitRows: 64, Scheduler: sched.Dynamic})
-	defer eng.Close()
-	for i := 0; i < 3; i++ { // warm the session pools
-		res, err := eng.RunContext(context.Background(), spec, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Release(res); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		res, err := eng.RunContext(context.Background(), spec, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Release(res); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("steady-state session pass: %.1f allocs", allocs)
-	// The fixed per-pass cost (trace spans, stats, Result) is ~30 allocs
-	// today; 150 leaves headroom without letting O(splits) regressions in.
-	if allocs > 150 {
-		t.Fatalf("steady-state session pass allocated %.0f times (budget 150) — "+
-			"a pooled resource (object, scheduler, splits, worker buffers) is being reallocated per pass", allocs)
-	}
+	elem, _ := histSpecs(8)
+	checkPassAllocs(t, elem, dataset.NewMemorySource(intMatrix(64_000, 2)))
 }
 
-// TestFusedPassAllocs is the allocation-regression guard for the fused
-// (BlockReduction) path: the worker-local dense accumulation buffer lives in
-// the pool worker's persistent state, so a warm fused pass costs the same
-// small per-pass constant as the per-element path — a per-split make of the
-// block buffer (1000 splits here) would blow the budget three orders of
-// magnitude.
+// TestFusedPassAllocs guards the fused (BlockReduction) kernel form over a
+// memory source: the block buffer lives in the pool worker's split handle,
+// so a per-split make of it would blow the budget.
 func TestFusedPassAllocs(t *testing.T) {
-	m := dataset.UniformMatrix(64_000, 2, 5, 0, 1)
-	src := dataset.NewMemorySource(m)
-	spec := Spec{
-		Object: ObjectSpec{Groups: 8, Elems: 2, Op: robj.OpAdd},
-		BlockReduction: func(a *BlockArgs) error {
-			for i := 0; i < a.NumRows; i++ {
-				row := a.Row(i)
-				a.Accumulate(int(row[0]*8)%8, 0, 1)
-				a.Accumulate(int(row[0]*8)%8, 1, row[1])
-			}
-			return nil
-		},
-	}
-	eng := New(Config{Threads: 4, SplitRows: 64, Scheduler: sched.Dynamic})
-	defer eng.Close()
-	for i := 0; i < 3; i++ { // warm the session pools and worker block buffers
-		res, err := eng.RunContext(context.Background(), spec, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Release(res); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		res, err := eng.RunContext(context.Background(), spec, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Release(res); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("steady-state fused pass: %.1f allocs", allocs)
-	if allocs > 150 {
-		t.Fatalf("steady-state fused pass allocated %.0f times (budget 150) — "+
-			"the block buffer (or another pooled resource) is being reallocated per split or per pass", allocs)
-	}
+	_, fused := histSpecs(8)
+	checkPassAllocs(t, fused, dataset.NewMemorySource(intMatrix(64_000, 2)))
 }
 
-// TestZeroCopyPassAllocs is the allocation-regression guard for mmap-backed
-// zero-copy ingestion: with a mapped row-major file the engine's reads are
-// sub-slices of the mapping (no split buffer fills at all), so a warm fused
-// pass over the file costs the same small per-pass constant as a memory
-// source — any copy or per-split buffer sneaking back into the file path
-// shows up as O(splits) allocations.
+// TestZeroCopyPassAllocs guards the fused form over a mapped file, whose
+// reads are sub-slices of the mapping: a copy or per-split buffer sneaking
+// back into the file path shows up here.
 func TestZeroCopyPassAllocs(t *testing.T) {
-	m := dataset.UniformMatrix(64_000, 2, 5, 0, 1)
 	path := filepath.Join(t.TempDir(), "zc.frds")
-	if err := dataset.WriteFile(path, m); err != nil {
+	if err := dataset.WriteFile(path, intMatrix(64_000, 2)); err != nil {
 		t.Fatal(err)
 	}
-	src, err := dataset.OpenMappedSource(path)
+	mapped, err := dataset.OpenMappedSource(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer src.Close()
-	if !src.Mapped() {
+	defer mapped.Close()
+	if !mapped.Mapped() {
 		t.Skip("mmap unavailable on this platform/filesystem")
 	}
-	spec := Spec{
-		Object: ObjectSpec{Groups: 8, Elems: 2, Op: robj.OpAdd},
-		BlockReduction: func(a *BlockArgs) error {
-			for i := 0; i < a.NumRows; i++ {
-				row := a.Row(i)
-				a.Accumulate(int(row[0]*8)%8, 0, 1)
-				a.Accumulate(int(row[0]*8)%8, 1, row[1])
+	_, fused := histSpecs(8)
+	checkPassAllocs(t, fused, mapped)
+}
+
+// checkPassAllocs holds a warm pass of spec over src to the 150-alloc budget
+// at 4 threads, and to at most 22 more allocs at 16 threads than at 1.
+func checkPassAllocs(t *testing.T, spec Spec, src dataset.Source) {
+	t.Helper()
+	passAllocs := func(threads int) float64 {
+		eng := New(Config{Threads: threads, SplitRows: 64, Scheduler: sched.Dynamic})
+		defer eng.Close()
+		pass := func() {
+			res, err := eng.RunContext(context.Background(), spec, src)
+			if err != nil {
+				t.Fatal(err)
 			}
-			return nil
-		},
+			if err := eng.Release(res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3; i++ { // warm the session pools and split handles
+			pass()
+		}
+		return testing.AllocsPerRun(10, pass)
 	}
-	eng := New(Config{Threads: 4, SplitRows: 64, Scheduler: sched.Dynamic})
-	defer eng.Close()
-	for i := 0; i < 3; i++ { // warm the session pools
-		res, err := eng.RunContext(context.Background(), spec, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Release(res); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		res, err := eng.RunContext(context.Background(), spec, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Release(res); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("steady-state zero-copy mapped pass: %.1f allocs", allocs)
+	allocs := passAllocs(4)
+	t.Logf("warm pass at 4 threads: %.1f allocs", allocs)
+	// The fixed per-pass cost is ~30 allocs today; 150 leaves headroom
+	// without letting O(splits) regressions in.
 	if allocs > 150 {
-		t.Fatalf("steady-state zero-copy pass allocated %.0f times (budget 150) — "+
-			"the mapped fast path is copying or allocating per split", allocs)
+		t.Fatalf("warm pass allocated %.0f times (budget 150) — a pooled resource "+
+			"(object, scheduler, splits, split handle, block buffer) is being reallocated per split or per pass", allocs)
+	}
+	// Each extra worker slot costs its span and little else: 1.5 allocs per
+	// slot over 15 extra slots.
+	one, many := passAllocs(1), passAllocs(16)
+	t.Logf("warm pass: %.1f allocs at 1 thread, %.1f at 16", one, many)
+	if slope := many - one; slope > 22 {
+		t.Fatalf("16 threads allocate %.0f more than 1 thread (budget 22) — "+
+			"something is allocated per worker slot per pass", slope)
 	}
 }

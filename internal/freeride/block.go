@@ -9,12 +9,13 @@ package freeride
 // worker-local dense buffer (no synchronization), and the engine flushes
 // that buffer into the shared reduction object once per split through
 // robj.AccumulateBlock — one lock acquisition or CAS loop per cell-range per
-// split instead of per element. The flush sweeps every cell of the object,
-// so the block path suits objects a split mostly touches. A kernel that
-// already folds its values in registers and touches few cells of a large
-// object (the sparse opt-3 executor, one Accumulate per CSR row piece) is a
-// plain Reduction instead: the engine hands Reduction one whole split too,
-// and its Accumulate writes straight through to the shared object.
+// split instead of per element. Both forms run in the same split loop; the
+// only difference is the call each split gets (job.reduce). The flush sweeps
+// every cell of the object, so the block path suits objects a split mostly
+// touches. A kernel that already folds its values in registers and touches
+// few cells of a large object (the sparse opt-3 executor, one Accumulate per
+// CSR row piece) is a plain Reduction instead: its Accumulate writes
+// straight through to the shared object.
 
 import (
 	"chapelfreeride/internal/obs"
@@ -33,45 +34,20 @@ var (
 		"data instances processed by split-granular BlockReduction kernels")
 )
 
-// BlockArgs is the split-granular counterpart of ReductionArgs: one split of
-// the input plus a worker-local dense accumulation buffer mirroring the
-// reduction object's cells. The kernel accumulates into the buffer — via
-// Accumulate for the generic form or directly through Acc() for specialized
-// kernels — and the engine flushes it into the shared object after the
-// kernel returns, then resets it to the operator's identity for the next
-// split.
+// BlockArgs is the split-granular counterpart of ReductionArgs: the same
+// split (Data, NumRows, Cols, Begin, Row, Worker, Scratch) plus a
+// worker-local dense accumulation buffer mirroring the reduction object's
+// cells. The kernel accumulates into the buffer — via Accumulate for the
+// generic form or directly through Acc() for specialized kernels — and the
+// engine flushes it into the shared object after the kernel returns, then
+// resets it to the operator's identity for the next split.
 type BlockArgs struct {
-	// Data holds the split's rows, row-major; len == NumRows*Cols.
-	//
-	// Data is a borrowed view: for zero-copy sources (RowSlicer — memory
-	// sources, mapped dataset files) it aliases the source's backing storage
-	// directly. Kernels must treat it as read-only and must not retain it —
-	// no storing the slice (or a sub-slice) past the call, no appending to
-	// it, no writing through it. Violations corrupt shared data or fault
-	// after the source unmaps; frds-vet's rowalias analyzer flags them
-	// statically.
-	Data []float64
-	// NumRows is the number of data instances in this split.
-	NumRows int
-	// Cols is the number of features per instance.
-	Cols int
-	// Begin is the global index of the split's first row.
-	Begin int
+	ReductionArgs
 
-	worker        int
 	op            robj.Op
 	groups, elems int
 	acc           []float64
-	scratch       [][]float64
 }
-
-// Row returns instance i of the split.
-func (a *BlockArgs) Row(i int) []float64 {
-	return a.Data[i*a.Cols : (i+1)*a.Cols]
-}
-
-// Worker reports the id of the worker thread processing this split.
-func (a *BlockArgs) Worker() int { return a.worker }
 
 // Groups reports the reduction object's group count.
 func (a *BlockArgs) Groups() int { return a.groups }
@@ -95,18 +71,6 @@ func (a *BlockArgs) Accumulate(group, elem int, v float64) {
 	}
 	i := group*a.elems + elem
 	a.acc[i] = a.op.Apply(a.acc[i], v)
-}
-
-// Scratch returns per-worker scratch buffer id of length n, reused across
-// calls; same contract as ReductionArgs.Scratch.
-func (a *BlockArgs) Scratch(id, n int) []float64 {
-	for id >= len(a.scratch) {
-		a.scratch = append(a.scratch, nil)
-	}
-	if cap(a.scratch[id]) < n {
-		a.scratch[id] = make([]float64, n)
-	}
-	return a.scratch[id][:n]
 }
 
 func fillIdentity(s []float64, id float64) {

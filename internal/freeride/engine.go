@@ -48,17 +48,16 @@ type ticket struct {
 	slot int
 }
 
-// workerState is one pool worker's persistent scratch, created when the
-// session starts and reused by every job the worker participates in: the
-// split read buffer and the kernel scratch slots that the one-shot engine
-// used to reallocate every pass.
+// workerState is one pool worker's persistent state, created when the
+// session starts and reused by every job the worker serves: the split read
+// buffer and the worker's split handle. The handle's kernel scratch slots
+// and fused-path accumulation buffer (BlockArgs.Acc, sized to the largest
+// reduction object the worker has served) keep their capacity across
+// passes, so steady-state passes allocate nothing per split or per slot.
+// Its borrowed Data and object are cleared when each slot ends.
 type workerState struct {
-	buf     []float64
-	scratch [][]float64
-	// acc is the fused path's worker-local dense accumulation buffer
-	// (BlockArgs.Acc), sized to the largest reduction object the worker has
-	// served — session-pooled so steady-state fused passes allocate nothing.
-	acc []float64
+	buf  []float64
+	args BlockArgs
 }
 
 // Engine executes reduction Specs over data Sources. It is a session: the

@@ -156,9 +156,13 @@ func (c Config) withDefaults() Config {
 type ReductionArgs struct {
 	// Data holds the split's rows, row-major; len == NumRows*Cols.
 	//
-	// Data is a borrowed view (see BlockArgs.Data): with zero-copy sources
-	// it aliases the source's storage. Read-only, no retention past the
-	// call; frds-vet's rowalias analyzer enforces this statically.
+	// Data is a borrowed view: for zero-copy sources (RowSlicer — memory
+	// sources, mapped dataset files) it aliases the source's backing storage
+	// directly. Kernels must treat it as read-only and must not retain it —
+	// no storing the slice (or a sub-slice) past the call, no appending to
+	// it, no writing through it. Violations corrupt shared data or fault
+	// after the source unmaps; frds-vet's rowalias analyzer flags them
+	// statically.
 	Data []float64
 	// NumRows is the number of data instances in this split.
 	NumRows int
@@ -218,12 +222,11 @@ type Spec struct {
 	// args.Accumulate. Its result must be independent of instance order.
 	// Required unless BlockReduction is set.
 	Reduction func(args *ReductionArgs) error
-	// BlockReduction, when set, is the fused split-granular reduction the
-	// engine prefers over Reduction: it receives one whole split and a
-	// worker-local dense accumulation buffer (see BlockArgs), and the engine
-	// flushes the buffer into the shared object once per split via
-	// robj.AccumulateBlock. Specs may set both callbacks: engines (and
-	// future execution tiers) without a fused path fall back to Reduction.
+	// BlockReduction is the fused split-granular alternative to Reduction:
+	// it receives one whole split and a worker-local dense accumulation
+	// buffer (see BlockArgs), and the engine flushes the buffer into the
+	// shared object once per split via robj.AccumulateBlock. Set one of the
+	// two callbacks; the engine runs BlockReduction when it is set.
 	BlockReduction func(args *BlockArgs) error
 	// Splitter optionally overrides the default splitter. It must partition
 	// [0, totalRows) into disjoint, covering chunks. requestedUnits is the

@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 
 	"chapelfreeride/internal/dataset"
+	"chapelfreeride/internal/obs"
 	"chapelfreeride/internal/robj"
 	"chapelfreeride/internal/sched"
 )
@@ -27,6 +28,45 @@ func sumSpec() Spec {
 			return nil
 		},
 	}
+}
+
+// histSpecs returns a per-element spec and its fused (BlockReduction)
+// equivalent computing the same histogram: cell (g, 0) counts rows whose
+// first feature is g modulo groups, cell (g, 1) sums their second feature.
+func histSpecs(groups int) (elem, fused Spec) {
+	object := ObjectSpec{Groups: groups, Elems: 2, Op: robj.OpAdd}
+	group := func(v float64) int {
+		g := int(v) % groups
+		if g < 0 {
+			g += groups
+		}
+		return g
+	}
+	elem = Spec{
+		Object: object,
+		Reduction: func(a *ReductionArgs) error {
+			for i := 0; i < a.NumRows; i++ {
+				row := a.Row(i)
+				g := group(row[0])
+				a.Accumulate(g, 0, 1)
+				a.Accumulate(g, 1, row[1])
+			}
+			return nil
+		},
+	}
+	fused = Spec{
+		Object: object,
+		BlockReduction: func(a *BlockArgs) error {
+			for i := 0; i < a.NumRows; i++ {
+				row := a.Row(i)
+				g := group(row[0])
+				a.Accumulate(g, 0, 1)
+				a.Accumulate(g, 1, row[1])
+			}
+			return nil
+		},
+	}
+	return elem, fused
 }
 
 func seqSum(m *dataset.Matrix) float64 {
@@ -272,31 +312,132 @@ func TestStatsTotal(t *testing.T) {
 	}
 }
 
-// Property (the paper's core invariant, §III-A): the reduction result is
-// independent of thread count, split size, scheduling policy, and sharing
-// strategy, for integer-valued data where float addition is exact.
-func TestPropertyOrderIndependence(t *testing.T) {
-	f := func(seed int64, rowsRaw uint16, threadsRaw, splitRaw uint8, polRaw, stRaw uint8) bool {
-		rows := int(rowsRaw%2000) + 1
-		threads := int(threadsRaw%8) + 1
-		splitRows := int(splitRaw%200) + 1
-		pol := sched.Policies()[int(polRaw)%len(sched.Policies())]
-		st := robj.Strategies()[int(stRaw)%len(robj.Strategies())]
+// The engine's bit-identity property (the paper's core invariant, §III-A)
+// has one body, checkMatchesSequentialFold: across every scheduling policy,
+// sharing strategy, 1–8 threads, row count and split size, each pass form
+// it is given equals the sequential fold cell for cell. Integer-valued data
+// makes float addition exact, so the comparison is ==, not within-epsilon.
+// Fused passes also report one block flush per split and every row as
+// fused, process-wide and job-scoped; per-element passes report neither.
 
+// TestPropertyOrderIndependence: a per-element pass on a fresh engine
+// equals the sequential fold whatever the schedule and sharing strategy.
+func TestPropertyOrderIndependence(t *testing.T) {
+	checkMatchesSequentialFold(t, passForm{"per-element one-shot", false, 1})
+}
+
+// TestPropertySessionMatchesOneShot: a per-element pass on a warm session
+// (pooled scheduler, split table, object and split handles) equals the
+// sequential fold, as the one-shot pass does.
+func TestPropertySessionMatchesOneShot(t *testing.T) {
+	checkMatchesSequentialFold(t,
+		passForm{"per-element one-shot", false, 1},
+		passForm{"per-element warm session", false, 3})
+}
+
+// TestPropertyFusedMatchesPerElement: a fused pass on a warm session equals
+// the sequential fold, as the per-element pass does.
+func TestPropertyFusedMatchesPerElement(t *testing.T) {
+	checkMatchesSequentialFold(t,
+		passForm{"per-element one-shot", false, 1},
+		passForm{"fused warm session", true, 3})
+}
+
+// passForm is one way of running the histogram: the per-element or fused
+// kernel, for passes passes on one fresh session (the last is checked).
+type passForm struct {
+	name   string
+	fused  bool
+	passes int
+}
+
+func checkMatchesSequentialFold(t *testing.T, forms ...passForm) {
+	t.Helper()
+	const groups = 5
+	policies, strategies := sched.Policies(), robj.Strategies()
+	prop := func(seed int64, rowsRaw uint16, threadsRaw, splitRaw, polRaw, stRaw uint8) bool {
+		rows := int(rowsRaw%2000) + 1
+		cfg := Config{
+			Threads:   int(threadsRaw%8) + 1,
+			SplitRows: int(splitRaw%200) + 1,
+			Scheduler: policies[int(polRaw)%len(policies)],
+			Strategy:  strategies[int(stRaw)%len(strategies)],
+		}
 		rng := rand.New(rand.NewSource(seed))
 		m := dataset.NewMatrix(rows, 2)
 		for i := range m.Data {
 			m.Data[i] = float64(rng.Intn(1000))
 		}
-		want := seqSum(m)
-		e := New(Config{Threads: threads, SplitRows: splitRows, Scheduler: pol, Strategy: st})
-		res, err := e.RunContext(context.Background(), sumSpec(), dataset.NewMemorySource(m))
-		if err != nil {
+		want := make([]float64, groups*2)
+		for i := 0; i < rows; i++ {
+			g := int(m.Data[2*i]) % groups
+			want[2*g]++
+			want[2*g+1] += m.Data[2*i+1]
+		}
+		src := dataset.NewMemorySource(m)
+		elem, fused := histSpecs(groups)
+
+		// run makes n passes of spec on one fresh session and returns the
+		// last pass's cells and stats.
+		run := func(spec Spec, n int) ([]float64, Stats, error) {
+			eng := New(cfg)
+			defer eng.Close()
+			var res *Result
+			for i := 0; i < n; i++ {
+				if err := eng.Release(res); err != nil {
+					return nil, Stats{}, err
+				}
+				var err error
+				if res, err = eng.RunContext(context.Background(), spec, src); err != nil {
+					return nil, Stats{}, err
+				}
+			}
+			return res.Object.Snapshot(), res.Stats, nil
+		}
+		flushesBefore := obs.Default.Value("freeride_block_flushes_total")
+		rowsFusedBefore := obs.Default.Value("freeride_rows_fused_total")
+		wantRowsFused := int64(0)
+		for _, c := range forms {
+			spec := elem
+			if c.fused {
+				spec, wantRowsFused = fused, wantRowsFused+int64(c.passes*rows)
+			}
+			got, st, err := run(spec, c.passes)
+			if err != nil {
+				t.Logf("%s: %v", c.name, err)
+				return false
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Logf("%s: cell %d = %v, sequential fold %v (%+v, %d rows)", c.name, i, got[i], want[i], cfg, rows)
+					return false
+				}
+			}
+			deltas := map[string]int64{}
+			for _, d := range st.JobDeltas {
+				deltas[d.Key()] = d.Value
+			}
+			wantFlushes, wantFused := int64(0), int64(0)
+			if c.fused {
+				wantFlushes, wantFused = int64(st.Splits), int64(rows)
+			}
+			if deltas["freeride_block_flushes_total"] != wantFlushes || deltas["freeride_rows_fused_total"] != wantFused {
+				t.Logf("%s: job flushes/fused rows = %d/%d, want %d/%d", c.name,
+					deltas["freeride_block_flushes_total"], deltas["freeride_rows_fused_total"], wantFlushes, wantFused)
+				return false
+			}
+		}
+		if got := obs.Default.Value("freeride_block_flushes_total") - flushesBefore; (got > 0) != (wantRowsFused > 0) {
+			t.Logf("passes moved freeride_block_flushes_total by %d (fused rows %d)", got, wantRowsFused)
 			return false
 		}
-		return res.Object.Get(0, 0) == want
+		if got := obs.Default.Value("freeride_rows_fused_total") - rowsFusedBefore; got != wantRowsFused {
+			t.Logf("freeride_rows_fused_total delta = %d, want %d", got, wantRowsFused)
+			return false
+		}
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(99))}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(99))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -6,130 +6,11 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"chapelfreeride/internal/dataset"
-	"chapelfreeride/internal/obs"
 	"chapelfreeride/internal/robj"
-	"chapelfreeride/internal/sched"
 )
-
-// fusedHistSpecs returns a per-element spec and its fused (BlockReduction)
-// equivalent computing the same histogram: cell (g, 0) counts rows whose
-// first feature hashes to g, cell (g, 1) sums their second feature.
-func fusedHistSpecs(groups int) (elem, fused Spec) {
-	object := ObjectSpec{Groups: groups, Elems: 2, Op: robj.OpAdd}
-	body := func(row []float64, accumulate func(g, e int, v float64)) {
-		g := int(row[0]) % groups
-		if g < 0 {
-			g += groups
-		}
-		accumulate(g, 0, 1)
-		accumulate(g, 1, row[1])
-	}
-	elem = Spec{
-		Object: object,
-		Reduction: func(a *ReductionArgs) error {
-			for i := 0; i < a.NumRows; i++ {
-				body(a.Row(i), a.Accumulate)
-			}
-			return nil
-		},
-	}
-	fused = Spec{
-		Object: object,
-		BlockReduction: func(a *BlockArgs) error {
-			for i := 0; i < a.NumRows; i++ {
-				body(a.Row(i), a.Accumulate)
-			}
-			return nil
-		},
-	}
-	return elem, fused
-}
-
-// TestPropertyFusedMatchesPerElement: across all schedulers, all sharing
-// strategies, and 1/2/4/8 threads, the fused split-granular path produces
-// results bit-identical to the per-element path — integer-valued data makes
-// float addition exact, so the comparison is ==, not within-epsilon. The
-// fused engine is warmed first so the measured pass runs on pooled state.
-func TestPropertyFusedMatchesPerElement(t *testing.T) {
-	policies := []sched.Policy{sched.Static, sched.Dynamic, sched.Guided, sched.WorkStealing}
-	strategies := []robj.Strategy{
-		robj.FullReplication, robj.FullLocking, robj.OptimizedFullLocking,
-		robj.FixedLocking, robj.AtomicCAS,
-	}
-	threadChoices := []int{1, 2, 4, 8}
-	prop := func(seed int64, pick uint8, threadsRaw uint8, rowsRaw uint16) bool {
-		threads := threadChoices[int(threadsRaw)%len(threadChoices)]
-		rows := 16 + int(rowsRaw)%400
-		policy := policies[int(pick)%len(policies)]
-		strategy := strategies[int(pick/8)%len(strategies)]
-		const groups = 5
-		m := dataset.NewMatrix(rows, 2)
-		r := seed
-		for i := range m.Data {
-			r = r*6364136223846793005 + 1442695040888963407
-			m.Data[i] = float64((r >> 33) % 100)
-		}
-		src := dataset.NewMemorySource(m)
-		cfg := Config{Threads: threads, SplitRows: 1 + rows/7, Scheduler: policy, Strategy: strategy}
-		elemSpec, fusedSpec := fusedHistSpecs(groups)
-
-		flushesBefore := obs.Default.Value("freeride_block_flushes_total")
-		rowsFusedBefore := obs.Default.Value("freeride_rows_fused_total")
-		fusedEng := New(cfg)
-		defer fusedEng.Close()
-		for i := 0; i < 2; i++ {
-			res, err := fusedEng.RunContext(context.Background(), fusedSpec, src)
-			if err != nil {
-				t.Log(err)
-				return false
-			}
-			if err := fusedEng.Release(res); err != nil {
-				t.Log(err)
-				return false
-			}
-		}
-		fusedRes, err := fusedEng.RunContext(context.Background(), fusedSpec, src)
-		if err != nil {
-			t.Log(err)
-			return false
-		}
-		defer fusedEng.Release(fusedRes)
-
-		elemEng := New(cfg)
-		defer elemEng.Close()
-		elemRes, err := elemEng.RunContext(context.Background(), elemSpec, src)
-		if err != nil {
-			t.Log(err)
-			return false
-		}
-		defer elemEng.Release(elemRes)
-
-		a, b := fusedRes.Object.Snapshot(), elemRes.Object.Snapshot()
-		for i := range a {
-			if a[i] != b[i] {
-				t.Logf("cell %d: fused %v != per-element %v (policy %v, strategy %v, threads %d)",
-					i, a[i], b[i], policy, strategy, threads)
-				return false
-			}
-		}
-		if obs.Default.Value("freeride_block_flushes_total") == flushesBefore {
-			t.Log("fused runs did not move freeride_block_flushes_total")
-			return false
-		}
-		if got := obs.Default.Value("freeride_rows_fused_total") - rowsFusedBefore; got != int64(3*rows) {
-			t.Logf("freeride_rows_fused_total delta = %d, want %d", got, 3*rows)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestFusedPrefersBlockOverElement: when a spec sets both callbacks, the
 // engine runs only the block kernel.
@@ -142,7 +23,7 @@ func TestFusedPrefersBlockOverElement(t *testing.T) {
 		r = r*6364136223846793005 + 1442695040888963407
 		m.Data[i] = float64((r >> 33) % 100)
 	}
-	elemSpec, fusedSpec := fusedHistSpecs(4)
+	elemSpec, fusedSpec := histSpecs(4)
 	both := fusedSpec
 	both.Reduction = func(a *ReductionArgs) error {
 		t.Error("per-element Reduction called on a spec with BlockReduction")
@@ -200,7 +81,7 @@ func TestFusedEmptySourceIdentity(t *testing.T) {
 // TestFusedCancellation: cancelling a fused run mid-pass returns ctx.Err()
 // promptly with no partial result, same as the per-element path.
 func TestFusedCancellation(t *testing.T) {
-	_, fusedSpec := fusedHistSpecs(4)
+	_, fusedSpec := histSpecs(4)
 	eng := New(Config{Threads: 2, SplitRows: 10})
 	defer eng.Close()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -242,7 +123,7 @@ func TestFusedSpecValidation(t *testing.T) {
 // reuse, and the out-of-range panic.
 func TestBlockArgsAccessors(t *testing.T) {
 	for _, op := range []robj.Op{robj.OpAdd, robj.OpMin, robj.OpMax} {
-		a := &BlockArgs{op: op, groups: 2, elems: 3, worker: 1}
+		a := &BlockArgs{ReductionArgs: ReductionArgs{worker: 1}, op: op, groups: 2, elems: 3}
 		a.acc = make([]float64, 6)
 		fillIdentity(a.acc, op.Identity())
 		if a.Groups() != 2 || a.Elems() != 3 || a.Worker() != 1 {
@@ -255,7 +136,7 @@ func TestBlockArgsAccessors(t *testing.T) {
 			t.Fatalf("op %v: acc = %v, want %v", op, got, want)
 		}
 	}
-	a := &BlockArgs{Data: []float64{1, 2, 3, 4}, NumRows: 2, Cols: 2}
+	a := &BlockArgs{ReductionArgs: ReductionArgs{Data: []float64{1, 2, 3, 4}, NumRows: 2, Cols: 2}}
 	if r := a.Row(1); r[0] != 3 || r[1] != 4 {
 		t.Fatal("BlockArgs.Row")
 	}

@@ -81,48 +81,41 @@ func (j *job) runSlot(slot int, ws *workerState) {
 	wSpan := j.reduceSpan.Child("worker")
 	wSpan.SetWorker(slot)
 	defer wSpan.End()
-	var blockFlushes, rowsFused int64
+	args := &ws.args
+	args.Cols, args.worker, args.object = j.cols, slot, j.obj
+	block := j.spec.BlockReduction != nil
+	if block {
+		args.op = j.obj.Op()
+		args.groups, args.elems = j.obj.Groups(), j.obj.ElemsPerGroup()
+		cells := args.groups * args.elems
+		if cap(args.acc) < cells {
+			args.acc = make([]float64, cells)
+		}
+		args.acc = args.acc[:cells]
+		fillIdentity(args.acc, args.op.Identity())
+	}
 	defer func() {
+		// The handle outlives the job: drop its borrowed views (a mapped
+		// source may unmap) and the object (it goes back to the pool).
+		args.Data, args.object = nil, nil
+		splits, rows := j.workerSplits[slot], j.workerRows[slot]
 		wc := countersForWorker(slot)
-		wc.splits.Add(j.workerSplits[slot])
-		wc.rows.Add(j.workerRows[slot])
+		wc.splits.Add(splits)
+		wc.rows.Add(rows)
 		wc.busyNS.Add(int64(j.workerBusy[slot]))
 		// Job-scoped deltas flush once per slot, not per split, so the hot
 		// loop pays no extra locking and the alloc guards stay flat.
-		j.jm.Add("freeride_splits_total", j.workerSplits[slot])
-		j.jm.Add("freeride_rows_total", j.workerRows[slot])
+		j.jm.Add("freeride_splits_total", splits)
+		j.jm.Add("freeride_rows_total", rows)
 		j.jm.Add("freeride_busy_ns_total", int64(j.workerBusy[slot]))
-		j.jm.Add("freeride_block_flushes_total", blockFlushes)
-		j.jm.Add("freeride_rows_fused_total", rowsFused)
+		if block {
+			// On a block pass every split reduced is one flush.
+			mBlockFlushes.Add(splits)
+			mRowsFused.Add(rows)
+			j.jm.Add("freeride_block_flushes_total", splits)
+			j.jm.Add("freeride_rows_fused_total", rows)
+		}
 	}()
-	// Fused path: the worker-local accumulation buffer comes from the pool
-	// worker's persistent state, so steady-state fused passes allocate
-	// nothing per split.
-	useBlock := j.spec.BlockReduction != nil
-	var bargs BlockArgs
-	var accID float64
-	args := ReductionArgs{Cols: j.cols, worker: slot, object: j.obj, scratch: ws.scratch}
-	if useBlock {
-		bargs = BlockArgs{
-			Cols:    j.cols,
-			worker:  slot,
-			op:      j.obj.Op(),
-			groups:  j.obj.Groups(),
-			elems:   j.obj.ElemsPerGroup(),
-			scratch: ws.scratch,
-		}
-		cells := bargs.groups * bargs.elems
-		if cap(ws.acc) < cells {
-			ws.acc = make([]float64, cells)
-		}
-		bargs.acc = ws.acc[:cells]
-		accID = bargs.op.Identity()
-		fillIdentity(bargs.acc, accID)
-		// Keep whatever scratch growth the kernel caused for the next pass.
-		defer func() { ws.scratch = bargs.scratch }()
-	} else {
-		defer func() { ws.scratch = args.scratch }()
-	}
 	done := j.ctx.Done()
 	for {
 		if j.stop.Load() {
@@ -150,30 +143,10 @@ func (j *job) runSlot(slot int, ws *workerState) {
 				j.setErr(err)
 				return
 			}
-			if useBlock {
-				bargs.Data = data
-				bargs.NumRows = n
-				bargs.Begin = sp.Begin
-				if err := j.spec.BlockReduction(&bargs); err != nil {
-					j.setErr(err)
-					return
-				}
-				// One bulk synchronization event per split, then re-arm the
-				// local buffer with the identity.
-				j.obj.AccumulateBlock(slot, bargs.acc)
-				fillIdentity(bargs.acc, accID)
-				mBlockFlushes.Inc()
-				mRowsFused.Add(int64(n))
-				blockFlushes++
-				rowsFused += int64(n)
-			} else {
-				args.Data = data
-				args.NumRows = n
-				args.Begin = sp.Begin
-				if err := j.spec.Reduction(&args); err != nil {
-					j.setErr(err)
-					return
-				}
+			args.Data, args.NumRows, args.Begin = data, n, sp.Begin
+			if err := j.reduce(args); err != nil {
+				j.setErr(err)
+				return
 			}
 			splitDur := time.Since(splitStart)
 			hSplit.ObserveDuration(splitDur)
@@ -182,6 +155,21 @@ func (j *job) runSlot(slot int, ws *workerState) {
 			j.workerRows[slot] += int64(n)
 		}
 	}
+}
+
+// reduce runs the spec's kernel on the split args holds. A block kernel's
+// worker-local buffer is flushed into the shared object — one bulk
+// synchronization event per split — and re-armed with the identity.
+func (j *job) reduce(args *BlockArgs) error {
+	if j.spec.BlockReduction == nil {
+		return j.spec.Reduction(&args.ReductionArgs)
+	}
+	if err := j.spec.BlockReduction(args); err != nil {
+		return err
+	}
+	j.obj.AccumulateBlock(args.worker, args.acc)
+	fillIdentity(args.acc, args.op.Identity())
+	return nil
 }
 
 // RunContext executes one reduction pass — split, parallel local reduction,

@@ -7,12 +7,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"chapelfreeride/internal/dataset"
 	"chapelfreeride/internal/robj"
-	"chapelfreeride/internal/sched"
 )
 
 // TestRunEmptySourceIdentity: a source with zero rows yields a merged
@@ -171,94 +169,6 @@ func TestReleaseWrongEngine(t *testing.T) {
 		t.Fatal("failed Release must not consume the object")
 	}
 	if err := a.Release(res); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPropertySessionMatchesOneShot: across schedulers, strategies, and
-// thread counts, a pass on a warm session (pooled scheduler, split table,
-// and reduction object) is bit-identical to a fresh one-shot engine run of
-// the same spec — integer-valued data makes float addition exact, so the
-// comparison is ==, not within-epsilon.
-func TestPropertySessionMatchesOneShot(t *testing.T) {
-	policies := []sched.Policy{sched.Static, sched.Dynamic, sched.Guided, sched.WorkStealing}
-	strategies := []robj.Strategy{
-		robj.FullReplication, robj.FullLocking, robj.OptimizedFullLocking,
-		robj.FixedLocking, robj.AtomicCAS,
-	}
-	histSpec := func(groups int) Spec {
-		return Spec{
-			Object: ObjectSpec{Groups: groups, Elems: 2, Op: robj.OpAdd},
-			Reduction: func(a *ReductionArgs) error {
-				for i := 0; i < a.NumRows; i++ {
-					row := a.Row(i)
-					g := int(row[0]) % groups
-					if g < 0 {
-						g += groups
-					}
-					a.Accumulate(g, 0, 1)
-					a.Accumulate(g, 1, row[1])
-				}
-				return nil
-			},
-		}
-	}
-	prop := func(seed int64, pick uint8, threadsRaw uint8, rowsRaw uint16) bool {
-		threads := 1 + int(threadsRaw)%4
-		rows := 16 + int(rowsRaw)%400
-		policy := policies[int(pick)%len(policies)]
-		strategy := strategies[int(pick/8)%len(strategies)]
-		const groups = 5
-		m := dataset.NewMatrix(rows, 2)
-		r := seed
-		for i := range m.Data {
-			r = r*6364136223846793005 + 1442695040888963407
-			m.Data[i] = float64((r >> 33) % 100)
-		}
-		src := dataset.NewMemorySource(m)
-		cfg := Config{Threads: threads, SplitRows: 1 + rows/7, Scheduler: policy, Strategy: strategy}
-		spec := histSpec(groups)
-
-		session := New(cfg)
-		defer session.Close()
-		// Two warm-up passes populate the session pools, then the measured
-		// pass runs entirely on reused state.
-		for i := 0; i < 2; i++ {
-			res, err := session.RunContext(context.Background(), spec, src)
-			if err != nil {
-				t.Log(err)
-				return false
-			}
-			if err := session.Release(res); err != nil {
-				t.Log(err)
-				return false
-			}
-		}
-		warm, err := session.RunContext(context.Background(), spec, src)
-		if err != nil {
-			t.Log(err)
-			return false
-		}
-		defer session.Release(warm)
-
-		oneShot := New(cfg)
-		defer oneShot.Close()
-		fresh, err := oneShot.RunContext(context.Background(), spec, src)
-		if err != nil {
-			t.Log(err)
-			return false
-		}
-		a, b := warm.Object.Snapshot(), fresh.Object.Snapshot()
-		for i := range a {
-			if a[i] != b[i] {
-				t.Logf("cell %d: session %v != one-shot %v (policy %v, strategy %v, threads %d)",
-					i, a[i], b[i], policy, strategy, threads)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -72,29 +72,29 @@ func intMatrix(rows, cols int) *dataset.Matrix {
 	return m
 }
 
-func zcSpec(groups int) Spec {
-	return Spec{
-		Object: ObjectSpec{Groups: groups, Elems: 2, Op: robj.OpAdd},
-		Reduction: func(a *ReductionArgs) error {
-			for i := 0; i < a.NumRows; i++ {
-				row := a.Row(i)
-				g := int(row[0]) % 16
-				a.Accumulate(g, 0, 1)
-				a.Accumulate(g, 1, row[1])
-			}
-			return nil
-		},
-	}
+// TestZeroCopyMatchesBoxed is the aliasing-safety property for RowSlicer
+// ingestion, run by checkZeroCopyMatchesBoxed for the per-element kernel
+// form: across schedulers × strategies × thread counts, a pass over a
+// zero-copy source (mmap-backed file, and a mutation-detecting memory
+// guard) is bit-identical to the same pass over the boxed copy path and over
+// the parse-every-pass CSV file source, and the zero-copy backing array
+// comes out untouched.
+func TestZeroCopyMatchesBoxed(t *testing.T) {
+	elem, _ := histSpecs(16)
+	checkZeroCopyMatchesBoxed(t, elem)
 }
 
-// TestZeroCopyMatchesBoxed is the aliasing-safety property for RowSlicer
-// ingestion: across schedulers × strategies × thread counts, a pass over a
-// zero-copy source (mmap-backed file, and a mutation-detecting memory
-// guard) is bit-identical to the same pass over the boxed copy path and
-// over the parse-every-pass CSV file source, and the zero-copy backing
-// array comes out untouched.
-func TestZeroCopyMatchesBoxed(t *testing.T) {
-	const rows, cols, groups = 20_000, 3, 16
+// TestZeroCopyFusedMatchesBoxed runs the same property through the fused
+// BlockReduction path, whose kernels consume the borrowed block view
+// directly.
+func TestZeroCopyFusedMatchesBoxed(t *testing.T) {
+	_, fused := histSpecs(16)
+	checkZeroCopyMatchesBoxed(t, fused)
+}
+
+func checkZeroCopyMatchesBoxed(t *testing.T, spec Spec) {
+	t.Helper()
+	const rows, cols = 20_000, 3
 	m := intMatrix(rows, cols)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "zc.frds")
@@ -124,8 +124,6 @@ func TestZeroCopyMatchesBoxed(t *testing.T) {
 	}
 	defer csvSrc.Close()
 	guard := newGuardSource(m)
-	spec := zcSpec(groups)
-
 	for _, threads := range []int{1, 3} {
 		for _, pol := range sched.Policies() {
 			for _, strat := range robj.Strategies() {
@@ -167,53 +165,5 @@ func TestZeroCopyMatchesBoxed(t *testing.T) {
 	}
 	if err := guard.check(); err != nil {
 		t.Fatalf("zero-copy pass mutated the source: %v", err)
-	}
-}
-
-// TestZeroCopyFusedMatchesBoxed runs the same property through the fused
-// BlockReduction path, whose kernels consume the borrowed block view
-// directly.
-func TestZeroCopyFusedMatchesBoxed(t *testing.T) {
-	const rows, cols, groups = 20_000, 3, 16
-	m := intMatrix(rows, cols)
-	guard := newGuardSource(m)
-	spec := Spec{
-		Object: ObjectSpec{Groups: groups, Elems: 2, Op: robj.OpAdd},
-		BlockReduction: func(a *BlockArgs) error {
-			for i := 0; i < a.NumRows; i++ {
-				row := a.Row(i)
-				g := int(row[0]) % 16
-				a.Accumulate(g, 0, 1)
-				a.Accumulate(g, 1, row[2])
-			}
-			return nil
-		},
-	}
-	for _, pol := range []sched.Policy{sched.Static, sched.Dynamic} {
-		eng := New(Config{Threads: 3, SplitRows: 256, Scheduler: pol})
-		run := func(src dataset.Source) []float64 {
-			res, err := eng.RunContext(context.Background(), spec, src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			snap := append([]float64(nil), res.Object.Snapshot()...)
-			if err := eng.Release(res); err != nil {
-				t.Fatal(err)
-			}
-			return snap
-		}
-		boxed := run(boxingSource{guard})
-		zc := run(guard)
-		for i := range boxed {
-			if boxed[i] != zc[i] {
-				t.Fatalf("%v: fused zero-copy cell %d = %v, boxed %v", pol, i, zc[i], boxed[i])
-			}
-		}
-		if err := eng.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := guard.check(); err != nil {
-		t.Fatalf("fused zero-copy pass mutated the source: %v", err)
 	}
 }

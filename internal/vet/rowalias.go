@@ -96,7 +96,7 @@ func checkRowAlias(pass *Pass, field string, fl *ast.FuncLit) {
 				// (Element writes through the pooled Acc() view are sanctioned —
 				// that buffer exists to be written.)
 				if ix, ok := lhs.(*ast.IndexExpr); ok && isB(ix.X) {
-					pass.Report(lhs, "%s kernel writes through borrowed row view %q; row views alias the data source (read-only, see freeride.BlockArgs.Data)", field, exprText(ix.X))
+					pass.Report(lhs, "%s kernel writes through borrowed row view %q; row views alias the data source (read-only, see freeride.ReductionArgs.Data)", field, exprText(ix.X))
 					continue
 				}
 				if v.Tok == token.DEFINE || i >= len(v.Rhs) {
