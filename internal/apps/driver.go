@@ -2,6 +2,7 @@ package apps
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"chapelfreeride/internal/dataset"
@@ -59,6 +60,15 @@ func runSessionLoop(ctx context.Context, eng *freeride.Engine, src dataset.Sourc
 				return err
 			}
 		}
+	}
+	return nil
+}
+
+// checkSource refuses a dataset with no rows or no columns, which no
+// session form has anything to reduce over.
+func checkSource(app string, src dataset.Source) error {
+	if src.NumRows() < 1 || src.Cols() < 1 {
+		return fmt.Errorf("apps: %s needs a non-empty dataset, got %dx%d", app, src.NumRows(), src.Cols())
 	}
 	return nil
 }

@@ -35,8 +35,6 @@ type EMConfig struct {
 	Iterations int
 	// Engine configures the FREERIDE engine.
 	Engine freeride.Config
-	// LinearizeWorkers > 1 enables the parallel-linearization extension.
-	LinearizeWorkers int
 }
 
 func (c EMConfig) validate() error {
@@ -192,17 +190,26 @@ func emResult(st *emState, weights []float64, k, dim int, timing Timing) *EMResu
 
 // EMManualFR is the hand-written FREERIDE version.
 func EMManualFR(points, init *dataset.Matrix, cfg EMConfig) (*EMResult, error) {
+	eng := freeride.New(cfg.Engine)
+	defer eng.Close()
+	return EMSession(context.Background(), eng, dataset.NewMemorySource(points), init, cfg)
+}
+
+// EMSession runs manual FREERIDE EM from the K×dim means init on a
+// caller-owned engine session; cfg.Engine is not read, and ctx cancels the
+// passes.
+func EMSession(ctx context.Context, eng *freeride.Engine, src dataset.Source, init *dataset.Matrix, cfg EMConfig) (*EMResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	k, dim := cfg.K, points.Cols
+	if err := checkSource("EM", src); err != nil {
+		return nil, err
+	}
+	k, dim := cfg.K, src.Cols()
 	st := emInitState(init, k, dim)
-	eng := freeride.New(cfg.Engine)
-	defer eng.Close()
 	var timing Timing
-	src := dataset.NewMemorySource(points)
 	var weights []float64
-	err := runSessionLoop(context.Background(), eng, src, &timing, loopSpec{
+	err := runSessionLoop(ctx, eng, src, &timing, loopSpec{
 		Iterations: cfg.Iterations,
 		Spec: func(int) freeride.Spec {
 			cur := st
@@ -288,8 +295,7 @@ func EMTranslated(boxedPoints *chapel.Array, init *dataset.Matrix, opt core.OptL
 	boxedMeans := BoxPoints(init)
 	boxedVars := BoxVector(st.variances)
 
-	tr, err := core.TranslateWith(EMClass(k, dim, boxedMeans, boxedVars), boxedPoints, opt,
-		core.TranslateOptions{LinearizeWorkers: cfg.LinearizeWorkers})
+	tr, err := core.Translate(EMClass(k, dim, boxedMeans, boxedVars), boxedPoints, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -26,9 +26,6 @@ type KMeansConfig struct {
 	// Tasks is the task count for the ChapelNative version (defaults to
 	// Engine.Threads).
 	Tasks int
-	// LinearizeWorkers > 1 enables the parallel-linearization extension
-	// for the translated versions.
-	LinearizeWorkers int
 	// UseCombiner enables the Map-Reduce combiner for the MapReduce
 	// version.
 	UseCombiner bool
@@ -292,8 +289,7 @@ func KMeansTranslated(boxedPoints *chapel.Array, init *dataset.Matrix, opt core.
 	cents := init.Clone()
 	boxedCents := BoxPoints(cents)
 
-	tr, err := core.TranslateWith(KMeansClass(k, dim, boxedCents), boxedPoints, opt,
-		core.TranslateOptions{LinearizeWorkers: cfg.LinearizeWorkers})
+	tr, err := core.Translate(KMeansClass(k, dim, boxedCents), boxedPoints, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -336,18 +332,27 @@ func KMeansTranslated(boxedPoints *chapel.Array, init *dataset.Matrix, opt core.
 // hand against the FREERIDE API, with flat float data throughout — no
 // Chapel structures and no translation layer.
 func KMeansManualFR(points, init *dataset.Matrix, cfg KMeansConfig) (*KMeansResult, error) {
+	eng := freeride.New(cfg.Engine)
+	defer eng.Close()
+	return KMeansSession(context.Background(), eng, dataset.NewMemorySource(points), init, cfg)
+}
+
+// KMeansSession runs manual FREERIDE k-means from the K×dim centroids init
+// on a caller-owned engine session; cfg.Engine is not read, and ctx cancels
+// the passes.
+func KMeansSession(ctx context.Context, eng *freeride.Engine, src dataset.Source, init *dataset.Matrix, cfg KMeansConfig) (*KMeansResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	k, dim := cfg.K, points.Cols
+	if err := checkSource("k-means", src); err != nil {
+		return nil, err
+	}
+	k, dim := cfg.K, src.Cols()
 	cents := init.Clone()
-	eng := freeride.New(cfg.Engine)
-	defer eng.Close()
-	src := dataset.NewMemorySource(points)
 
 	var counts []float64
 	var timing Timing
-	err := runSessionLoop(context.Background(), eng, src, &timing, loopSpec{
+	err := runSessionLoop(ctx, eng, src, &timing, loopSpec{
 		Iterations: cfg.Iterations,
 		Spec: func(int) freeride.Spec {
 			flat := cents.Data

@@ -30,8 +30,6 @@ import (
 type PCAConfig struct {
 	// Engine configures the FREERIDE engine.
 	Engine freeride.Config
-	// LinearizeWorkers > 1 enables the parallel-linearization extension.
-	LinearizeWorkers int
 }
 
 // PCAResult holds the two reduction outputs.
@@ -126,6 +124,12 @@ func PCAMeanClass(dim int) *core.ReductionClass {
 // PCACovClass is the translator input for phase 2: accumulate the centered
 // outer product of every element into a dim×dim reduction object. The mean
 // vector is the phase's frequently-accessed hot variable.
+//
+// It is kept out of line: inlined into PCATranslated, its kernel closures
+// are cloned there and the clones call Scratch, Row and Accumulate out of
+// line (Go 1.24), which cost opt-2 ~15 % against manual FREERIDE.
+//
+//go:noinline
 func PCACovClass(dim int, mean *chapel.Array) *core.ReductionClass {
 	return &core.ReductionClass{
 		Name:   "pca-cov",
@@ -135,20 +139,24 @@ func PCACovClass(dim int, mean *chapel.Array) *core.ReductionClass {
 		},
 		Kernel: func(elem *core.Vec, hot []*core.StateVec, args *freeride.ReductionArgs) {
 			// The mean vector is a 1×dim hot variable; one Row call per
-			// element materializes it (zero-copy in opt-2).
+			// element materializes it (zero-copy in opt-2). The row is
+			// centered once, as in PCASession.
 			row := elem.Row(args.Scratch(0, dim))
 			mv := hot[0].Row(1, args.Scratch(1, dim))
+			centered := args.Scratch(2, dim)
+			for j := 0; j < dim; j++ {
+				centered[j] = row[j] - mv[j]
+			}
 			for a := 0; a < dim; a++ {
-				ca := row[a] - mv[a]
+				ca := centered[a]
 				for b := 0; b < dim; b++ {
-					args.Accumulate(a, b, ca*(row[b]-mv[b]))
+					args.Accumulate(a, b, ca*centered[b])
 				}
 			}
 		},
 		// Opt-3 fused body: center each row once into scratch, then rank-one
-		// update the worker-local dim×dim buffer with plain slice arithmetic.
-		// ca*centered[b] computes the same float op as the per-element
-		// kernel's ca*(row[b]-mv[b]), so results stay bit-identical.
+		// update the worker-local dim×dim buffer with plain slice arithmetic —
+		// the per-element kernel's float ops, so results stay bit-identical.
 		BlockKernel: func(args *freeride.BlockArgs, view core.BlockView, hot []*core.StateVec) error {
 			mv, ok := hot[0].Dense()
 			if !ok {
@@ -194,8 +202,7 @@ func PCATranslated(boxedData *chapel.Array, opt core.OptLevel, cfg PCAConfig) (*
 	// two phases run as one two-iteration session loop: iteration 0 is the
 	// mean, its Post builds the covariance spec with the mean vector as hot
 	// variable, iteration 1 is the covariance.
-	tr1, err := core.TranslateWith(PCAMeanClass(dim), boxedData, opt,
-		core.TranslateOptions{LinearizeWorkers: cfg.LinearizeWorkers})
+	tr1, err := core.Translate(PCAMeanClass(dim), boxedData, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -262,22 +269,26 @@ func PCATranslated(boxedData *chapel.Array, opt core.OptLevel, cfg PCAConfig) (*
 // PCAManualFR is the hand-written FREERIDE version: both phases on flat
 // float rows.
 func PCAManualFR(data *dataset.Matrix, cfg PCAConfig) (*PCAResult, error) {
-	n, dim := data.Rows, data.Cols
-	if n == 0 || dim == 0 {
-		return nil, fmt.Errorf("apps: PCA needs a non-empty matrix, got %dx%d", n, dim)
-	}
 	eng := freeride.New(cfg.Engine)
 	defer eng.Close()
-	src := dataset.NewMemorySource(data)
-	var timing Timing
+	return PCASession(context.Background(), eng, dataset.NewMemorySource(data))
+}
 
-	// Both phases on one session: iteration 0 sums features for the mean,
-	// iteration 1 accumulates the centered outer products.
+// PCASession runs manual FREERIDE PCA on a caller-owned engine session; ctx
+// cancels the passes. Both phases share the session: iteration 0 sums
+// features for the mean, iteration 1 accumulates the centered outer
+// products, each row centered once into scratch.
+func PCASession(ctx context.Context, eng *freeride.Engine, src dataset.Source) (*PCAResult, error) {
+	if err := checkSource("PCA", src); err != nil {
+		return nil, err
+	}
+	n, dim := src.NumRows(), src.Cols()
 	var (
-		mean []float64
-		cov  *dataset.Matrix
+		mean   []float64
+		cov    *dataset.Matrix
+		timing Timing
 	)
-	err := runSessionLoop(context.Background(), eng, src, &timing, loopSpec{
+	err := runSessionLoop(ctx, eng, src, &timing, loopSpec{
 		Iterations: 2,
 		Spec: func(it int) freeride.Spec {
 			if it == 0 {
@@ -297,12 +308,16 @@ func PCAManualFR(data *dataset.Matrix, cfg PCAConfig) (*PCAResult, error) {
 			return freeride.Spec{
 				Object: freeride.ObjectSpec{Groups: dim, Elems: dim, Op: robj.OpAdd},
 				Reduction: func(args *freeride.ReductionArgs) error {
+					centered := args.Scratch(0, dim)
 					for i := 0; i < args.NumRows; i++ {
 						row := args.Row(i)
+						for j := 0; j < dim; j++ {
+							centered[j] = row[j] - mean[j]
+						}
 						for a := 0; a < dim; a++ {
-							ca := row[a] - mean[a]
+							ca := centered[a]
 							for b := 0; b < dim; b++ {
-								args.Accumulate(a, b, ca*(row[b]-mean[b]))
+								args.Accumulate(a, b, ca*centered[b])
 							}
 						}
 					}

@@ -98,7 +98,13 @@ func builtinProfile(kernel string, src dataset.Source, p Params) *analyze.PlanPr
 		if p.K < 1 {
 			return nil
 		}
-		return analyze.DenseProfile(kernel, rows, cols, p.K, cols+1, analyze.Options{})
+		// Per cluster k-means sums coordinates and a count; EM adds the
+		// weighted squared-distance sum (the apps objects).
+		elems := cols + 1
+		if kernel == "em" {
+			elems = cols + 2
+		}
+		return analyze.DenseProfile(kernel, rows, cols, p.K, elems, analyze.Options{})
 	case "pca":
 		// The dim×dim covariance pass dominates the two-pass pipeline; the
 		// advice for it serves the 1×dim mean pass too.

@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"testing"
 
+	"chapelfreeride/internal/apps"
 	"chapelfreeride/internal/dataset"
 	"chapelfreeride/internal/freeride"
 	"chapelfreeride/internal/robj"
@@ -83,8 +84,9 @@ func TestPinValidation(t *testing.T) {
 }
 
 // TestBuiltinProfiles: admission-time profiles are shape-only (no rows
-// read) and cover every built-in kernel; custom kernels profile as nil and
-// fall back to the server defaults with a trace note.
+// read) and cover every built-in kernel, the em profile sized to
+// apps.EMClass's object; custom kernels profile as nil and fall back to the
+// server defaults with a trace note.
 func TestBuiltinProfiles(t *testing.T) {
 	src := dataset.NewMemorySource(dataset.NewMatrix(128, 6))
 	for _, kernel := range []string{"kmeans", "pca", "em"} {
@@ -92,6 +94,10 @@ func TestBuiltinProfiles(t *testing.T) {
 		if pr == nil || pr.Domain != 128 {
 			t.Fatalf("%s profile = %+v", kernel, pr)
 		}
+	}
+	em := apps.EMClass(4, 6, nil, nil).Object
+	if pr := builtinProfile("em", src, Params{K: 4}); pr.Writes.Cells != em.Groups*em.Elems {
+		t.Fatalf("em profile sizes a %d-cell object, apps.EMClass's has %d", pr.Writes.Cells, em.Groups*em.Elems)
 	}
 	if pr := builtinProfile("kmeans", src, Params{}); pr != nil {
 		t.Fatalf("kmeans without K must not profile, got %+v", pr)

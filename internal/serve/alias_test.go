@@ -11,7 +11,7 @@ import (
 	"chapelfreeride/internal/freeride"
 )
 
-// TestConcurrentSameShapeJobs runs pca and kmeans jobs of one shape each,
+// TestConcurrentSameShapeJobs runs pca, kmeans and em jobs of one shape each,
 // every job over its own data, concurrently on one shared engine session, and
 // checks every result against that dataset's sequential reference. Same-shape
 // jobs draw their reduction objects from one pool slot, so a kernel that keeps
@@ -90,9 +90,40 @@ func TestConcurrentSameShapeJobs(t *testing.T) {
 		}
 	}
 
+	checkEM := func(seed int64) {
+		m, _ := dataset.GaussianMixture(rows, kmDim, k, seed)
+		out, err := emKernel(ctx, eng, dataset.NewMemorySource(m), Params{K: k, Iterations: iters})
+		if err != nil {
+			t.Errorf("em seed %d: %v", seed, err)
+			return
+		}
+		got := out.(*EMOutput)
+		init := dataset.NewMatrix(k, kmDim)
+		copy(init.Data, m.Data[:k*kmDim])
+		ref, err := apps.EMSeq(m, init, apps.EMConfig{K: k, Iterations: iters})
+		if err != nil {
+			t.Errorf("em seed %d reference: %v", seed, err)
+			return
+		}
+		for c := 0; c < k; c++ {
+			if !near(got.Weights[c], ref.Weights[c]) || !near(got.Variances[c], ref.Variances[c]) {
+				t.Errorf("em seed %d component %d: weight %v variance %v, reference %v %v",
+					seed, c, got.Weights[c], got.Variances[c], ref.Weights[c], ref.Variances[c])
+				return
+			}
+			for j := 0; j < kmDim; j++ {
+				if !near(got.Means[c][j], ref.Means.At(c, j)) {
+					t.Errorf("em seed %d mean[%d][%d] = %v, reference %v",
+						seed, c, j, got.Means[c][j], ref.Means.At(c, j))
+					return
+				}
+			}
+		}
+	}
+
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		for _, check := range []func(int64){checkPCA, checkKMeans} {
+		for _, check := range []func(int64){checkPCA, checkKMeans, checkEM} {
 			wg.Add(1)
 			go func(w int, check func(int64)) {
 				defer wg.Done()

@@ -136,7 +136,7 @@ func TestServeKMeansMatchesSequential(t *testing.T) {
 
 // TestServePCAAndEM: the other built-in kernels complete over the API and
 // return well-formed payloads (pca variance positive, em weights a
-// distribution).
+// distribution and one variance per component).
 func TestServePCAAndEM(t *testing.T) {
 	s, ts := testServer(t, Config{Engines: 1, Engine: freeride.Config{Threads: 2, SplitRows: 128}})
 	if _, err := s.RegisterDataset(gaussianSpec("g1")); err != nil {
@@ -172,6 +172,9 @@ func TestServePCAAndEM(t *testing.T) {
 	if err := json.Unmarshal(raw, &em); err != nil {
 		t.Fatal(err)
 	}
+	if len(em.Variances) != 3 {
+		t.Fatalf("em payload has %d variances, want k=3", len(em.Variances))
+	}
 	var mass float64
 	for _, w := range em.Weights {
 		if w < 0 {
@@ -181,6 +184,21 @@ func TestServePCAAndEM(t *testing.T) {
 	}
 	if math.Abs(mass-1) > 1e-6 {
 		t.Fatalf("em weights sum to %v, want 1", mass)
+	}
+}
+
+// TestDenseKernelsRefuseZeroWidth: every built-in dense kernel fails a job
+// over a dataset with rows but no columns instead of returning empty
+// centroids.
+func TestDenseKernelsRefuseZeroWidth(t *testing.T) {
+	eng := freeride.New(freeride.Config{Threads: 1})
+	defer eng.Close()
+	src := dataset.NewMemorySource(dataset.NewMatrix(10, 0))
+	kernels := builtinKernels(1 << 20)
+	for _, name := range []string{"kmeans", "pca", "em"} {
+		if out, err := kernels[name](context.Background(), eng, src, Params{K: 2}); err == nil {
+			t.Errorf("%s over a 10x0 dataset returned %+v, want an error", name, out)
+		}
 	}
 }
 
