@@ -187,9 +187,6 @@ var (
 	Linearize     = core.Linearize
 	Delinearize   = core.Delinearize
 	MetaFor       = core.MetaFor
-	// TranslateStreaming overlaps linearization with processing — the
-	// paper's proposed pipelining (§V future work).
-	TranslateStreaming = core.TranslateStreaming
 	// EmitC renders the C a Chapel compiler would generate per opt level.
 	EmitC = core.EmitC
 	// ParseChapelDecls parses the Chapel declaration subset the paper's

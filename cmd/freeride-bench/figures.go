@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"chapelfreeride/internal/apps"
@@ -38,20 +39,47 @@ func splitRowsFor(rows, threads int) int {
 	return max(rows/(threads*8), 64)
 }
 
-// bestOf runs one measurement reps times and keeps the fastest timing, the
-// run least disturbed by scheduling noise.
-func bestOf(reps int, measure func() (apps.Timing, error)) (apps.Timing, error) {
-	var best apps.Timing
+// runs is one cell's repeated measurement: every run's timing, fastest
+// first.
+type runs []apps.Timing
+
+// measure runs one measurement reps times and keeps every run.
+func measure(reps int, run func() (apps.Timing, error)) (runs, error) {
+	out := make(runs, 0, reps)
 	for r := 0; r < reps; r++ {
-		t, err := measure()
+		t, err := run()
 		if err != nil {
-			return apps.Timing{}, err
+			return nil, err
 		}
-		if r == 0 || t.Total() < best.Total() {
-			best = t
-		}
+		out = append(out, t)
 	}
-	return best, nil
+	sort.Slice(out, func(i, j int) bool { return out[i].Total() < out[j].Total() })
+	return out, nil
+}
+
+// fastest is the run least disturbed by scheduling noise; its phases fill
+// the per-phase columns.
+func (r runs) fastest() apps.Timing { return r[0] }
+
+// median is the middle run's total, or the mean of the middle two.
+func (r runs) median() time.Duration {
+	n := len(r)
+	return (r[(n-1)/2].Total() + r[n/2].Total()) / 2
+}
+
+// spread is the slowest run's total minus the fastest's.
+func (r runs) spread() time.Duration { return r[len(r)-1].Total() - r[0].Total() }
+
+// versus formats a's median over b's. It is marked unresolved when either
+// side's spread is wider than the difference of the medians: the runs
+// cannot then tell which side is faster, whatever the ratio reads.
+func versus(a, b runs) string {
+	s := ratio(a.median(), b.median())
+	diff := a.median() - b.median()
+	if max(a.spread(), b.spread()) > max(diff, -diff) {
+		s += " (unresolved)"
+	}
+	return s
 }
 
 // kmeansFigure runs one of the paper's k-means figures: the four versions
@@ -67,7 +95,7 @@ func kmeansFigure(id, title string, targetBytes int64, k, iters int) func(params
 			id: id,
 			title: fmt.Sprintf("%s — %d points × %d dims (%.1f MB), k=%d, i=%d",
 				title, points.Rows, kmeansDim, float64(points.SizeBytes())/(1<<20), k, iters),
-			columns: []string{"threads", "version", "total(s)", "linearize(s)", "reduce(s)", "vs manual"},
+			columns: []string{"threads", "version", "min(s)", "median(s)", "linearize(s)", "reduce(s)", "vs manual"},
 		}
 		sw := sweep{}
 		for _, threads := range p.threads {
@@ -75,10 +103,10 @@ func kmeansFigure(id, title string, targetBytes int64, k, iters int) func(params
 				K: k, Iterations: iters,
 				Engine: freeride.Config{Threads: threads, SplitRows: splitRowsFor(points.Rows, threads)},
 			}
-			timings := map[apps.Version]apps.Timing{}
+			timings := map[apps.Version]runs{}
 			sw[threads] = timings
 			for _, v := range versions {
-				tm, err := bestOf(p.reps, func() (apps.Timing, error) {
+				tm, err := measure(p.reps, func() (apps.Timing, error) {
 					var res *apps.KMeansResult
 					var err error
 					if v == apps.ManualFR {
@@ -100,8 +128,9 @@ func kmeansFigure(id, title string, targetBytes int64, k, iters int) func(params
 				tm := timings[v]
 				tbl.rows = append(tbl.rows, []string{
 					fmt.Sprint(threads), v.String(),
-					secs(tm.Total()), secs(tm.Linearize), secs(tm.Reduce),
-					ratio(tm.Total(), timings[apps.ManualFR].Total()),
+					secs(tm.fastest().Total()), secs(tm.median()),
+					secs(tm.fastest().Linearize), secs(tm.fastest().Reduce),
+					vsManual(v, tm, timings[apps.ManualFR]),
 				})
 			}
 		}
@@ -114,7 +143,7 @@ func kmeansFigure(id, title string, targetBytes int64, k, iters int) func(params
 		tbl.notes = append(tbl.notes,
 			fmt.Sprintf("%d thread(s): opt-1 saves %s of generated (paper: ~10%%)", t1, pct(gen-o1, gen)),
 			fmt.Sprintf("%d thread(s): generated / opt-2 = %s (paper: ~8x on k=100)", t1, ratio(gen, o2)),
-			fmt.Sprintf("%d thread(s): opt-2 / manual = %s (paper: within ~1.2x)", t1, ratio(o2, man)),
+			fmt.Sprintf("%d thread(s): opt-2 / manual = %s (paper: within ~1.2x)", t1, versus(sw[t1][apps.Opt2], sw[t1][apps.ManualFR])),
 		)
 		if last := p.threads[len(p.threads)-1]; last != t1 {
 			tbl.notes = append(tbl.notes,
@@ -123,8 +152,8 @@ func kmeansFigure(id, title string, targetBytes int64, k, iters int) func(params
 					ratio(o2, sw.total(last, apps.Opt2)),
 					ratio(man, sw.total(last, apps.ManualFR))),
 				fmt.Sprintf("opt-2 / manual: %s at %d thread(s) → %s at %d threads (paper: gap widens — sequential linearization)",
-					ratio(o2, man), t1,
-					ratio(sw.total(last, apps.Opt2), sw.total(last, apps.ManualFR)), last))
+					versus(sw[t1][apps.Opt2], sw[t1][apps.ManualFR]), t1,
+					versus(sw[last][apps.Opt2], sw[last][apps.ManualFR]), last))
 		}
 		return tbl, nil
 	}
@@ -146,7 +175,7 @@ func pcaFigure(id, title string, dims, elems int) func(params) (*table, error) {
 		tbl := &table{
 			id:      id,
 			title:   fmt.Sprintf("%s — %d elements × %d dims", title, n, d),
-			columns: []string{"threads", "version", "total(s)", "reduce(s)", "vs manual"},
+			columns: []string{"threads", "version", "min(s)", "median(s)", "reduce(s)", "vs manual"},
 		}
 		sw := sweep{}
 		versions := []apps.Version{apps.Opt2, apps.ManualFR}
@@ -154,10 +183,10 @@ func pcaFigure(id, title string, dims, elems int) func(params) (*table, error) {
 			cfg := apps.PCAConfig{Engine: freeride.Config{
 				Threads: threads, SplitRows: splitRowsFor(n, threads),
 			}}
-			timings := map[apps.Version]apps.Timing{}
+			timings := map[apps.Version]runs{}
 			sw[threads] = timings
 			for _, v := range versions {
-				tm, err := bestOf(p.reps, func() (apps.Timing, error) {
+				tm, err := measure(p.reps, func() (apps.Timing, error) {
 					var res *apps.PCAResult
 					var err error
 					if v == apps.ManualFR {
@@ -179,15 +208,15 @@ func pcaFigure(id, title string, dims, elems int) func(params) (*table, error) {
 				tm := timings[v]
 				tbl.rows = append(tbl.rows, []string{
 					fmt.Sprint(threads), v.String(),
-					secs(tm.Total()), secs(tm.Reduce),
-					ratio(tm.Total(), timings[apps.ManualFR].Total()),
+					secs(tm.fastest().Total()), secs(tm.median()), secs(tm.fastest().Reduce),
+					vsManual(v, tm, timings[apps.ManualFR]),
 				})
 			}
 		}
 		t1 := p.threads[0]
 		tbl.notes = append(tbl.notes,
 			fmt.Sprintf("%d thread(s): opt-2 / manual = %s (paper: within ~1.2x)",
-				t1, ratio(sw.total(t1, apps.Opt2), sw.total(t1, apps.ManualFR))))
+				t1, versus(sw[t1][apps.Opt2], sw[t1][apps.ManualFR])))
 		if last := p.threads[len(p.threads)-1]; last != t1 {
 			tbl.notes = append(tbl.notes,
 				fmt.Sprintf("%d → %d threads (manual): scales %sx (paper: good scalability to 4 threads, limited at 8 by load balance)",
@@ -213,7 +242,7 @@ func fig4(p params) (*table, error) {
 	tbl := &table{
 		id:    "fig4",
 		title: fmt.Sprintf("FREERIDE vs Map-Reduce (Fig. 4 structures) — k-means %d points, k=%d, i=%d", points.Rows, k, iters),
-		columns: []string{"threads", "runtime", "total(s)", "vs freeride",
+		columns: []string{"threads", "runtime", "min(s)", "median(s)", "vs freeride",
 			"emitted pairs/iter", "sorted pairs/iter"},
 	}
 	variants := []struct {
@@ -225,14 +254,14 @@ func fig4(p params) (*table, error) {
 		{name: "map-reduce+combiner", mr: true, combiner: true},
 	}
 	for _, threads := range p.threads {
-		var base time.Duration
+		var base runs
 		for _, v := range variants {
 			cfg := apps.KMeansConfig{
 				K: k, Iterations: iters,
 				Engine:      freeride.Config{Threads: threads},
 				UseCombiner: v.combiner,
 			}
-			tm, err := bestOf(p.reps, func() (apps.Timing, error) {
+			tm, err := measure(p.reps, func() (apps.Timing, error) {
 				kmeans := apps.KMeansManualFR
 				if v.mr {
 					kmeans = apps.KMeansMapReduce
@@ -247,15 +276,17 @@ func fig4(p params) (*table, error) {
 				return nil, fmt.Errorf("fig4 %s threads=%d: %w", v.name, threads, err)
 			}
 			var stats mapreduce.Stats
+			vs := "1.00"
 			if v.mr {
 				if stats, err = mrPairs(points, init, threads, v.combiner); err != nil {
 					return nil, fmt.Errorf("fig4 %s threads=%d: %w", v.name, threads, err)
 				}
+				vs = versus(tm, base)
 			} else {
-				base = tm.Total()
+				base = tm
 			}
 			tbl.rows = append(tbl.rows, []string{
-				fmt.Sprint(threads), v.name, secs(tm.Total()), ratio(tm.Total(), base),
+				fmt.Sprint(threads), v.name, secs(tm.fastest().Total()), secs(tm.median()), vs,
 				fmt.Sprint(stats.EmittedPairs), fmt.Sprint(stats.IntermediatePairs),
 			})
 		}
@@ -325,10 +356,20 @@ func optOf(v apps.Version) core.OptLevel {
 	}
 }
 
-// sweep holds a figure's fastest timing per thread count and version.
-type sweep map[int]map[apps.Version]apps.Timing
+// sweep holds a figure's runs per thread count and version.
+type sweep map[int]map[apps.Version]runs
 
-func (s sweep) total(threads int, v apps.Version) time.Duration { return s[threads][v].Total() }
+// total is the median total of one version at one thread count.
+func (s sweep) total(threads int, v apps.Version) time.Duration { return s[threads][v].median() }
+
+// vsManual is a row's "vs manual" cell: versus the manual runs, or 1.00 on
+// manual's own row.
+func vsManual(v apps.Version, r, manual runs) string {
+	if v == apps.ManualFR {
+		return "1.00"
+	}
+	return versus(r, manual)
+}
 
 // secs formats a duration in seconds with millisecond precision.
 func secs(d time.Duration) string { return fmt.Sprintf("%.3f", d.Seconds()) }

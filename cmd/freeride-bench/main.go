@@ -8,10 +8,14 @@
 //	freeride-bench -list
 //	freeride-bench -exp fig9                 # one figure, default scale
 //	freeride-bench -exp fig9 -scale 1        # paper-sized dataset
-//	freeride-bench -exp all -reps 3          # every figure, fastest of 3 runs
+//	freeride-bench -exp all -reps 3          # every figure, min and median of 3 runs
 //	freeride-bench -exp fig4,fig9 -threads 1
 //
-// Every cell is wall time measured on real cores. The default thread sweep
+// Every cell is wall time measured on real cores. With -reps N each
+// measurement runs N times: a row prints the fastest and the median total,
+// the phase columns come from the fastest run, and a ratio of medians is
+// marked "(unresolved)" when either side's spread (slowest minus fastest)
+// is wider than the difference it reports. The default thread sweep
 // is the powers of two up to runtime.NumCPU(), a -threads value above
 // NumCPU is refused (exit 2), and every table title names the core count
 // it was measured on.
@@ -42,7 +46,7 @@ type params struct {
 	threads []int   // thread sweep, each at most runtime.NumCPU()
 	scale   float64 // dataset size relative to the paper's
 	seed    int64   // synthetic dataset seed
-	reps    int     // repetitions per measurement, fastest kept
+	reps    int     // repetitions per measurement: min and median printed
 }
 
 // figure is one reproducible paper figure.
@@ -104,7 +108,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scaleFlag   = fs.Float64("scale", 0, "dataset scale relative to the paper's size (0 = per-figure default)")
 		threadsFlag = fs.String("threads", "", "comma-separated thread sweep, each at most NumCPU (default: powers of two up to NumCPU)")
 		seedFlag    = fs.Int64("seed", 42, "dataset generation seed")
-		repsFlag    = fs.Int("reps", 1, "repetitions per measurement (fastest kept)")
+		repsFlag    = fs.Int("reps", 1, "repetitions per measurement (min and median printed; a ratio whose spread is wider than its difference is marked unresolved)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2

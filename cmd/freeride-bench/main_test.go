@@ -3,8 +3,12 @@ package main
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"chapelfreeride/internal/apps"
 )
 
 // tinyParams runs a figure on a small dataset over at most two threads,
@@ -83,11 +87,13 @@ func TestFig4IntermediatePairs(t *testing.T) {
 	if len(tbl.rows) != 3*len(p.threads) {
 		t.Fatalf("%d rows, want 3 per thread count", len(tbl.rows))
 	}
+	emittedCol := slices.Index(tbl.columns, "emitted pairs/iter")
+	sortedCol := slices.Index(tbl.columns, "sorted pairs/iter")
 	for _, r := range tbl.rows {
 		var threads, emitted, sorted int
 		fmt.Sscan(r[0], &threads)
-		fmt.Sscan(r[4], &emitted)
-		fmt.Sscan(r[5], &sorted)
+		fmt.Sscan(r[emittedCol], &emitted)
+		fmt.Sscan(r[sortedCol], &sorted)
 		switch r[1] {
 		case "freeride (manual)":
 			if emitted != 0 || sorted != 0 {
@@ -163,5 +169,35 @@ func TestHelpers(t *testing.T) {
 	}
 	if pct(1, 0) != "n/a" || pct(1, 4) != "25%" {
 		t.Fatal("pct")
+	}
+}
+
+// TestVersusMarksUnresolved: -reps keeps every run; a row reports the
+// fastest and the median, and a ratio of medians is marked unresolved when
+// a side's spread is wider than the difference.
+func TestVersusMarksUnresolved(t *testing.T) {
+	runsOf := func(ms ...int) runs {
+		r, err := measure(len(ms), func() (apps.Timing, error) {
+			d := time.Duration(ms[0]) * time.Millisecond
+			ms = ms[1:]
+			return apps.Timing{Reduce: d}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	noisy, steady := runsOf(150, 100, 110), runsOf(100, 105, 101)
+	if noisy.fastest().Total() != 100*time.Millisecond || noisy.median() != 110*time.Millisecond {
+		t.Fatalf("fastest %v, median %v; want 100ms, 110ms", noisy.fastest().Total(), noisy.median())
+	}
+	if got := versus(noisy, steady); got != "1.09 (unresolved)" {
+		t.Fatalf("versus(noisy, steady) = %q: a 50 ms spread hides a 9 ms difference", got)
+	}
+	if got := versus(runsOf(200, 202), steady); got != "1.99" {
+		t.Fatalf("versus = %q: a 2 ms spread resolves a 100 ms difference", got)
+	}
+	if got := versus(runsOf(120), runsOf(100)); got != "1.20" {
+		t.Fatalf("versus of single runs = %q: one run has no spread", got)
 	}
 }

@@ -83,7 +83,8 @@ func (v Version) String() string {
 // Timing is the phase breakdown shared by the applications.
 type Timing struct {
 	// Linearize is the input linearization cost (translated versions only;
-	// the paper's overhead source 1, performed sequentially).
+	// the paper's overhead source 1, which the paper pays on one core and
+	// core spreads over up to GOMAXPROCS workers).
 	Linearize time.Duration
 	// HotVar is the opt-2 hot-variable (re)linearization cost.
 	HotVar time.Duration

@@ -178,8 +178,9 @@ func SpMVTranslated(data *dataset.Matrix, opt core.OptLevel, cfg SpMVConfig) (*S
 		Y: y,
 		Timing: Timing{
 			// The inspector's table construction is the sparse analog of
-			// dense linearization: translate-time, sequential, and reported
-			// so its cost is never invisible next to pass latency.
+			// dense linearization: translate-time, split over up to
+			// GOMAXPROCS workers like it, and reported so its cost is never
+			// invisible next to pass latency.
 			Linearize: linearize + tr.InspectTime,
 			HotVar:    tr.HotLinearizeTime,
 			Reduce:    time.Since(t0),

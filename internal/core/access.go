@@ -150,7 +150,9 @@ type InspectorPlan struct {
 // executor's tables. The sort is stable — entries with equal (row, col)
 // keep their input order, so results are reproducible across runs — and
 // linear: a counting sort on the row, O(nnz + Rows) time, then a column
-// sort of each row through a scratch the size of the longest row.
+// sort of each row through a scratch the size of the longest row. Both run
+// on inspectorWorkers goroutines, and the tables do not depend on the
+// count.
 //
 // A shape no int32 table can address — Rows or Cols outside [0, MaxInt32],
 // or more than MaxInt32 entries — is rejected with FRV007 before anything
@@ -163,6 +165,23 @@ func NewInspectorPlan(coo *SparseCOO) (*InspectorPlan, error) {
 	if coo == nil {
 		return nil, fmt.Errorf("core: inspector needs a COO source")
 	}
+	return newInspectorPlan(coo, inspectorWorkers(len(coo.V), coo.Rows))
+}
+
+// inspectorWorkers is the inspector's worker count over nnz entries of a
+// matrix with rows rows: stageWorkers(nnz), lowered while the extra
+// workers' histograms, (W−1)·rows counters, would outnumber the entries.
+func inspectorWorkers(nnz, rows int) int {
+	w := stageWorkers(nnz)
+	if rows > 0 {
+		w = min(w, nnz/rows+1)
+	}
+	return w
+}
+
+// newInspectorPlan is NewInspectorPlan with the counting sort on workers
+// goroutines (at least one); the plan is the same whatever the count.
+func newInspectorPlan(coo *SparseCOO, workers int) (*InspectorPlan, error) {
 	nnz := len(coo.V)
 	if len(coo.R) != nnz || len(coo.C) != nnz {
 		return nil, fmt.Errorf("core: COO arrays disagree: %d rows, %d cols, %d values",
@@ -173,7 +192,7 @@ func NewInspectorPlan(coo *SparseCOO) (*InspectorPlan, error) {
 	}
 	t0 := time.Now()
 	p := &InspectorPlan{rows: coo.Rows, cols: coo.Cols, nnz: nnz}
-	if err := p.sortCSR(coo); err != nil {
+	if err := p.sortCSR(coo, workers); err != nil {
 		return nil, err
 	}
 	p.buildTime = time.Since(t0)
@@ -211,52 +230,90 @@ func CheckSparseShape(rows, cols, nnz int) error {
 const insertionRowMax = 32
 
 // sortCSR builds the tables from coo with the stable COO → CSR counting
-// sort: histogram the rows into rowPtr, take the prefix sum, scatter each
-// entry's column and value through a per-row cursor, then order the columns
-// of each row. The cursor is rowPtr itself: the scatter advances rowPtr[r]
-// from the start of row r to its end, and one shift restores the starts.
-func (p *InspectorPlan) sortCSR(coo *SparseCOO) error {
+// sort, run on workers goroutines that each own a contiguous range of
+// entries — the counting pass of Arkouda's radix sort with strided counts:
+//
+//  1. each worker counts the rows of its range into its own histogram;
+//     worker 0's histogram is rowPtr itself;
+//  2. one exclusive prefix sum over (row, worker), row-major, turns the
+//     histograms into cursors: worker w's entries of row r land after
+//     those of workers 0..w−1, so a row keeps the input order;
+//  3. each worker scatters its range's columns and values through its
+//     cursors;
+//  4. the last worker's cursors now end each row: shifted up one row they
+//     are the row pointers;
+//  5. the columns of each row are ordered, the rows split over the workers.
+//
+// An entry whose row has no pointer stops its worker's count; ranges
+// ascend with the worker, so the first worker's bad entry is the lowest.
+func (p *InspectorPlan) sortCSR(coo *SparseCOO, workers int) error {
 	R := coo.R
 	C, V := coo.C[:len(R)], coo.V[:len(R)]
-	rowPtr := make([]int32, p.rows+1)
-	counts := rowPtr[:p.rows]
-	for e, r := range R {
-		if r < 0 || int(r) >= p.rows {
+	nnz, rows := len(R), p.rows
+	rowPtr := make([]int32, rows+1)
+	cursors := make([][]int32, workers)
+	cursors[0] = rowPtr[:rows]
+	if workers > 1 {
+		more := make([]int32, (workers-1)*rows)
+		for w := 1; w < workers; w++ {
+			cursors[w] = more[(w-1)*rows : w*rows]
+		}
+	}
+	bad := make([]int, workers)
+	forRanges(nnz, workers, func(w, lo, hi int) {
+		counts := cursors[w]
+		bad[w] = -1
+		for e, r := range R[lo:hi] {
+			if r < 0 || int(r) >= rows {
+				bad[w] = lo + e
+				return
+			}
+			counts[r]++
+		}
+	})
+	for _, e := range bad {
+		if e >= 0 {
 			return verify.Diagnostics{{
 				Pos: "coo", Severity: verify.SeverityError, Code: verify.CodeTableOOB,
 				Msg: fmt.Sprintf("core: COO entry %d has row %d, outside the matrix's rows [0,%d); no row pointer can place it",
-					e, r, p.rows),
+					e, R[e], rows),
 			}}.Err()
 		}
-		counts[r]++
 	}
 	var start, widest int32
-	for r, n := range counts {
-		counts[r] = start
-		start += n
-		widest = max(widest, n)
+	for r := 0; r < rows; r++ {
+		first := start
+		for _, cur := range cursors {
+			n := cur[r]
+			cur[r] = start
+			start += n
+		}
+		widest = max(widest, start-first)
 	}
-	in, vals := make([]int32, len(R)), make([]float64, len(R))
-	for e, r := range R {
-		i := counts[r]
-		counts[r]++
-		in[i], vals[i] = C[e], V[e]
-	}
-	// counts[r] now ends row r: shift the ends up one row to restore the
-	// starts.
-	copy(rowPtr[1:], counts)
+	in, vals := make([]int32, nnz), make([]float64, nnz)
+	forRanges(nnz, workers, func(w, lo, hi int) {
+		cur := cursors[w]
+		for e := lo; e < hi; e++ {
+			i := cur[R[e]]
+			cur[R[e]]++
+			in[i], vals[i] = C[e], V[e]
+		}
+	})
+	copy(rowPtr[1:], cursors[workers-1])
 	rowPtr[0] = 0
 	p.rowPtr, p.in, p.vals = rowPtr, in, vals
 
-	var s csrScratch
-	if widest > insertionRowMax {
-		s = csrScratch{in: make([]int32, widest), vals: make([]float64, widest)}
-	}
-	for r := 0; r < p.rows; r++ {
-		if lo, hi := rowPtr[r], rowPtr[r+1]; hi-lo > 1 {
-			s.sortRow(in[lo:hi], vals[lo:hi])
+	forRanges(rows, workers, func(_, r0, r1 int) {
+		var s csrScratch
+		if widest > insertionRowMax {
+			s = csrScratch{in: make([]int32, widest), vals: make([]float64, widest)}
 		}
-	}
+		for r := r0; r < r1; r++ {
+			if lo, hi := rowPtr[r], rowPtr[r+1]; hi-lo > 1 {
+				s.sortRow(in[lo:hi], vals[lo:hi])
+			}
+		}
+	})
 	return nil
 }
 

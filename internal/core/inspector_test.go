@@ -188,7 +188,8 @@ func TestCheckSparseShapeNNZ(t *testing.T) {
 // pointers) — and, only when a row is longer than insertionRowMax, a
 // scratch the size of the longest row: no permutation and no other
 // full-size temporary. A tall matrix with three entries pays for its row
-// pointers only.
+// pointers only. Above the grain the inspector runs on W workers, and each
+// worker past the first adds one row histogram, 4 B a row.
 func TestInspectorPlanAllocs(t *testing.T) {
 	allocated := func(coo *SparseCOO) uint64 {
 		var before, after runtime.MemStats
@@ -220,6 +221,19 @@ func TestInspectorPlanAllocs(t *testing.T) {
 	if got, budget := allocated(wide), uint64(4*(tall+1)+slack); got > budget {
 		t.Fatalf("a 3-entry plan with %d rows allocated %d B, budget %d B (row pointers %d B + %d B slack)",
 			tall, got, budget, 4*(tall+1), slack)
+	}
+
+	const bigNNZ, bigRows = 4 * grain, grain
+	big := randomCOO(rand.New(rand.NewSource(2)), bigRows, bigRows, bigNNZ, bigRows, bigRows, 0)
+	w := inspectorWorkers(bigNNZ, bigRows)
+	tables = 12*bigNNZ + 4*(bigRows+1)
+	hists := 4 * bigRows * (w - 1)
+	got = allocated(big)
+	t.Logf("a %d-entry plan of %d rows on %d workers allocated %d B (tables %d B, histograms %d B)",
+		bigNNZ, bigRows, w, got, tables, hists)
+	if got > uint64(tables+hists+slack) {
+		t.Fatalf("a %d-entry plan on %d workers allocated %d B, budget %d B (tables %d B + histograms %d B + %d B slack)",
+			bigNNZ, w, got, tables+hists+slack, tables, hists, slack)
 	}
 }
 

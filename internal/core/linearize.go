@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 
 	"chapelfreeride/internal/chapel"
@@ -84,49 +85,6 @@ func LinearizeExpr(e chapel.Expr) *Buffer {
 	for i := 0; i < n; i++ {
 		off = linearizeInto(b.Bytes, off, e.Index(i))
 	}
-	return b
-}
-
-// LinearizeParallel linearizes a top-level array with the given number of
-// workers, each copying a contiguous range of elements (element offsets are
-// fixed by the type, so ranges are independent). The paper performs
-// linearization sequentially and names parallel/pipelined linearization as
-// future work (§V); this is that extension, exercised by the ABL-PIPE
-// ablation.
-func LinearizeParallel(a *chapel.Array, workers int) *Buffer {
-	if workers < 1 {
-		workers = 1
-	}
-	n := a.Len()
-	if workers > n {
-		workers = n
-	}
-	elemSize := SizeOf(a.Ty.Elem)
-	b := &Buffer{Ty: a.Ty, Bytes: make([]byte, n*elemSize)}
-	if workers <= 1 {
-		linearizeInto(b.Bytes, 0, a)
-		return b
-	}
-	var wg sync.WaitGroup
-	base, extra := n/workers, n%workers
-	begin := 0
-	for w := 0; w < workers; w++ {
-		size := base
-		if w < extra {
-			size++
-		}
-		lo, hi := begin, begin+size
-		begin = hi
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			off := lo * elemSize
-			for i := lo; i < hi; i++ {
-				off = linearizeInto(b.Bytes, off, a.Elems[i])
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 	return b
 }
 
@@ -225,58 +183,70 @@ func (b *Buffer) Float64s() ([]float64, error) {
 // LinearizeToWords linearizes an all-real value directly into a []float64,
 // skipping the byte stage. This is the fast path used for the input
 // datasets handed to FREERIDE and for opt-2's hot-variable linearization.
+// The buffer is sized from the type, and a top-level array is copied by
+// stageWorkers(n) workers, each a contiguous range of elements: element
+// offsets are fixed by the type, so the ranges are independent and the
+// words are the same whatever the worker count.
 func LinearizeToWords(v chapel.Value) ([]float64, error) {
+	if a, ok := v.(*chapel.Array); ok {
+		return LinearizeToWordsParallel(a, stageWorkers(a.Len()))
+	}
 	if !AllReal(v.Type()) {
 		return nil, fmt.Errorf("core: LinearizeToWords needs an all-real value, type is %s", v.Type())
 	}
-	out := make([]float64, ComputeLinearizeSize(v)/8)
-	n := wordsInto(out, 0, v)
-	if n != len(out) {
-		panic(fmt.Sprintf("core: word linearize wrote %d of %d words", n, len(out)))
-	}
+	out := make([]float64, SizeOf(v.Type())/8)
+	wordsInto(out, 0, v)
 	return out, nil
 }
 
-// LinearizeToWordsParallel is LinearizeToWords with parallel element copy
-// for a top-level array (see LinearizeParallel).
+// LinearizeToWordsParallel is LinearizeToWords over a top-level array on
+// an explicit number of workers (at least one) — the paper's future-work
+// parallel linearization (§V) at a chosen width, for ablations.
 func LinearizeToWordsParallel(a *chapel.Array, workers int) ([]float64, error) {
 	if !AllReal(a.Ty) {
 		return nil, fmt.Errorf("core: LinearizeToWords needs an all-real value, type is %s", a.Ty)
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	n := a.Len()
-	if workers > n {
-		workers = n
-	}
 	elemWords := SizeOf(a.Ty.Elem) / 8
-	out := make([]float64, n*elemWords)
-	if workers <= 1 {
-		wordsInto(out, 0, a)
-		return out, nil
-	}
-	var wg sync.WaitGroup
-	base, extra := n/workers, n%workers
-	begin := 0
-	for w := 0; w < workers; w++ {
-		size := base
-		if w < extra {
-			size++
+	out := make([]float64, a.Len()*elemWords)
+	forRanges(a.Len(), max(workers, 1), func(_, lo, hi int) {
+		off := lo * elemWords
+		for _, e := range a.Elems[lo:hi] {
+			off = wordsInto(out, off, e)
 		}
-		lo, hi := begin, begin+size
-		begin = hi
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			off := lo * elemWords
-			for i := lo; i < hi; i++ {
-				off = wordsInto(out, off, a.Elems[i])
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 	return out, nil
+}
+
+// grain is the fewest items a translate-time stage hands one worker. Below
+// it a goroutine's start-up outweighs the copy it takes over, so serve's
+// 200 k-entry spmv and the small test fixtures stay on one worker.
+const grain = 1 << 17
+
+// stageWorkers is the worker count of a translate-time stage over n items:
+// one per grain of items, at most GOMAXPROCS, at least one.
+func stageWorkers(n int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), n/grain))
+}
+
+// forRanges splits [0, n) into workers contiguous, ascending ranges of
+// near-equal size (empty when workers > n) and calls f(w, lo, hi) for each
+// range w concurrently, the last on the calling goroutine. It returns once
+// every call has returned. Every translate-time stage that runs on more
+// than one core — dense and COO linearization, the inspector's counting
+// sort, the sparse hot refresh — splits its work here, so its output is
+// the same whatever the worker count.
+func forRanges(n, workers int, f func(w, lo, hi int)) {
+	last := workers - 1
+	var wg sync.WaitGroup
+	wg.Add(last)
+	for w := 0; w < last; w++ {
+		go func(w int) {
+			defer wg.Done()
+			f(w, w*n/workers, (w+1)*n/workers)
+		}(w)
+	}
+	f(last, last*n/workers, n)
+	wg.Wait()
 }
 
 func wordsInto(dst []float64, off int, v chapel.Value) int {
@@ -327,6 +297,14 @@ func LinearizeCOO(arr *chapel.Array, rows, cols int) (*SparseCOO, error) {
 	if arr == nil {
 		return nil, fmt.Errorf("core: LinearizeCOO needs a COO array")
 	}
+	return linearizeCOO(arr, rows, cols, stageWorkers(arr.Len()))
+}
+
+// linearizeCOO is LinearizeCOO on workers goroutines, each unboxing a
+// contiguous range of records into its own part of the tables. A worker
+// stops at its first bad coordinate (r before c); the lowest worker's
+// error is the first in entry order, as one worker would report it.
+func linearizeCOO(arr *chapel.Array, rows, cols, workers int) (*SparseCOO, error) {
 	if rows < 0 || cols < 0 {
 		return nil, fmt.Errorf("core: LinearizeCOO shape %dx%d is negative", rows, cols)
 	}
@@ -349,18 +327,28 @@ func LinearizeCOO(arr *chapel.Array, rows, cols int) (*SparseCOO, error) {
 		Rows: rows, Cols: cols,
 		R: make([]int32, nnz), C: make([]int32, nnz), V: make([]float64, nnz),
 	}
-	for i, e := range arr.Elems {
-		fields := e.(*chapel.Record).Fields
-		r, err := wholeCoord(fields[ri].(*chapel.Real).Val, "r", i)
+	errs := make([]error, workers)
+	forRanges(nnz, workers, func(w, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			fields := arr.Elems[i].(*chapel.Record).Fields
+			r, err := wholeCoord(fields[ri].(*chapel.Real).Val, "r", i)
+			if err != nil {
+				errs[w] = err
+				return
+			}
+			c, err := wholeCoord(fields[ci].(*chapel.Real).Val, "c", i)
+			if err != nil {
+				errs[w] = err
+				return
+			}
+			coo.R[i], coo.C[i] = r, c
+			coo.V[i] = fields[vi].(*chapel.Real).Val
+		}
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		c, err := wholeCoord(fields[ci].(*chapel.Real).Val, "c", i)
-		if err != nil {
-			return nil, err
-		}
-		coo.R[i], coo.C[i] = r, c
-		coo.V[i] = fields[vi].(*chapel.Real).Val
 	}
 	return coo, nil
 }

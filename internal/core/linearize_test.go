@@ -132,24 +132,27 @@ func TestLinearizeExpr(t *testing.T) {
 	}
 }
 
+// TestLinearizeParallelMatchesSequential: the word path on any number of
+// workers equals Algorithm 2's sequential byte path, word for word.
 func TestLinearizeParallelMatchesSequential(t *testing.T) {
-	data := fig6Data(17, 3, 5)
-	seq := Linearize(data)
-	for _, workers := range []int{1, 2, 4, 8, 32} {
-		par := LinearizeParallel(data, workers)
-		if len(par.Bytes) != len(seq.Bytes) {
-			t.Fatalf("workers=%d: size mismatch", workers)
+	data := makePoints(17, 3, 5)
+	seq, err := Linearize(data).Float64s()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{0, 1, 2, 4, 8, 32} {
+		par, err := LinearizeToWordsParallel(data, workers)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range seq.Bytes {
-			if par.Bytes[i] != seq.Bytes[i] {
-				t.Fatalf("workers=%d: byte %d differs", workers, i)
+		if len(par) != len(seq) {
+			t.Fatalf("workers=%d: %d words, want %d", workers, len(par), len(seq))
+		}
+		for i := range seq {
+			if par[i] != seq[i] {
+				t.Fatalf("workers=%d: word %d differs", workers, i)
 			}
 		}
-	}
-	// Degenerate worker count.
-	par := LinearizeParallel(data, 0)
-	if len(par.Bytes) != len(seq.Bytes) {
-		t.Fatal("workers=0 should default to 1")
 	}
 }
 

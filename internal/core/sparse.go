@@ -157,12 +157,8 @@ func TranslateSparse(class *SparseClass, coo *SparseCOO, opt OptLevel) (*SparseT
 	}
 	tr := &SparseTranslation{class: class, opt: opt, plan: plan, InspectTime: plan.BuildTime()}
 	if class.Hot != nil && opt >= Opt2 {
-		t0 := time.Now()
-		tr.hotWords, err = LinearizeToWords(class.Hot)
-		if err != nil {
-			return nil, fmt.Errorf("core: gather vector: %w", err)
-		}
-		tr.HotLinearizeTime = time.Since(t0)
+		tr.hotWords = make([]float64, class.Hot.Len())
+		tr.RefreshHot()
 	}
 	return tr, nil
 }
@@ -181,12 +177,24 @@ func (t *SparseTranslation) AccessPlan() AccessPlan { return t.plan }
 // (no-op below opt-2, whose gather is live through the boxed array). Call
 // between iterations, e.g. after a PageRank step updates the rank vector.
 func (t *SparseTranslation) RefreshHot() {
-	if t.hotWords == nil || t.class.Hot == nil {
+	if t.hotWords == nil {
 		return
 	}
 	t0 := time.Now()
-	wordsInto(t.hotWords, 0, t.class.Hot)
+	t.refreshHot(stageWorkers(len(t.hotWords)))
 	t.HotLinearizeTime += time.Since(t0)
+}
+
+// refreshHot copies the gather vector's reals into hotWords on workers
+// goroutines, each a contiguous range of elements. The verifier proved the
+// vector a real vector of hotWords' length.
+func (t *SparseTranslation) refreshHot(workers int) {
+	x, els := t.hotWords, t.class.Hot.Elems
+	forRanges(len(x), workers, func(_, lo, hi int) {
+		for i, e := range els[lo:hi] {
+			x[lo+i] = e.(*chapel.Real).Val
+		}
+	})
 }
 
 // Source returns the CSR-ordered nonzero values as the FREERIDE data

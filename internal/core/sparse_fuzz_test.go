@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"chapelfreeride/internal/chapel"
@@ -19,14 +20,25 @@ import (
 // threads. The oracle: the translation is refused with a *verify.Error
 // carrying FRV007 (a shape no object or table can take) or FRV013 (an
 // entry outside the shape), exactly when the source says so, or y equals
-// the sequential triple loop under ==. Nothing panics.
+// the sequential triple loop under ==. The translate-time stages also run
+// on 1 + workers%8 workers: the inspector's plan or refusal text and the
+// refreshed gather words equal one worker's. Nothing panics.
 func FuzzSparseExecutor(f *testing.F) {
-	f.Fuzz(func(t *testing.T, raw []byte, rows, cols int8, split, threads uint8) {
+	f.Fuzz(func(t *testing.T, raw []byte, rows, cols int8, split, threads, workers uint8) {
 		coo := &SparseCOO{Rows: int(rows), Cols: int(cols)}
 		for i := 0; i+3 <= len(raw); i += 3 {
 			coo.R = append(coo.R, int32(int8(raw[i])))
 			coo.C = append(coo.C, int32(int8(raw[i+1])))
 			coo.V = append(coo.V, float64(int8(raw[i+2])))
+		}
+		stageW := 1 + int(workers%8)
+		plan1, err1 := newInspectorPlan(coo, 1)
+		plan, err := newInspectorPlan(coo, stageW)
+		switch {
+		case (err == nil) != (err1 == nil) || err != nil && err.Error() != err1.Error():
+			t.Fatalf("%d workers: inspector error %v, one worker %v", stageW, err, err1)
+		case err == nil && (!slices.Equal(plan.rowPtr, plan1.rowPtr) || !slices.Equal(plan.in, plan1.in) || !slices.Equal(plan.vals, plan1.vals)):
+			t.Fatalf("%d workers: plan differs from one worker over %v/%v", stageW, coo.R, coo.C)
 		}
 		var want verify.Code
 		switch {
@@ -75,6 +87,13 @@ func FuzzSparseExecutor(f *testing.F) {
 				}
 				if err != nil {
 					t.Fatalf("%s %s over %dx%d %v/%v: %v", class.Name, opt, rows, cols, coo.R, coo.C, err)
+				}
+				if tr.hotWords != nil {
+					clear(tr.hotWords)
+					tr.refreshHot(stageW)
+					if !slices.Equal(tr.hotWords, xv) {
+						t.Fatalf("%d workers: refreshed words %v, want %v", stageW, tr.hotWords, xv)
+					}
 				}
 				eng := freeride.New(cfg)
 				res, err := eng.RunContext(context.Background(), tr.Spec(), tr.Source())

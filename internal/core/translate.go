@@ -464,25 +464,18 @@ type Translation struct {
 	// every pass of an iterative job runs the same closures.
 	spec freeride.Spec
 
-	// stream is non-nil for TranslateStreaming translations: the source is
-	// gated on the background linearizer.
-	stream *StreamStats
-
-	// LinearizeTime is the cost of the sequential input linearization (the
-	// first overhead source in §V; not optimized by opt-1/opt-2). Zero for
-	// streaming translations, whose cost is overlapped (StreamStats).
+	// LinearizeTime is the cost of the input linearization (the first
+	// overhead source in §V; not optimized by opt-1/opt-2). The paper pays
+	// it on one core; here it runs on up to GOMAXPROCS workers, one per
+	// grain of elements (LinearizeToWords).
 	LinearizeTime time.Duration
 	// HotLinearizeTime is the opt-2 hot-variable linearization cost.
 	HotLinearizeTime time.Duration
 }
 
-// TranslateOptions tunes the translation.
-type TranslateOptions struct {
-	// LinearizeWorkers > 1 enables the parallel linearization extension
-	// (the paper's future-work pipelining). Default 1: sequential, as the
-	// paper's implementation does.
-	LinearizeWorkers int
-}
+// TranslateOptions tunes the translation. It has no fields: the input is
+// always linearized on as many cores as its size warrants.
+type TranslateOptions struct{}
 
 // Translate compiles a ReductionClass over a Chapel data array into a
 // FREERIDE execution. The data must be an all-real array whose elements
@@ -496,7 +489,7 @@ func Translate(class *ReductionClass, data *chapel.Array, opt OptLevel) (*Transl
 // verified statically before anything is linearized: any error-severity
 // diagnostic from Verify rejects the translation (the returned error is a
 // *verify.Error carrying the full structured list).
-func TranslateWith(class *ReductionClass, data *chapel.Array, opt OptLevel, o TranslateOptions) (*Translation, error) {
+func TranslateWith(class *ReductionClass, data *chapel.Array, opt OptLevel, _ TranslateOptions) (*Translation, error) {
 	if err := Verify(class, data, opt).Err(); err != nil {
 		return nil, err
 	}
@@ -512,45 +505,31 @@ func TranslateWith(class *ReductionClass, data *chapel.Array, opt OptLevel, o Tr
 	tr := &Translation{class: class, opt: opt, meta: wmeta, rows: data.Len()}
 	tr.cols = SizeOf(data.Ty.Elem) / 8
 
-	// Linearize the input dataset (Ft: Dv → Ds). Sequential unless the
-	// pipelining extension is requested.
+	// Linearize the input dataset (Ft: Dv → Ds).
 	t0 := time.Now()
-	workers := o.LinearizeWorkers
-	if workers <= 1 {
-		tr.words, err = LinearizeToWords(data)
-	} else {
-		tr.words, err = LinearizeToWordsParallel(data, workers)
-	}
+	tr.words, err = LinearizeToWords(data)
 	if err != nil {
 		return nil, err
 	}
 	tr.LinearizeTime = time.Since(t0)
 
-	if err := tr.bind(); err != nil {
-		return nil, err
-	}
-	return tr, nil
-}
-
-// bind prepares hot-variable access for the translation's optimization level
-// and builds the executor over them. The words buffer must be allocated (it
-// may still be filling: TranslateStreaming).
-func (t *Translation) bind() error {
-	t0 := time.Now()
-	for _, hv := range t.class.HotVars {
+	// Prepare hot-variable access for the level, then build the executor
+	// over it.
+	t0 = time.Now()
+	for _, hv := range class.HotVars {
 		build := NewBoxedStateVec
-		if t.opt >= Opt2 {
+		if opt >= Opt2 {
 			build = NewWordStateVec
 		}
 		sv, err := build(hv.Value, hv.Path)
 		if err != nil {
-			return fmt.Errorf("core: hot variable: %w", err)
+			return nil, fmt.Errorf("core: hot variable: %w", err)
 		}
-		t.hot = append(t.hot, sv)
+		tr.hot = append(tr.hot, sv)
 	}
-	t.HotLinearizeTime = time.Since(t0)
-	t.spec = SpecFromWords(t.class, t.words, t.meta, t.hot, t.opt)
-	return nil
+	tr.HotLinearizeTime = time.Since(t0)
+	tr.spec = SpecFromWords(class, tr.words, wmeta, tr.hot, opt)
+	return tr, nil
 }
 
 // Opt reports the translation's optimization level.
@@ -570,14 +549,9 @@ func (t *Translation) AccessPlan() AccessPlan {
 }
 
 // Source returns the linearized dataset as a FREERIDE data source: one row
-// per top-level element. For streaming translations the source blocks
-// readers until the background linearizer has produced the requested rows.
+// per top-level element.
 func (t *Translation) Source() dataset.Source {
-	ws := NewWordSource(t.words, t.rows, t.cols)
-	if t.stream != nil {
-		return &streamSource{WordSource: ws, stats: t.stream}
-	}
-	return ws
+	return NewWordSource(t.words, t.rows, t.cols)
 }
 
 // RefreshHotVars re-linearizes opt-2 hot variables after their boxed

@@ -361,22 +361,110 @@ func TestRefreshHotVars(t *testing.T) {
 	tr1.RefreshHotVars() // no-op, must not panic
 }
 
+// TestTranslateParallelLinearizationOption: TranslateWith takes no worker
+// option; its words equal the dataset linearized on any number of workers.
 func TestTranslateParallelLinearizationOption(t *testing.T) {
 	data := makePoints(200, 4, 3)
 	centroids := makeCentroids(3, 4, 4)
-	cls := kmeansClass(3, 4, centroids)
-	seq, err := Translate(cls, data, Opt2)
+	tr, err := TranslateWith(kmeansClass(3, 4, centroids), data, Opt2, TranslateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := TranslateWith(cls, data, Opt2, TranslateOptions{LinearizeWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range seq.Words() {
-		if seq.Words()[i] != par.Words()[i] {
-			t.Fatalf("word %d differs", i)
+	for workers := 1; workers <= 8; workers++ {
+		par, err := LinearizeToWordsParallel(data, workers)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for i := range tr.Words() {
+			if tr.Words()[i] != par[i] {
+				t.Fatalf("workers=%d: word %d differs", workers, i)
+			}
+		}
+	}
+}
+
+// TestStreamingTranslationMatchesEager: words linearized on 1–8 workers
+// drive every level's executor to the manual result over 7-row splits, so
+// most splits begin at a nonzero row. (The streaming translation this name
+// once covered is gone; its gated-source assertion is this one.)
+func TestStreamingTranslationMatchesEager(t *testing.T) {
+	const n, k, dim = 800, 4, 3
+	data := makePoints(n, dim, 9)
+	centroids := makeCentroids(k, dim, 10)
+	want := kmeansManual(data, centroids, k, dim)
+	eng := freeride.New(freeride.Config{Threads: 3, SplitRows: 7})
+	defer eng.Close()
+	for _, opt := range OptLevels() {
+		tr, err := Translate(kmeansClass(k, dim, centroids), data, opt)
+		if err != nil {
+			t.Fatalf("%v: %v", opt, err)
+		}
+		for _, workers := range []int{1, 2, 3, 8} {
+			words, err := LinearizeToWordsParallel(data, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := SpecFromWords(tr.class, words, tr.meta, tr.hot, opt)
+			res, err := eng.RunContext(context.Background(), spec, NewWordSource(words, tr.rows, tr.cols))
+			if err != nil {
+				t.Fatalf("%v/workers=%d: %v", opt, workers, err)
+			}
+			got := res.Object.Snapshot()
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%v/workers=%d: cell %d = %v, want %v", opt, workers, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestStreamingTranslationSecondPassUnblocked: a translation is complete
+// when TranslateWith returns, so a second pass over it reads the same
+// words and folds the same bits as the first.
+func TestStreamingTranslationSecondPassUnblocked(t *testing.T) {
+	data := makePoints(300, 2, 11)
+	centroids := makeCentroids(2, 2, 12)
+	tr, err := TranslateWith(kmeansClass(2, 2, centroids), data, Opt2, TranslateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := freeride.New(freeride.Config{Threads: 2, SplitRows: 32})
+	defer eng.Close()
+	var passes [2][]float64
+	for p := range passes {
+		res, err := eng.RunContext(context.Background(), tr.Spec(), tr.Source())
+		if err != nil {
+			t.Fatal(err)
+		}
+		passes[p] = append([]float64(nil), res.Object.Snapshot()...)
+	}
+	for i := range passes[0] {
+		if passes[0][i] != passes[1][i] {
+			t.Fatalf("cell %d: pass 1 %v, pass 2 %v", i, passes[0][i], passes[1][i])
+		}
+	}
+}
+
+// TestStreamingTranslationErrors: the one translate path refuses a nil
+// class and an unresolvable path before linearizing anything.
+func TestStreamingTranslationErrors(t *testing.T) {
+	data := makePoints(10, 2, 13)
+	if _, err := TranslateWith(nil, data, OptNone, TranslateOptions{}); err == nil {
+		t.Fatal("nil class: want error")
+	}
+	cls := kmeansClass(2, 2, makeCentroids(2, 2, 14))
+	bad := *cls
+	bad.Path = []string{"nope"}
+	if _, err := TranslateWith(&bad, data, OptNone, TranslateOptions{}); err == nil {
+		t.Fatal("bad path: want error")
+	}
+	tr, err := TranslateWith(cls, data, Opt1, TranslateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Words()) != 20 {
+		t.Fatalf("words = %d", len(tr.Words()))
 	}
 }
 
