@@ -44,13 +44,15 @@ func benchKMeans(b *testing.B, v apps.Version, n, k, iters int) {
 	}
 	run := func() error { _, err := apps.KMeans(v, points, init, cfg); return err }
 	switch v {
-	case apps.Generated, apps.Opt1, apps.Opt2:
+	case apps.Generated, apps.Opt1, apps.Opt2, apps.Opt3:
 		boxed := apps.BoxPoints(points)
 		opt := core.OptNone
 		if v == apps.Opt1 {
 			opt = core.Opt1
 		} else if v == apps.Opt2 {
 			opt = core.Opt2
+		} else if v == apps.Opt3 {
+			opt = core.Opt3
 		}
 		run = func() error { _, err := apps.KMeansTranslated(boxed, init, opt, cfg); return err }
 	}
@@ -85,6 +87,7 @@ func BenchmarkFig11KMeansLargeK100I1Generated(b *testing.B) {
 }
 func BenchmarkFig11KMeansLargeK100I1Opt1(b *testing.B) { benchKMeans(b, apps.Opt1, 30000, 100, 1) }
 func BenchmarkFig11KMeansLargeK100I1Opt2(b *testing.B) { benchKMeans(b, apps.Opt2, 30000, 100, 1) }
+func BenchmarkFig11KMeansLargeK100I1Opt3(b *testing.B) { benchKMeans(b, apps.Opt3, 30000, 100, 1) }
 func BenchmarkFig11KMeansLargeK100I1ManualFR(b *testing.B) {
 	benchKMeans(b, apps.ManualFR, 30000, 100, 1)
 }

@@ -56,9 +56,45 @@ type KMeansResult struct {
 // Euclidean distance; ties resolve to the lowest index). cents is flat
 // k×dim. Every version funnels its distance logic through the same
 // tie-breaking rule so results are comparable bit for bit.
+//
+// Centroids go four at a time through one walk over the point, each with
+// its own accumulator summed in the same j order as the one-centroid loop
+// that takes the k mod 4 tail, and the four distances are compared in
+// centroid order with the same strict <: the result is the one-centroid
+// loop's, bit for bit (TestNearestMatchesNaive, FuzzNearest). Neither inner
+// loop has a bounds check (TestNearestNoBoundsChecks).
 func nearest(point []float64, cents []float64, k, dim int) int {
 	best, bestDist := 0, math.Inf(1)
-	for c := 0; c < k; c++ {
+	c := 0
+	for ; c+4 <= k; c += 4 {
+		c0 := cents[c*dim : (c+1)*dim]
+		c1 := cents[(c+1)*dim : (c+2)*dim]
+		c2 := cents[(c+2)*dim : (c+3)*dim]
+		c3 := cents[(c+3)*dim : (c+4)*dim]
+		pt := point[:len(c0)]
+		var d0, d1, d2, d3 float64
+		for j, x := range c0 {
+			p := pt[j]
+			e0, e1, e2, e3 := p-x, p-c1[j], p-c2[j], p-c3[j]
+			d0 += e0 * e0
+			d1 += e1 * e1
+			d2 += e2 * e2
+			d3 += e3 * e3
+		}
+		if d0 < bestDist {
+			best, bestDist = c, d0
+		}
+		if d1 < bestDist {
+			best, bestDist = c+1, d1
+		}
+		if d2 < bestDist {
+			best, bestDist = c+2, d2
+		}
+		if d3 < bestDist {
+			best, bestDist = c+3, d3
+		}
+	}
+	for ; c < k; c++ {
 		var d float64
 		cc := cents[c*dim : (c+1)*dim]
 		pt := point[:len(cc)] // one check here, none in the loop
@@ -213,7 +249,11 @@ func KMeansChapelNative(boxedPoints *chapel.Array, init *dataset.Matrix, cfg KMe
 // KMeansClass builds the translator input for k-means — the declarative
 // form of Fig. 3's reduction class, shared by the three translated
 // versions. centroids is the boxed hot variable the kernel reads for every
-// point (the structure opt-2 linearizes).
+// point (the structure opt-2 linearizes). It is never inlined: inlined into
+// KMeansTranslated, its kernel closures would be cloned there, and the
+// clones call their accessors out of line.
+//
+//go:noinline
 func KMeansClass(k, dim int, centroids *chapel.Array) *core.ReductionClass {
 	return &core.ReductionClass{
 		Name:   "kmeans",
@@ -240,9 +280,9 @@ func KMeansClass(k, dim int, centroids *chapel.Array) *core.ReductionClass {
 		},
 		// The opt-3 fused body: one call per split, walking the linearized
 		// words and the dense centroid block directly — no Vec branch, no
-		// interface dispatch, no lock per point. Same distance logic and
-		// tie-breaking as every other version (bit-identical on integer
-		// data), with accumulation into the worker-local buffer.
+		// interface dispatch, no lock per point. The same nearest call as
+		// every other version (bit-identical on integer data), with
+		// accumulation into the worker-local buffer.
 		BlockKernel: func(args *freeride.BlockArgs, view core.BlockView, hot []*core.StateVec) error {
 			cents, ok := hot[0].Dense()
 			if !ok {
@@ -254,18 +294,7 @@ func KMeansClass(k, dim int, centroids *chapel.Array) *core.ReductionClass {
 			base := view.RowStride*args.Begin + view.RunOff
 			for i := 0; i < args.NumRows; i++ {
 				pt := view.Words[base : base+dim]
-				best, bestDist := 0, math.Inf(1)
-				for c := 0; c < k; c++ {
-					cc := cents[c*dim : c*dim+dim]
-					var d float64
-					for j := 0; j < dim; j++ {
-						diff := pt[j] - cc[j]
-						d += diff * diff
-					}
-					if d < bestDist {
-						best, bestDist = c, d
-					}
-				}
+				best := nearest(pt, cents, k, dim)
 				out := acc[best*(dim+1) : best*(dim+1)+dim+1]
 				for j := 0; j < dim; j++ {
 					out[j] += pt[j]

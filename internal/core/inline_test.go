@@ -13,10 +13,11 @@ import (
 // bodies cost a call. The same holds for the operator the opt-3 sparse
 // executor folds every nonzero into its row run with (robj.Op.Apply), and
 // for the split handle's Row, Acc and Accumulate that fused kernels call
-// once per row. The compiler's own -m report is the oracle; an edit that
-// pushes one of them past the inliner's budget fails here instead of
-// showing up as a silent 1.5× on kmeans_translated, ingest_fused or
-// spmv_power.
+// once per row, and for the reduction object's cell check, which keeps the
+// replicated Accumulate free of calls. The compiler's own -m report is the
+// oracle; an edit that pushes one of them past the inliner's budget fails
+// here instead of showing up as a silent 1.5× on kmeans_translated,
+// ingest_fused or spmv_power.
 func TestHotPathInlines(t *testing.T) {
 	goTool, err := exec.LookPath("go")
 	if err != nil {
@@ -41,6 +42,7 @@ func TestHotPathInlines(t *testing.T) {
 		"(*BlockArgs).Accumulate",
 		"(*BlockArgs).Acc",
 		"Op.Apply",
+		"(*Object).cell",
 	} {
 		if !strings.Contains(report, "can inline "+fn+"\n") {
 			t.Errorf("%s is no longer inlinable", fn)

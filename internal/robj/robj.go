@@ -303,13 +303,23 @@ func (o *Object) Workers() int { return o.workers }
 // an out-of-range update is a programming error in the reduction function.
 // Translated kernels never reach this panic: core.Verify proves the object
 // shape (FRV007) and every accumulate target against it at translate time,
-// so the check only guards hand-written reduction functions.
+// so the check only guards hand-written reduction functions. The panic
+// value is a small rangeError that formats only when printed, which keeps
+// cell inside the inliner's budget (TestHotPathInlines).
 func (o *Object) cell(group, elem int) int {
 	if group < 0 || group >= o.groups || elem < 0 || elem >= o.elems {
-		panic(fmt.Sprintf("robj: accumulate out of range: group=%d elem=%d shape=%dx%d",
-			group, elem, o.groups, o.elems))
+		panic(rangeError{group, elem, o.groups, o.elems})
 	}
 	return group*o.elems + elem
+}
+
+// rangeError is cell's panic value: an out-of-range coordinate and the
+// object's shape.
+type rangeError struct{ group, elem, groups, elems int }
+
+func (e rangeError) Error() string {
+	return fmt.Sprintf("robj: accumulate out of range: group=%d elem=%d shape=%dx%d",
+		e.group, e.elem, e.groups, e.elems)
 }
 
 // waitLock acquires l on the already-contended path: the failed TryLock has
@@ -325,13 +335,27 @@ func (o *Object) waitLock(l *sync.Mutex) {
 // Accumulate applies the object's operator to cell (group, elem) with v, on
 // behalf of worker w. Safe for concurrent use by distinct workers. It mirrors
 // FREERIDE's accumulate(int, int, void* value).
+//
+// FullReplication, the default, is tested first and makes no call: the cell
+// check and the operator inline, and the update lands in worker w's replica.
+// The four shared-copy strategies run out of line in accumulateShared.
 func (o *Object) Accumulate(w, group, elem int, v float64) {
+	if o.strategy == FullReplication {
+		i := o.cell(group, elem)
+		r := o.replicas[w]
+		r[i] = o.op.Apply(r[i], v)
+		o.updates[w].n++
+		return
+	}
+	o.accumulateShared(w, group, elem, v)
+}
+
+// accumulateShared is Accumulate for the strategies that share one copy of
+// the object between workers.
+func (o *Object) accumulateShared(w, group, elem int, v float64) {
 	i := o.cell(group, elem)
 	o.updates[w].n++
 	switch o.strategy {
-	case FullReplication:
-		r := o.replicas[w]
-		r[i] = o.op.Apply(r[i], v)
 	case FullLocking:
 		l := &o.locks[i]
 		if !l.TryLock() {

@@ -1,6 +1,7 @@
 package robj
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -182,6 +183,43 @@ func TestPanicsOnMisuse(t *testing.T) {
 	mustPanic("out-of-range-elem", func() { o.Accumulate(0, 0, -1, 1) })
 	o.Merge()
 	mustPanic("double-merge", func() { o.Merge() })
+}
+
+// TestAccumulateOutOfRangeMessage pins, for every strategy, that an
+// out-of-range Accumulate panics before touching the object and that the
+// panic still reads as it did when cell formatted the message itself.
+func TestAccumulateOutOfRangeMessage(t *testing.T) {
+	for _, st := range Strategies() {
+		o, _ := Alloc(st, OpAdd, 2, 3, 2)
+		for _, c := range []struct {
+			group, elem int
+			want        string
+		}{
+			{2, 0, "robj: accumulate out of range: group=2 elem=0 shape=2x3"},
+			{-1, 1, "robj: accumulate out of range: group=-1 elem=1 shape=2x3"},
+			{1, 3, "robj: accumulate out of range: group=1 elem=3 shape=2x3"},
+			{0, -4, "robj: accumulate out of range: group=0 elem=-4 shape=2x3"},
+		} {
+			func() {
+				defer func() {
+					r := recover()
+					if r == nil {
+						t.Fatalf("%v: Accumulate(1, %d, %d) did not panic", st, c.group, c.elem)
+					}
+					if got := fmt.Sprint(r); got != c.want {
+						t.Errorf("%v: panic %q, want %q", st, got, c.want)
+					}
+				}()
+				o.Accumulate(1, c.group, c.elem, 1)
+			}()
+		}
+		o.Merge()
+		for i, v := range o.Snapshot() {
+			if v != 0 {
+				t.Errorf("%v: cell %d = %v after refused updates, want 0", st, i, v)
+			}
+		}
+	}
 }
 
 func TestParallelMergeLargeObject(t *testing.T) {
