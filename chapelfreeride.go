@@ -20,7 +20,7 @@
 // their reduction objects) until Close tears it down. RunContext is its one
 // entry point; the context cancels the pass.
 //
-// Quick start (see examples/quickstart for the runnable version):
+// Quick start (ExampleNewEngine is the runnable version):
 //
 //	eng := chapelfreeride.NewEngine(chapelfreeride.EngineConfig{Threads: 4})
 //	defer eng.Close()
@@ -187,8 +187,6 @@ var (
 	Linearize     = core.Linearize
 	Delinearize   = core.Delinearize
 	MetaFor       = core.MetaFor
-	// EmitC renders the C a Chapel compiler would generate per opt level.
-	EmitC = core.EmitC
 	// ParseChapelDecls parses the Chapel declaration subset the paper's
 	// figures use.
 	ParseChapelDecls = chapel.ParseDecls

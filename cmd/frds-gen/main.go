@@ -1,5 +1,6 @@
 // Command frds-gen generates synthetic datasets in the repository's binary
-// FRDS format (or CSV), for use with cmd/kmeans -input and cmd/pca -input.
+// FRDS format (or CSV). Its FRDS files feed freeride-serve's "file" dataset
+// recipes and dataset.OpenMappedSource.
 //
 // Usage:
 //

@@ -1,25 +1,25 @@
 // Command freeride-translate shows the translator's work for the built-in
 // reduction classes: the dataset's linearization metadata (the paper's
-// Fig. 6 information) and the C-like reduction function the modified Chapel
-// compiler would generate at each optimization level (compare Fig. 5 and
-// Fig. 8 of the paper).
+// Fig. 6 information) and the translate-time verifier's findings at every
+// optimization level, the runtime analog of the paper's compiler refusing
+// a reduction it cannot translate.
 //
 // Usage:
 //
 //	freeride-translate -class kmeans -k 100 -dim 10
 //	freeride-translate -class pca-cov -dim 64
-//	freeride-translate -class kmeans -opt opt-2
 //
 // It can also start from Chapel source text (the subset chapel.ParseDecls
 // accepts), showing the mapping metadata for an access path through the
 // declared structure — the paper's Fig. 6 worked end to end:
 //
-//	freeride-translate -decl fig6.chpl -var data -path b1,a1
+//	freeride-translate -decl testdata/fig6.chpl -var data -path b1,a1
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -35,7 +35,6 @@ func main() {
 		className = flag.String("class", "kmeans", "reduction class: kmeans | pca-mean | pca-cov (with -analyze also em | spmv | degree | all)")
 		k         = flag.Int("k", 8, "k-means cluster count")
 		dim       = flag.Int("dim", 4, "feature dimensionality")
-		optName   = flag.String("opt", "", "single level (generated | opt-1 | opt-2); all when empty")
 		declFile  = flag.String("decl", "", "Chapel declaration file; with -var/-path, show its mapping metadata")
 		varName   = flag.String("var", "", "declared variable to analyze (with -decl)")
 		pathFlag  = flag.String("path", "", "comma-separated field path through the variable (with -decl)")
@@ -47,14 +46,6 @@ func main() {
 	)
 	flag.Parse()
 
-	if *declFile != "" {
-		if err := analyzeDecl(*declFile, *varName, *pathFlag); err != nil {
-			fmt.Fprintln(os.Stderr, "freeride-translate:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *doAnalyze || *doJSON {
 		targets, err := analysisTargets(*className, *k, *dim, *rows, *nnz)
 		if err != nil {
@@ -63,87 +54,87 @@ func main() {
 		}
 		os.Exit(runAnalysis(targets, *threads, *doJSON, os.Stdout, os.Stderr))
 	}
+	req := metaRequest{class: *className, k: *k, dim: *dim, decl: *declFile, varName: *varName, path: *pathFlag}
+	os.Exit(runMeta(req, os.Stdout, os.Stderr))
+}
 
+// metaRequest names what the default and -decl modes print metadata for:
+// a Chapel declaration file's variable and field path when decl is set,
+// otherwise a built-in class at k and dim.
+type metaRequest struct {
+	class  string
+	k, dim int
+
+	decl, varName, path string
+}
+
+// runMeta prints the Fig. 6 linearization metadata to w. For a built-in
+// class it then runs the translate-time verifier at every optimization
+// level, printing each level's tally to w and its diagnostics to errw
+// compiler-style (pos: severity[CODE]: msg). Returns the process exit
+// code: 1 on an error, an FRV error included, 2 on an unknown class.
+func runMeta(req metaRequest, w, errw io.Writer) int {
+	if req.decl != "" {
+		if err := declMeta(w, req.decl, req.varName, req.path); err != nil {
+			fmt.Fprintln(errw, "freeride-translate:", err)
+			return 1
+		}
+		return 0
+	}
 	var (
 		cls    *core.ReductionClass
 		dataTy *chapel.Type
 	)
-	switch *className {
+	switch req.class {
 	case "kmeans":
-		cents := apps.BoxPoints(zeroMatrix(*k, *dim))
-		cls = apps.KMeansClass(*k, *dim, cents)
-		dataTy = chapel.ArrayType(chapel.RecordType("Point",
-			chapel.Field{Name: "coords", Type: chapel.ArrayType(chapel.RealType(), 1, *dim)}), 1, 1000)
+		cents := apps.BoxPoints(zeroMatrix(req.k, req.dim))
+		cls = apps.KMeansClass(req.k, req.dim, cents)
+		dataTy = pointArrayType(req.dim, 1000)
 	case "pca-mean":
-		cls = apps.PCAMeanClass(*dim)
-		dataTy = chapel.ArrayType(chapel.ArrayType(chapel.RealType(), 1, *dim), 1, 1000)
+		cls = apps.PCAMeanClass(req.dim)
+		dataTy = realMatrixType(req.dim, 1000)
 	case "pca-cov":
-		cls = apps.PCACovClass(*dim, chapel.RealArray(make([]float64, *dim)...))
-		dataTy = chapel.ArrayType(chapel.ArrayType(chapel.RealType(), 1, *dim), 1, 1000)
+		cls = apps.PCACovClass(req.dim, chapel.RealArray(make([]float64, req.dim)...))
+		dataTy = realMatrixType(req.dim, 1000)
 	default:
-		fmt.Fprintf(os.Stderr, "freeride-translate: unknown class %q\n", *className)
-		os.Exit(2)
+		fmt.Fprintf(errw, "freeride-translate: unknown class %q\n", req.class)
+		return 2
 	}
-
 	meta, err := core.MetaFor(dataTy, cls.Path...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "freeride-translate:", err)
-		os.Exit(1)
+		fmt.Fprintln(errw, "freeride-translate:", err)
+		return 1
 	}
-	fmt.Println("=== information collected during linearization (Fig. 6) ===")
-	fmt.Println(meta)
-	fmt.Println()
-
-	levels := core.OptLevels()
-	if *optName != "" {
-		levels = nil
-		for _, l := range core.OptLevels() {
-			if l.String() == *optName {
-				levels = []core.OptLevel{l}
-			}
-		}
-		if levels == nil {
-			fmt.Fprintf(os.Stderr, "freeride-translate: unknown opt level %q\n", *optName)
-			os.Exit(2)
-		}
-	}
-	// Run the translate-time verifier first and print its findings
-	// compiler-style (pos: severity[CODE]: msg). EmitC is gated on the same
-	// checks, so rejecting here mirrors the paper's compiler refusing to
-	// translate the reduction at all.
+	fmt.Fprintln(w, "=== information collected during linearization (Fig. 6) ===")
+	fmt.Fprintln(w, meta)
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "=== translate-time verifier ===")
 	failed := false
-	for _, opt := range levels {
-		for _, d := range core.VerifyType(cls, dataTy, opt) {
-			fmt.Fprintln(os.Stderr, d)
+	for _, opt := range core.OptLevels() {
+		errs := 0
+		ds := core.VerifyType(cls, dataTy, opt)
+		for _, d := range ds {
+			fmt.Fprintln(errw, d)
 			if d.Severity == verify.SeverityError {
-				failed = true
+				errs++
 			}
 		}
+		fmt.Fprintf(w, "%-10s %d errors, %d warnings\n", opt.String()+":", errs, len(ds.Warnings()))
+		failed = failed || errs > 0
 	}
 	if failed {
-		os.Exit(1)
+		return 1
 	}
-	for _, opt := range levels {
-		src, err := core.EmitC(cls, dataTy, opt)
-		if err != nil {
-			if verr := verify.AsError(err); verr != nil {
-				fmt.Fprintln(os.Stderr, verr.Diags.Render())
-			} else {
-				fmt.Fprintln(os.Stderr, "freeride-translate:", err)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("=== %s ===\n%s\n", opt, src)
-	}
+	return 0
 }
 
 func zeroMatrix(rows, cols int) *dataset.Matrix {
 	return dataset.NewMatrix(rows, cols)
 }
 
-// analyzeDecl parses a Chapel declaration file and prints the Fig. 6
+// declMeta parses a Chapel declaration file and prints the Fig. 6
 // linearization metadata for the named variable and access path.
-func analyzeDecl(path, varName, fieldPath string) error {
+func declMeta(w io.Writer, path, varName, fieldPath string) error {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -169,13 +160,13 @@ func analyzeDecl(path, varName, fieldPath string) error {
 			fields[i] = strings.TrimSpace(fields[i])
 		}
 	}
-	fmt.Printf("var %s: %s\n", varName, ty)
-	fmt.Printf("linearized size: %d bytes\n\n", core.SizeOf(ty))
+	fmt.Fprintf(w, "var %s: %s\n", varName, ty)
+	fmt.Fprintf(w, "linearized size: %d bytes\n\n", core.SizeOf(ty))
 	meta, err := core.MetaFor(ty, fields...)
 	if err != nil {
 		return err
 	}
-	fmt.Println("=== information collected during linearization (Fig. 6) ===")
-	fmt.Println(meta)
+	fmt.Fprintln(w, "=== information collected during linearization (Fig. 6) ===")
+	fmt.Fprintln(w, meta)
 	return nil
 }

@@ -16,8 +16,7 @@ import (
 //   - AffinePlan — the paper's closed-form dense addressing
 //     off(i,k) = U0·i + Off0 + U1·k, proven safe by the verifier's
 //     closed-form bounds checks (FRV010/FRV011/FRV012). Every dense app
-//     uses it; SpecFromWords and EmitC bake its constants into the loop
-//     nest.
+//     uses it; SpecFromWords bakes its constants into the loop nest.
 //   - InspectorPlan — the inspector–executor model for sparse/irregular
 //     sources: a translate-time inspector materializes CSR tables (row
 //     pointers for the scatter target, a gather offset per nonzero), and
@@ -41,9 +40,7 @@ type AccessPlan interface {
 
 // AffinePlan is the closed-form dense addressing model: element i's real
 // run starts at U0*i + Off0 and holds Inner elements with stride U1. The
-// constants come straight from the Fig. 6 mapping metadata; units follow
-// the Meta they were derived from (words for executor plans, bytes for the
-// EmitC rendering).
+// constants come straight from the Fig. 6 mapping metadata, in words.
 type AffinePlan struct {
 	// U0 is the outer (row) stride; Off0 the hoisted base offset; U1 the
 	// inner stride.
@@ -51,14 +48,14 @@ type AffinePlan struct {
 	// Inner is the run length in elements.
 	Inner int
 	// NumRows is the outer domain length; WordLen the linearized buffer
-	// length. Both are zero when the plan only feeds codegen (EmitC),
-	// which never indexes storage.
+	// length. SpecFromWords leaves NumRows zero: its executors take the
+	// domain from each split's arguments.
 	NumRows, WordLen int
 }
 
 // AffinePlanFromMeta extracts the affine constants the strength-reduced
-// loop nest uses from mapping metadata — the single definition SpecFromWords,
-// the verifier lowering, and EmitC all share. rows and wordLen size the
+// loop nest uses from mapping metadata — the single definition SpecFromWords
+// and the verifier lowering share. rows and wordLen size the
 // plan's domain and buffer for verification; pass zero when unknown.
 func AffinePlanFromMeta(meta *Meta, rows, wordLen int) AffinePlan {
 	return AffinePlan{

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"strings"
 	"testing"
 
 	"chapelfreeride/internal/freeride"
@@ -176,35 +175,5 @@ func TestGeneratedRowMatchesOpt1Row(t *testing.T) {
 				t.Fatalf("row %d elem %d: generated At %v != opt-1 At %v", i, kk, gen.At(kk), opt1.At(kk))
 			}
 		}
-	}
-}
-
-// TestEmitCOpt3 renders the fused shape: a block-granular function with a
-// thread-local dense buffer and one accumulate_block flush per split.
-func TestEmitCOpt3(t *testing.T) {
-	const k, dim = 2, 3
-	cls := kmeansClass(k, dim, makeCentroids(k, dim, 9))
-	out, err := EmitC(cls, pointsType(10, dim), Opt3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"kmeans_block_reduction(block_args_t* args)",
-		"double acc[",
-		"accumulate_block(args->worker, acc)",
-		"linearized_hot_0",
-		"no lock, no CAS",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("EmitC opt-3 output missing %q:\n%s", want, out)
-		}
-	}
-	// Lower levels keep their per-element shapes.
-	out2, err := EmitC(cls, pointsType(10, dim), Opt2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(out2, "accumulate_block") {
-		t.Fatal("opt-2 EmitC must not render the fused flush")
 	}
 }

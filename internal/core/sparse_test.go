@@ -2,11 +2,8 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -252,42 +249,6 @@ func TestSparseExecutorMatchesDense(t *testing.T) {
 			}
 		}
 		eng.Close()
-	}
-}
-
-// TestEmitSparseCGolden pins the rendered sparse executor for SpMV at the
-// two levels the translation pipeline distinguishes most: the per-element
-// table walk (opt-1) and the fused scattered-accumulator shape (opt-3).
-// Regenerate with -update-golden and inspect the diff before committing.
-func TestEmitSparseCGolden(t *testing.T) {
-	x := chapel.RealArray(1, 2, 3, 4)
-	class := spmvTestClass(3, x)
-	for _, opt := range []OptLevel{Opt1, Opt3} {
-		name := fmt.Sprintf("spmv_%s", map[OptLevel]string{Opt1: "opt1", Opt3: "opt3"}[opt])
-		t.Run(name, func(t *testing.T) {
-			got, err := EmitSparseC(class, opt)
-			if err != nil {
-				t.Fatalf("EmitSparseC(%s): %v", opt, err)
-			}
-			path := filepath.Join("testdata", "emitc", name+".golden")
-			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run with -update-golden): %v", err)
-			}
-			if got != string(want) {
-				t.Errorf("EmitSparseC output for %s drifted from %s.\ngot:\n%s\nwant:\n%s",
-					name, path, got, want)
-			}
-		})
 	}
 }
 

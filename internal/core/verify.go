@@ -11,9 +11,9 @@ import (
 // optimization level, before anything is linearized or any worker starts —
 // the runtime analog of the paper's compile-time rejection of reductions
 // that cannot be translated to FREERIDE. It returns every finding as a
-// structured diagnostic; Translate and EmitC are gated
-// on the same checks, so a class that verifies cleanly (no error-severity
-// findings) cannot fail shape, bounds, or index-map validation later.
+// structured diagnostic; Translate is gated on the same checks, so a class
+// that verifies cleanly (no error-severity findings) cannot fail shape,
+// bounds, or index-map validation later.
 func Verify(class *ReductionClass, data *chapel.Array, opt OptLevel) verify.Diagnostics {
 	if data == nil {
 		return verify.Diagnostics{{

@@ -17,7 +17,7 @@ func flatRealType(n, dim int) *chapel.Type {
 
 // TestVerifyRejections pins, for every way a class can be untranslatable,
 // the diagnostic code, severity, and message users see — the contract
-// cmd/freeride-translate renders and Translate/EmitC are gated on.
+// cmd/freeride-translate renders and Translate is gated on.
 func TestVerifyRejections(t *testing.T) {
 	base := func() *ReductionClass { return kmeansClass(4, 3, makeCentroids(4, 3, 1)) }
 	intRuns := chapel.ArrayType(chapel.ArrayType(chapel.IntType(), 1, 3), 1, 4)
@@ -52,6 +52,17 @@ func TestVerifyRejections(t *testing.T) {
 			dataTy: chapel.ArrayType(chapel.ArrayType(chapel.IntType(), 1, 3), 1, 10), opt: OptNone,
 			code: verify.CodeNotAllReal, severity: verify.SeverityError,
 			msg: "all-real dataset",
+		},
+		{
+			name: "non-array dataset",
+			class: func() *ReductionClass {
+				c := base()
+				c.Path = nil
+				return c
+			}(),
+			dataTy: chapel.RealType(), opt: OptNone,
+			code: verify.CodeBadPath, severity: verify.SeverityError,
+			msg: "non-array type",
 		},
 		{
 			name: "unresolvable access path",

@@ -19,8 +19,8 @@ import (
 	"strings"
 )
 
-// Severity grades a diagnostic. Errors reject the plan (Translate, EmitC,
-// and engine runs refuse to proceed); warnings document legal-but-degraded
+// Severity grades a diagnostic. Errors reject the plan (Translate and
+// engine runs refuse to proceed); warnings document legal-but-degraded
 // shapes (e.g. opt-3 without a block kernel falls back to the opt-2
 // execution shape); infos are advisory.
 type Severity int
