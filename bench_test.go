@@ -42,7 +42,7 @@ func benchKMeans(b *testing.B, v apps.Version, n, k, iters int) {
 		K: k, Iterations: iters,
 		Engine: freeride.Config{Threads: benchThreads, SplitRows: n / 32},
 	}
-	run := func() error { _, err := apps.KMeans(v, points, init, cfg); return err }
+	run := func() error { _, err := apps.KMeansManualFR(points, init, cfg); return err }
 	switch v {
 	case apps.Generated, apps.Opt1, apps.Opt2, apps.Opt3:
 		boxed := apps.BoxPoints(points)
@@ -97,7 +97,7 @@ func benchPCA(b *testing.B, v apps.Version, elems, dims int) {
 	b.Helper()
 	data := dataset.UniformMatrix(elems, dims, 7, -5, 5)
 	cfg := apps.PCAConfig{Engine: freeride.Config{Threads: benchThreads, SplitRows: elems / 32}}
-	run := func() error { _, err := apps.PCA(v, data, cfg); return err }
+	run := func() error { _, err := apps.PCAManualFR(data, cfg); return err }
 	if v == apps.Opt2 {
 		boxed := apps.BoxMatrix(data)
 		run = func() error { _, err := apps.PCATranslated(boxed, core.Opt2, cfg); return err }
@@ -200,12 +200,12 @@ func BenchmarkAblationFreerideVsMapReduce(b *testing.B) {
 	points, init := kmeansBenchData(30000, 10, 16)
 	cases := []struct {
 		name string
-		v    apps.Version
+		run  func(points, init *dataset.Matrix, cfg apps.KMeansConfig) (*apps.KMeansResult, error)
 		comb bool
 	}{
-		{"freeride", apps.ManualFR, false},
-		{"mapreduce", apps.MapReduce, false},
-		{"mapreduce-combiner", apps.MapReduce, true},
+		{"freeride", apps.KMeansManualFR, false},
+		{"mapreduce", apps.KMeansMapReduce, false},
+		{"mapreduce-combiner", apps.KMeansMapReduce, true},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -217,7 +217,7 @@ func BenchmarkAblationFreerideVsMapReduce(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := apps.KMeans(c.v, points, init, cfg); err != nil {
+				if _, err := c.run(points, init, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -91,8 +91,8 @@ var points: [1..300] Point;
 	}
 }
 
-// TestPipelineDiskToKMeans runs k-means from an on-disk dataset through a
-// prefetching source, comparing the FREERIDE result with the sequential
+// TestPipelineDiskToKMeans runs k-means from an on-disk dataset through
+// positional reads, comparing the FREERIDE result with the sequential
 // reference — the deployment shape FREERIDE was built for (data on disk,
 // runtime-managed reads).
 func TestPipelineDiskToKMeans(t *testing.T) {
@@ -111,7 +111,6 @@ func TestPipelineDiskToKMeans(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	src := dataset.NewPrefetchSource(fs, 256, 4)
 
 	init := dataset.NewMatrix(5, 6)
 	copy(init.Data, points.Data[:30])
@@ -121,7 +120,7 @@ func TestPipelineDiskToKMeans(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Manual FREERIDE k-means over the disk-backed prefetching source.
+	// Manual FREERIDE k-means over the disk-backed source.
 	k, dim := 5, 6
 	cents := init.Clone()
 	eng := freeride.New(cfg.Engine)
@@ -151,7 +150,7 @@ func TestPipelineDiskToKMeans(t *testing.T) {
 				return nil
 			},
 		}
-		res, err := eng.RunContext(context.Background(), spec, src)
+		res, err := eng.RunContext(context.Background(), spec, fs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,9 +170,5 @@ func TestPipelineDiskToKMeans(t *testing.T) {
 	}
 	if !cents.Equal(ref.Centroids) {
 		t.Fatal("disk-backed k-means diverged from the in-memory reference")
-	}
-	hits, misses, _ := src.Stats()
-	if hits+misses == 0 {
-		t.Fatal("prefetch source saw no traffic")
 	}
 }

@@ -149,18 +149,6 @@ type PlanProfile struct {
 	Diags verify.Diagnostics `json:"-"`
 }
 
-// SplitInterval returns the half-open word interval [lo, hi) an affine
-// access touches over rows [begin, end) — the per-split write-set interval
-// from the closed form off(i,k) = U0·i + Off0 + U1·k. With the FRV012
-// injectivity fact U0 ≥ InnerLen·U1, intervals of consecutive splits are
-// disjoint: hi(b,e) = U0·(e−1)+Off0+InnerLen·U1 ≤ U0·e+Off0 = lo(e,·).
-func SplitInterval(a verify.Access, begin, end int) (lo, hi int) {
-	if begin >= end || a.Boxed {
-		return 0, 0
-	}
-	return a.U0*begin + a.Off0, a.U0*(end-1) + a.Off0 + a.InnerLen*a.U1
-}
-
 // Profile analyzes one verified plan and returns its profile. The plan is
 // assumed to have passed verify.CheckPlan with no errors; on a plan that
 // has not (nil Data, empty tables) the profile degrades to the facts that

@@ -37,19 +37,6 @@ func scatterPlan(out []int32, bound int) *verify.Plan {
 	}
 }
 
-func TestSplitIntervalDisjoint(t *testing.T) {
-	a := verify.Access{Elems: 100, InnerLen: 4, U0: 6, Off0: 2, U1: 1}
-	// Consecutive splits must not overlap: hi of [0,50) <= lo of [50,100).
-	_, hi := SplitInterval(a, 0, 50)
-	lo, _ := SplitInterval(a, 50, 100)
-	if hi > lo {
-		t.Fatalf("split intervals overlap: hi=%d lo=%d", hi, lo)
-	}
-	if gotLo, gotHi := SplitInterval(a, 0, 1); gotLo != 2 || gotHi != 2+4 {
-		t.Fatalf("first-row interval = [%d,%d), want [2,6)", gotLo, gotHi)
-	}
-}
-
 func TestProfileAffine(t *testing.T) {
 	pr := Profile(densePlan(1000, 4, 8, 5), Options{})
 	if pr.Kind != "affine" || pr.Domain != 1000 {
@@ -69,7 +56,7 @@ func TestProfileAffine(t *testing.T) {
 		t.Fatalf("mean aliases = %v", w.MeanAliases)
 	}
 	if len(pr.Diags) != 0 {
-		t.Fatalf("unexpected diagnostics: %s", pr.Diags.Render())
+		t.Fatalf("unexpected diagnostics: %s", pr.Diags)
 	}
 }
 
@@ -121,7 +108,7 @@ func TestDiagnosticsFire(t *testing.T) {
 	// FRV050: one-cell object.
 	pr := Profile(densePlan(100, 4, 1, 1), Options{})
 	if !hasCode(pr.Diags, verify.CodeWriteHotspot) {
-		t.Fatalf("FRV050 missing: %s", pr.Diags.Render())
+		t.Fatalf("FRV050 missing: %s", pr.Diags)
 	}
 	// FRV050: inspector hot-cell share >= 0.5.
 	out := make([]int32, 100)
@@ -130,12 +117,12 @@ func TestDiagnosticsFire(t *testing.T) {
 	}
 	pr = Profile(scatterPlan(out, 100), Options{})
 	if !hasCode(pr.Diags, verify.CodeWriteHotspot) {
-		t.Fatalf("FRV050 (skew form) missing: %s", pr.Diags.Render())
+		t.Fatalf("FRV050 (skew form) missing: %s", pr.Diags)
 	}
 	// FRV051: object over the cache budget.
 	pr = Profile(densePlan(100, 4, 1024, 1024), Options{CacheBudgetBytes: 1 << 20})
 	if !hasCode(pr.Diags, verify.CodeFootprintBudget) {
-		t.Fatalf("FRV051 missing: %s", pr.Diags.Render())
+		t.Fatalf("FRV051 missing: %s", pr.Diags)
 	}
 	// FRV052: degenerate skew over a large object.
 	big := make([]int32, 10000)
@@ -146,15 +133,15 @@ func TestDiagnosticsFire(t *testing.T) {
 		big[i] = 7 // ...plus a heavy alias pile-up on one cell
 	}
 	if small := Profile(scatterPlan(big, 4095), Options{}); hasCode(small.Diags, verify.CodeDegenerateSkew) {
-		t.Fatalf("FRV052 on a %d-cell object, below its 4096-cell floor: %s", small.Writes.Cells, small.Diags.Render())
+		t.Fatalf("FRV052 on a %d-cell object, below its 4096-cell floor: %s", small.Writes.Cells, small.Diags)
 	}
 	pr = Profile(scatterPlan(big, 8192), Options{})
 	if !hasCode(pr.Diags, verify.CodeDegenerateSkew) {
-		t.Fatalf("FRV052 missing: %s", pr.Diags.Render())
+		t.Fatalf("FRV052 missing: %s", pr.Diags)
 	}
 	// None of the analysis diagnostics may reject a plan.
 	if pr.Diags.HasErrors() {
-		t.Fatalf("analysis produced error-severity diagnostics: %s", pr.Diags.Render())
+		t.Fatalf("analysis produced error-severity diagnostics: %s", pr.Diags)
 	}
 }
 

@@ -146,38 +146,3 @@ func gatherRows(sv *core.StateVec, flat, row []float64) []float64 {
 	}
 	return flat
 }
-
-// UnboxMatrix converts a boxed [1..n] record{field: [1..m] real} or
-// [1..n][1..m] real structure back into a matrix. The element shape comes
-// from the caller, so a mismatch is reported as an error rather than a
-// panic.
-func UnboxMatrix(a *chapel.Array, field string) (*dataset.Matrix, error) {
-	n := a.Len()
-	if n == 0 {
-		return dataset.NewMatrix(0, 0), nil
-	}
-	first := a.At(a.Ty.Lo)
-	var width int
-	switch e := first.(type) {
-	case *chapel.Record:
-		width = e.Field(field).(*chapel.Array).Len()
-	case *chapel.Array:
-		width = e.Len()
-	default:
-		return nil, fmt.Errorf("apps: UnboxMatrix over %s: element is neither a record nor an array", a.Ty)
-	}
-	m := dataset.NewMatrix(n, width)
-	for i := 0; i < n; i++ {
-		var inner *chapel.Array
-		switch e := a.At(a.Ty.Lo + i).(type) {
-		case *chapel.Record:
-			inner = e.Field(field).(*chapel.Array)
-		case *chapel.Array:
-			inner = e
-		}
-		for j := 0; j < width; j++ {
-			m.Set(i, j, inner.At(inner.Ty.Lo+j).(*chapel.Real).Val)
-		}
-	}
-	return m, nil
-}

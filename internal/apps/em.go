@@ -188,13 +188,6 @@ func emResult(st *emState, weights []float64, k, dim int, timing Timing) *EMResu
 	return &EMResult{Means: means, Variances: st.variances, Weights: weights, Timing: timing}
 }
 
-// EMManualFR is the hand-written FREERIDE version.
-func EMManualFR(points, init *dataset.Matrix, cfg EMConfig) (*EMResult, error) {
-	eng := freeride.New(cfg.Engine)
-	defer eng.Close()
-	return EMSession(context.Background(), eng, dataset.NewMemorySource(points), init, cfg)
-}
-
 // EMSession runs manual FREERIDE EM from the K×dim means init on a
 // caller-owned engine session; cfg.Engine is not read, and ctx cancels the
 // passes.
@@ -332,22 +325,4 @@ func EMTranslated(boxedPoints *chapel.Array, init *dataset.Matrix, opt core.OptL
 		return nil, err
 	}
 	return emResult(st, weights, k, dim, timing), nil
-}
-
-// EM dispatches to the named version.
-func EM(v Version, points, init *dataset.Matrix, cfg EMConfig) (*EMResult, error) {
-	switch v {
-	case Seq:
-		return EMSeq(points, init, cfg)
-	case Generated:
-		return EMTranslated(BoxPoints(points), init, core.OptNone, cfg)
-	case Opt1:
-		return EMTranslated(BoxPoints(points), init, core.Opt1, cfg)
-	case Opt2:
-		return EMTranslated(BoxPoints(points), init, core.Opt2, cfg)
-	case ManualFR:
-		return EMManualFR(points, init, cfg)
-	default:
-		return nil, fmt.Errorf("apps: unsupported EM version %v", v)
-	}
 }

@@ -41,7 +41,7 @@ func TestEMAllVersionsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range []Version{Generated, Opt1, Opt2, ManualFR} {
-		got, err := EM(v, points, init, cfg)
+		got, err := runEM(v, points, init, cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
@@ -65,7 +65,7 @@ func TestEMFindsSeparatedClusters(t *testing.T) {
 	init.Set(0, 1, 1)
 	init.Set(1, 0, 19)
 	init.Set(1, 1, 19)
-	res, err := EMManualFR(m, init, EMConfig{K: 2, Iterations: 10, Engine: freeride.Config{Threads: 2}})
+	res, err := emManualFR(m, init, EMConfig{K: 2, Iterations: 10, Engine: freeride.Config{Threads: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestEMThreadInvariance(t *testing.T) {
 	var ref *EMResult
 	for _, threads := range []int{1, 2, 4} {
 		cfg := EMConfig{K: 2, Iterations: 3, Engine: freeride.Config{Threads: threads, SplitRows: 50}}
-		res, err := EMManualFR(points, init, cfg)
+		res, err := emManualFR(points, init, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,9 +103,6 @@ func TestEMValidationAndVersions(t *testing.T) {
 	}
 	if _, err := EMSeq(points, init, EMConfig{K: 2, Iterations: 0}); err == nil {
 		t.Fatal("Iterations=0: want error")
-	}
-	if _, err := EM(MapReduce, points, init, EMConfig{K: 2, Iterations: 1}); err == nil {
-		t.Fatal("unsupported version: want error")
 	}
 }
 

@@ -75,33 +75,6 @@ func DegreeSeq(edges *dataset.Matrix, cfg DegreeConfig) (*DegreeResult, error) {
 	return &DegreeResult{Degrees: deg, Timing: Timing{Reduce: time.Since(t0)}}, nil
 }
 
-// DegreeManualFR is the hand-written FREERIDE version: one accumulate of 1
-// into cell src per edge.
-func DegreeManualFR(edges *dataset.Matrix, cfg DegreeConfig) (*DegreeResult, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	eng := freeride.New(cfg.Engine)
-	defer eng.Close()
-	spec := freeride.Spec{
-		Object: freeride.ObjectSpec{Groups: cfg.Nodes, Elems: 1, Op: robj.OpAdd},
-		Reduction: func(args *freeride.ReductionArgs) error {
-			for i := 0; i < args.NumRows; i++ {
-				args.Accumulate(int(args.Row(i)[0]), 0, 1)
-			}
-			return nil
-		},
-	}
-	t0 := time.Now()
-	res, err := eng.RunContext(context.Background(), spec, dataset.NewMemorySource(edges))
-	if err != nil {
-		return nil, err
-	}
-	deg := make([]float64, cfg.Nodes)
-	copy(deg, res.Object.Snapshot())
-	return &DegreeResult{Degrees: deg, Timing: Timing{Reduce: time.Since(t0)}}, nil
-}
-
 // DegreeClass is the sparse translator input: a gather-free class (no hot
 // vector), whose kernel passes the stored value (1 per edge) through.
 func DegreeClass(cfg DegreeConfig) *core.SparseClass {
@@ -141,24 +114,4 @@ func DegreeTranslated(edges *dataset.Matrix, opt core.OptLevel, cfg DegreeConfig
 		Degrees: deg,
 		Timing:  Timing{Linearize: linearize + tr.InspectTime, Reduce: time.Since(t0)},
 	}, nil
-}
-
-// Degree dispatches to the named version.
-func Degree(v Version, edges *dataset.Matrix, cfg DegreeConfig) (*DegreeResult, error) {
-	switch v {
-	case Seq:
-		return DegreeSeq(edges, cfg)
-	case Generated:
-		return DegreeTranslated(edges, core.OptNone, cfg)
-	case Opt1:
-		return DegreeTranslated(edges, core.Opt1, cfg)
-	case Opt2:
-		return DegreeTranslated(edges, core.Opt2, cfg)
-	case Opt3:
-		return DegreeTranslated(edges, core.Opt3, cfg)
-	case ManualFR:
-		return DegreeManualFR(edges, cfg)
-	default:
-		return nil, fmt.Errorf("apps: unsupported degree-histogram version %v", v)
-	}
 }

@@ -10,6 +10,9 @@ import (
 	"chapelfreeride/internal/sched"
 )
 
+// degreeVersions are the translated degree-histogram levels.
+var degreeVersions = []Version{Generated, Opt1, Opt2, Opt3}
+
 func randomEdges(n, nodes int, seed int64) *dataset.Matrix {
 	m := dataset.NewMatrix(n, 2)
 	r := seed
@@ -48,8 +51,8 @@ func TestPropertyDegreeMatchesDensified(t *testing.T) {
 			t.Log(err)
 			return false
 		}
-		for _, v := range sparseVersions {
-			got, err := Degree(v, edges, cfg)
+		for _, v := range degreeVersions {
+			got, err := runDegree(v, edges, cfg)
 			if err != nil {
 				t.Logf("%v: %v", v, err)
 				return false
@@ -73,8 +76,8 @@ func TestPropertyDegreeMatchesDensified(t *testing.T) {
 func TestDegreeEmptyGraph(t *testing.T) {
 	edges := dataset.NewMatrix(0, 2)
 	cfg := DegreeConfig{Nodes: 3, Engine: freeride.Config{Threads: 2, SplitRows: 2}}
-	for _, v := range append([]Version{Seq}, sparseVersions...) {
-		res, err := Degree(v, edges, cfg)
+	for _, v := range append([]Version{Seq}, degreeVersions...) {
+		res, err := runDegree(v, edges, cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
@@ -98,8 +101,8 @@ func TestDegreeSelfLoopsAndMultiEdges(t *testing.T) {
 	})
 	cfg := DegreeConfig{Nodes: 3, Engine: freeride.Config{Threads: 2, SplitRows: 2}}
 	want := []float64{2, 1, 1}
-	for _, v := range append([]Version{Seq}, sparseVersions...) {
-		res, err := Degree(v, edges, cfg)
+	for _, v := range append([]Version{Seq}, degreeVersions...) {
+		res, err := runDegree(v, edges, cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}

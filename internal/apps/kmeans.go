@@ -472,28 +472,3 @@ func KMeansMapReduce(points, init *dataset.Matrix, cfg KMeansConfig) (*KMeansRes
 	}
 	return &KMeansResult{Centroids: cents, Counts: counts, Timing: timing}, nil
 }
-
-// KMeans dispatches to the named version. For the translated and
-// Chapel-native versions the boxed dataset is built on demand from points.
-func KMeans(v Version, points, init *dataset.Matrix, cfg KMeansConfig) (*KMeansResult, error) {
-	switch v {
-	case Seq:
-		return KMeansSeq(points, init, cfg)
-	case ChapelNative:
-		return KMeansChapelNative(BoxPoints(points), init, cfg)
-	case Generated:
-		return KMeansTranslated(BoxPoints(points), init, core.OptNone, cfg)
-	case Opt1:
-		return KMeansTranslated(BoxPoints(points), init, core.Opt1, cfg)
-	case Opt2:
-		return KMeansTranslated(BoxPoints(points), init, core.Opt2, cfg)
-	case Opt3:
-		return KMeansTranslated(BoxPoints(points), init, core.Opt3, cfg)
-	case ManualFR:
-		return KMeansManualFR(points, init, cfg)
-	case MapReduce:
-		return KMeansMapReduce(points, init, cfg)
-	default:
-		return nil, fmt.Errorf("apps: unknown k-means version %v", v)
-	}
-}

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -49,7 +50,7 @@ func TestKMeansAllVersionsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range allKMeansVersions() {
-		got, err := KMeans(v, points, init, cfg)
+		got, err := runKMeans(v, points, init, cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
@@ -141,9 +142,6 @@ func TestKMeansValidation(t *testing.T) {
 	if _, err := KMeansSeq(points, init, KMeansConfig{K: 2, Iterations: 0}); err == nil {
 		t.Fatal("Iterations=0: want error")
 	}
-	if _, err := KMeans(Version(99), points, init, KMeansConfig{K: 2, Iterations: 1}); err == nil {
-		t.Fatal("unknown version: want error")
-	}
 }
 
 func TestVersionStrings(t *testing.T) {
@@ -189,20 +187,20 @@ func TestKMeansTimingPopulated(t *testing.T) {
 
 func TestBoxUnboxRoundTrip(t *testing.T) {
 	m := intPoints(7, 3, 6)
-	if got, err := UnboxMatrix(BoxPoints(m), "coords"); err != nil || !got.Equal(m) {
+	if got, err := unboxMatrix(BoxPoints(m), "coords"); err != nil || !got.Equal(m) {
 		t.Fatalf("BoxPoints/UnboxMatrix round trip: %v", err)
 	}
-	if got, err := UnboxMatrix(BoxMatrix(m), ""); err != nil || !got.Equal(m) {
+	if got, err := unboxMatrix(BoxMatrix(m), ""); err != nil || !got.Equal(m) {
 		t.Fatalf("BoxMatrix/UnboxMatrix round trip: %v", err)
 	}
-	empty, err := UnboxMatrix(BoxMatrix(dataset.NewMatrix(0, 3)), "")
+	empty, err := unboxMatrix(BoxMatrix(dataset.NewMatrix(0, 3)), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if empty.Rows != 0 {
 		t.Fatal("empty unbox")
 	}
-	if _, err := UnboxMatrix(chapel.RealArray(1, 2, 3), ""); err == nil {
+	if _, err := unboxMatrix(chapel.RealArray(1, 2, 3), ""); err == nil {
 		t.Fatal("UnboxMatrix over a flat real array must error, not panic")
 	}
 	v := BoxVector([]float64{1, 2, 3})
@@ -240,12 +238,12 @@ func TestPropertyFusedKMeansMatchesOpt2AndManual(t *testing.T) {
 		points := intPoints(n, 2, seed)
 		init := initCentroids(points, k)
 		cfg := KMeansConfig{K: k, Iterations: 2, Engine: engine}
-		fused, err := KMeans(Opt3, points, init, cfg)
+		fused, err := runKMeans(Opt3, points, init, cfg)
 		if err != nil {
 			return fail("kmeans", Opt3, err)
 		}
 		for _, v := range []Version{Generated, Opt1, Opt2, ManualFR} {
-			ref, err := KMeans(v, points, init, cfg)
+			ref, err := runKMeans(v, points, init, cfg)
 			if err != nil || !fused.Centroids.Equal(ref.Centroids) || !slices.Equal(fused.Counts, ref.Counts) {
 				return fail("kmeans", v, err)
 			}
@@ -253,25 +251,25 @@ func TestPropertyFusedKMeansMatchesOpt2AndManual(t *testing.T) {
 
 		square := intPoints(64<<(nRaw%3), 3, seed)
 		pcaCfg := PCAConfig{Engine: engine}
-		pcaFused, err := PCA(Opt3, square, pcaCfg)
+		pcaFused, err := runPCA(Opt3, square, pcaCfg)
 		if err != nil {
 			return fail("pca", Opt3, err)
 		}
 		for _, v := range []Version{Generated, Opt1, Opt2, ManualFR} {
-			ref, err := PCA(v, square, pcaCfg)
+			ref, err := runPCA(v, square, pcaCfg)
 			if err != nil || !slices.Equal(pcaFused.Mean, ref.Mean) || !pcaFused.Cov.Equal(ref.Cov) {
 				return fail("pca", v, err)
 			}
 		}
 
 		emCfg := EMConfig{K: k, Iterations: 2, Engine: engine}
-		manual, err := EM(ManualFR, points, init, emCfg)
+		manual, err := runEM(ManualFR, points, init, emCfg)
 		if err != nil {
 			return fail("em", ManualFR, err)
 		}
 		var first *EMResult
 		for _, v := range []Version{Generated, Opt1, Opt2} {
-			got, err := EM(v, points, init, emCfg)
+			got, err := runEM(v, points, init, emCfg)
 			if err != nil {
 				return fail("em", v, err)
 			}
@@ -374,7 +372,7 @@ func TestPropertyKMeansVersionsMatchSeq(t *testing.T) {
 			return false
 		}
 		v := versions[int(uint64(seed)%uint64(len(versions)))]
-		got, err := KMeans(v, points, init, cfg)
+		got, err := runKMeans(v, points, init, cfg)
 		if err != nil {
 			return false
 		}
@@ -414,4 +412,39 @@ func TestKMeansClusterMatchesSingleNode(t *testing.T) {
 	if _, err := KMeansCluster(points, init, KMeansClusterConfig{K: 0, Iterations: 1}); err == nil {
 		t.Fatal("K=0: want error")
 	}
+}
+
+// unboxMatrix converts a boxed [1..n] record{field: [1..m] real} or
+// [1..n][1..m] real structure back into a matrix. The element shape comes
+// from the caller, so a mismatch is reported as an error rather than a
+// panic.
+func unboxMatrix(a *chapel.Array, field string) (*dataset.Matrix, error) {
+	n := a.Len()
+	if n == 0 {
+		return dataset.NewMatrix(0, 0), nil
+	}
+	first := a.At(a.Ty.Lo)
+	var width int
+	switch e := first.(type) {
+	case *chapel.Record:
+		width = e.Field(field).(*chapel.Array).Len()
+	case *chapel.Array:
+		width = e.Len()
+	default:
+		return nil, fmt.Errorf("apps: unboxMatrix over %s: element is neither a record nor an array", a.Ty)
+	}
+	m := dataset.NewMatrix(n, width)
+	for i := 0; i < n; i++ {
+		var inner *chapel.Array
+		switch e := a.At(a.Ty.Lo + i).(type) {
+		case *chapel.Record:
+			inner = e.Field(field).(*chapel.Array)
+		case *chapel.Array:
+			inner = e
+		}
+		for j := 0; j < width; j++ {
+			m.Set(i, j, inner.At(inner.Ty.Lo+j).(*chapel.Real).Val)
+		}
+	}
+	return m, nil
 }

@@ -344,25 +344,3 @@ func PCASession(ctx context.Context, eng *freeride.Engine, src dataset.Source) (
 	}
 	return &PCAResult{Mean: mean, Cov: cov, Timing: timing}, nil
 }
-
-// PCA dispatches to the named version. MapReduce and ChapelNative are not
-// provided for PCA (the paper evaluates opt-2 and manual FR only; Seq,
-// Generated, and Opt1 are included as references).
-func PCA(v Version, data *dataset.Matrix, cfg PCAConfig) (*PCAResult, error) {
-	switch v {
-	case Seq:
-		return PCASeq(data)
-	case Generated:
-		return PCATranslated(BoxMatrix(data), core.OptNone, cfg)
-	case Opt1:
-		return PCATranslated(BoxMatrix(data), core.Opt1, cfg)
-	case Opt2:
-		return PCATranslated(BoxMatrix(data), core.Opt2, cfg)
-	case Opt3:
-		return PCATranslated(BoxMatrix(data), core.Opt3, cfg)
-	case ManualFR:
-		return PCAManualFR(data, cfg)
-	default:
-		return nil, fmt.Errorf("apps: unsupported PCA version %v", v)
-	}
-}

@@ -39,7 +39,7 @@ func TestPCAAllVersionsAgree(t *testing.T) {
 	}
 	cfg := PCAConfig{Engine: freeride.Config{Threads: 4, SplitRows: 32}}
 	for _, v := range []Version{Generated, Opt1, Opt2, Opt3, ManualFR} {
-		got, err := PCA(v, m, cfg)
+		got, err := runPCA(v, m, cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
@@ -85,9 +85,6 @@ func TestPCAValidation(t *testing.T) {
 	}
 	if _, err := PCAManualFR(dataset.NewMatrix(3, 0), PCAConfig{}); err == nil {
 		t.Fatal("zero-dim matrix: want error")
-	}
-	if _, err := PCA(MapReduce, intPoints(5, 2, 1), PCAConfig{}); err == nil {
-		t.Fatal("unsupported version: want error")
 	}
 	if _, err := PCATranslated(BoxMatrix(dataset.NewMatrix(0, 2)), 0, PCAConfig{}); err == nil {
 		t.Fatal("empty boxed data: want error")
@@ -139,7 +136,7 @@ func TestPropertyPCAMatchesSeq(t *testing.T) {
 		}
 		cfg := PCAConfig{Engine: freeride.Config{Threads: threads, SplitRows: 16}}
 		for _, v := range []Version{Opt2, Opt3, ManualFR} {
-			got, err := PCA(v, m, cfg)
+			got, err := runPCA(v, m, cfg)
 			if err != nil {
 				return false
 			}

@@ -187,23 +187,3 @@ func SpMVTranslated(data *dataset.Matrix, opt core.OptLevel, cfg SpMVConfig) (*S
 		},
 	}, nil
 }
-
-// SpMV dispatches to the named version.
-func SpMV(v Version, data *dataset.Matrix, cfg SpMVConfig) (*SpMVResult, error) {
-	switch v {
-	case Seq:
-		return SpMVSeq(data, cfg)
-	case Generated:
-		return SpMVTranslated(data, core.OptNone, cfg)
-	case Opt1:
-		return SpMVTranslated(data, core.Opt1, cfg)
-	case Opt2:
-		return SpMVTranslated(data, core.Opt2, cfg)
-	case Opt3:
-		return SpMVTranslated(data, core.Opt3, cfg)
-	case ManualFR:
-		return SpMVManualFR(data, cfg)
-	default:
-		return nil, fmt.Errorf("apps: unsupported spmv version %v", v)
-	}
-}

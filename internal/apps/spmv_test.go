@@ -68,7 +68,7 @@ func TestPropertySpMVMatchesDensified(t *testing.T) {
 			return false
 		}
 		for _, v := range sparseVersions {
-			got, err := SpMV(v, data, cfg)
+			got, err := runSpMV(v, data, cfg)
 			if err != nil {
 				t.Logf("%v: %v", v, err)
 				return false
@@ -97,7 +97,7 @@ func TestSpMVEmptyMatrix(t *testing.T) {
 		Engine: freeride.Config{Threads: 2, SplitRows: 2},
 	}
 	for _, v := range append([]Version{Seq}, sparseVersions...) {
-		res, err := SpMV(v, data, cfg)
+		res, err := runSpMV(v, data, cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
@@ -127,7 +127,7 @@ func TestSpMVSingleRow(t *testing.T) {
 	}
 	const want = (2+5)*10 + 3*1000
 	for _, v := range append([]Version{Seq}, sparseVersions...) {
-		res, err := SpMV(v, data, cfg)
+		res, err := runSpMV(v, data, cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}

@@ -157,12 +157,6 @@ func (p *parser) peek() string {
 	return p.toks[p.pos]
 }
 
-func (p *parser) next() string {
-	t := p.peek()
-	p.pos++
-	return t
-}
-
 func (p *parser) accept(tok string) bool {
 	if !p.eof() && p.toks[p.pos] == tok {
 		p.pos++

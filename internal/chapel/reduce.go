@@ -1,7 +1,6 @@
 package chapel
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -76,63 +75,6 @@ func (o *SumOp) Combine(other ReduceScanOp) {
 
 // Generate implements ReduceScanOp.
 func (o *SumOp) Generate() Value {
-	if o.real {
-		return &Real{Val: o.rv}
-	}
-	return &Int{Val: o.iv}
-}
-
-// ProdOp is Chapel's `* reduce`.
-type ProdOp struct {
-	real bool
-	iv   int64
-	rv   float64
-	init bool
-}
-
-// NewProdOp returns a product reduction in its identity state.
-func NewProdOp() *ProdOp { return &ProdOp{iv: 1, rv: 1} }
-
-// Clone implements ReduceScanOp.
-func (o *ProdOp) Clone() ReduceScanOp { return NewProdOp() }
-
-// Accumulate implements ReduceScanOp.
-func (o *ProdOp) Accumulate(x Value) {
-	o.init = true
-	switch v := x.(type) {
-	case *Int:
-		if o.real {
-			o.rv *= float64(v.Val)
-		} else {
-			o.iv *= v.Val
-		}
-	case *Real:
-		if !o.real {
-			o.real = true
-			o.rv = float64(o.iv)
-			o.iv = 1
-		}
-		o.rv *= v.Val
-	default:
-		panic("chapel: ProdOp over non-numeric " + x.Type().String())
-	}
-}
-
-// Combine implements ReduceScanOp.
-func (o *ProdOp) Combine(other ReduceScanOp) {
-	x := other.(*ProdOp)
-	if !x.init {
-		return
-	}
-	if x.real {
-		o.Accumulate(&Real{Val: x.rv})
-	} else {
-		o.Accumulate(&Int{Val: x.iv})
-	}
-}
-
-// Generate implements ReduceScanOp.
-func (o *ProdOp) Generate() Value {
 	if o.real {
 		return &Real{Val: o.rv}
 	}
@@ -218,192 +160,6 @@ func (o *extremum) Generate() Value {
 	return &Real{Val: o.best}
 }
 
-// MinLocOp is Chapel's `minloc reduce`, producing the (value, index) pair of
-// the smallest element; ties resolve to the smallest index, matching
-// Chapel's semantics.
-type MinLocOp struct {
-	best float64
-	loc  int
-	init bool
-}
-
-// NewMinLocOp returns a minloc reduction in its identity state.
-func NewMinLocOp() *MinLocOp { return &MinLocOp{best: math.Inf(1), loc: -1} }
-
-// Clone implements ReduceScanOp.
-func (o *MinLocOp) Clone() ReduceScanOp { return NewMinLocOp() }
-
-// AccumulateAt folds element x at iteration index idx. MinLocOp needs the
-// index alongside the value, so drivers that know positions should call
-// AccumulateAt; plain Accumulate panics.
-func (o *MinLocOp) AccumulateAt(x Value, idx int) {
-	v := AsReal(x)
-	if !o.init || v < o.best || (v == o.best && idx < o.loc) {
-		o.best, o.loc, o.init = v, idx, true
-	}
-}
-
-// Accumulate implements ReduceScanOp; MinLocOp requires AccumulateAt.
-func (o *MinLocOp) Accumulate(x Value) {
-	panic("chapel: MinLocOp needs AccumulateAt (value with index)")
-}
-
-// Combine implements ReduceScanOp.
-func (o *MinLocOp) Combine(other ReduceScanOp) {
-	x := other.(*MinLocOp)
-	if !x.init {
-		return
-	}
-	if !o.init || x.best < o.best || (x.best == o.best && x.loc < o.loc) {
-		o.best, o.loc, o.init = x.best, x.loc, true
-	}
-}
-
-// Generate implements ReduceScanOp: a record {value: real, idx: int}.
-func (o *MinLocOp) Generate() Value {
-	ty := RecordType("minloc", Field{Name: "value", Type: RealType()}, Field{Name: "idx", Type: IntType()})
-	r := NewRecord(ty)
-	r.SetField("value", &Real{Val: o.best})
-	r.SetField("idx", &Int{Val: int64(o.loc)})
-	return r
-}
-
-// MaxLocOp is Chapel's `maxloc reduce`, producing the (value, index) pair
-// of the largest element; ties resolve to the smallest index.
-type MaxLocOp struct {
-	best float64
-	loc  int
-	init bool
-}
-
-// NewMaxLocOp returns a maxloc reduction in its identity state.
-func NewMaxLocOp() *MaxLocOp { return &MaxLocOp{best: math.Inf(-1), loc: -1} }
-
-// Clone implements ReduceScanOp.
-func (o *MaxLocOp) Clone() ReduceScanOp { return NewMaxLocOp() }
-
-// AccumulateAt folds element x at iteration index idx.
-func (o *MaxLocOp) AccumulateAt(x Value, idx int) {
-	v := AsReal(x)
-	if !o.init || v > o.best || (v == o.best && idx < o.loc) {
-		o.best, o.loc, o.init = v, idx, true
-	}
-}
-
-// Accumulate implements ReduceScanOp; MaxLocOp requires AccumulateAt.
-func (o *MaxLocOp) Accumulate(x Value) {
-	panic("chapel: MaxLocOp needs AccumulateAt (value with index)")
-}
-
-// Combine implements ReduceScanOp.
-func (o *MaxLocOp) Combine(other ReduceScanOp) {
-	x := other.(*MaxLocOp)
-	if !x.init {
-		return
-	}
-	if !o.init || x.best > o.best || (x.best == o.best && x.loc < o.loc) {
-		o.best, o.loc, o.init = x.best, x.loc, true
-	}
-}
-
-// Generate implements ReduceScanOp: a record {value: real, idx: int}.
-func (o *MaxLocOp) Generate() Value {
-	ty := RecordType("maxloc", Field{Name: "value", Type: RealType()}, Field{Name: "idx", Type: IntType()})
-	r := NewRecord(ty)
-	r.SetField("value", &Real{Val: o.best})
-	r.SetField("idx", &Int{Val: int64(o.loc)})
-	return r
-}
-
-// LogicalAndOp is Chapel's `&& reduce`.
-type LogicalAndOp struct{ v bool }
-
-// NewLogicalAndOp returns the reduction in its identity state (true).
-func NewLogicalAndOp() *LogicalAndOp { return &LogicalAndOp{v: true} }
-
-// Clone implements ReduceScanOp.
-func (o *LogicalAndOp) Clone() ReduceScanOp { return NewLogicalAndOp() }
-
-// Accumulate implements ReduceScanOp.
-func (o *LogicalAndOp) Accumulate(x Value) { o.v = o.v && x.(*Bool).Val }
-
-// Combine implements ReduceScanOp.
-func (o *LogicalAndOp) Combine(other ReduceScanOp) { o.v = o.v && other.(*LogicalAndOp).v }
-
-// Generate implements ReduceScanOp.
-func (o *LogicalAndOp) Generate() Value { return &Bool{Val: o.v} }
-
-// LogicalOrOp is Chapel's `|| reduce`.
-type LogicalOrOp struct{ v bool }
-
-// NewLogicalOrOp returns the reduction in its identity state (false).
-func NewLogicalOrOp() *LogicalOrOp { return &LogicalOrOp{} }
-
-// Clone implements ReduceScanOp.
-func (o *LogicalOrOp) Clone() ReduceScanOp { return NewLogicalOrOp() }
-
-// Accumulate implements ReduceScanOp.
-func (o *LogicalOrOp) Accumulate(x Value) { o.v = o.v || x.(*Bool).Val }
-
-// Combine implements ReduceScanOp.
-func (o *LogicalOrOp) Combine(other ReduceScanOp) { o.v = o.v || other.(*LogicalOrOp).v }
-
-// Generate implements ReduceScanOp.
-func (o *LogicalOrOp) Generate() Value { return &Bool{Val: o.v} }
-
-// BitOp is the family of Chapel's `&`, `|`, `^` integer reductions.
-type BitOp struct {
-	kind rune // '&', '|', '^'
-	v    int64
-}
-
-// NewBitAndOp returns `& reduce` in its identity state (all ones).
-func NewBitAndOp() *BitOp { return &BitOp{kind: '&', v: -1} }
-
-// NewBitOrOp returns `| reduce` in its identity state (zero).
-func NewBitOrOp() *BitOp { return &BitOp{kind: '|'} }
-
-// NewBitXorOp returns `^ reduce` in its identity state (zero).
-func NewBitXorOp() *BitOp { return &BitOp{kind: '^'} }
-
-// Clone implements ReduceScanOp.
-func (o *BitOp) Clone() ReduceScanOp {
-	switch o.kind {
-	case '&':
-		return NewBitAndOp()
-	case '|':
-		return NewBitOrOp()
-	default:
-		return NewBitXorOp()
-	}
-}
-
-// Accumulate implements ReduceScanOp.
-func (o *BitOp) Accumulate(x Value) { o.apply(AsInt(x)) }
-
-// Combine implements ReduceScanOp.
-func (o *BitOp) Combine(other ReduceScanOp) { o.apply(other.(*BitOp).v) }
-
-func (o *BitOp) apply(v int64) {
-	switch o.kind {
-	case '&':
-		o.v &= v
-	case '|':
-		o.v |= v
-	default:
-		o.v ^= v
-	}
-}
-
-// Generate implements ReduceScanOp.
-func (o *BitOp) Generate() Value { return &Int{Val: o.v} }
-
-// indexedAccumulator is implemented by ops (like MinLocOp) that need the
-// iteration index alongside the value.
-type indexedAccumulator interface {
-	AccumulateAt(x Value, idx int)
-}
-
 // Reduce evaluates `op reduce expr` with the global-view abstraction: the
 // input is split among tasks, each task accumulates its split into a clone
 // of op, clones are combined in task order, and Generate produces the
@@ -449,81 +205,9 @@ func Reduce(op ReduceScanOp, expr Expr, tasks int) Value {
 }
 
 func accumulateRange(op ReduceScanOp, expr Expr, lo, hi int) {
-	if ia, ok := op.(indexedAccumulator); ok {
-		for i := lo; i < hi; i++ {
-			ia.AccumulateAt(expr.Index(i), i)
-		}
-		return
-	}
 	for i := lo; i < hi; i++ {
 		op.Accumulate(expr.Index(i))
 	}
-}
-
-// Scan evaluates `op scan expr`, returning the length-n inclusive prefix
-// reduction. It uses the standard two-pass parallel algorithm: per-block
-// local reduction, exclusive combine across block summaries, then a second
-// accumulation pass seeded with each block's prefix. tasks < 1 selects
-// GOMAXPROCS. Scan requires ops whose Accumulate works without indices.
-func Scan(op ReduceScanOp, expr Expr, tasks int) []Value {
-	n := expr.Len()
-	out := make([]Value, n)
-	if n == 0 {
-		return out
-	}
-	if tasks < 1 {
-		tasks = runtime.GOMAXPROCS(0)
-	}
-	if tasks > n {
-		tasks = n
-	}
-	// Block boundaries.
-	bounds := make([][2]int, tasks)
-	base, extra := n/tasks, n%tasks
-	begin := 0
-	for t := 0; t < tasks; t++ {
-		size := base
-		if t < extra {
-			size++
-		}
-		bounds[t] = [2]int{begin, begin + size}
-		begin += size
-	}
-	// Pass 1: local reductions per block.
-	sums := make([]ReduceScanOp, tasks)
-	var wg sync.WaitGroup
-	for t := 0; t < tasks; t++ {
-		sums[t] = op.Clone()
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			accumulateRange(sums[t], expr, bounds[t][0], bounds[t][1])
-		}(t)
-	}
-	wg.Wait()
-	// Exclusive prefix over block summaries (sequential; tasks is small).
-	prefixes := make([]ReduceScanOp, tasks)
-	running := op.Clone()
-	for t := 0; t < tasks; t++ {
-		p := op.Clone()
-		p.Combine(running)
-		prefixes[t] = p
-		running.Combine(sums[t])
-	}
-	// Pass 2: rescan each block seeded with its prefix.
-	for t := 0; t < tasks; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			acc := prefixes[t]
-			for i := bounds[t][0]; i < bounds[t][1]; i++ {
-				acc.Accumulate(expr.Index(i))
-				out[i] = acc.Generate()
-			}
-		}(t)
-	}
-	wg.Wait()
-	return out
 }
 
 // ReduceSeq is the sequential reference evaluation of `op reduce expr`,
@@ -531,31 +215,4 @@ func Scan(op ReduceScanOp, expr Expr, tasks int) []Value {
 func ReduceSeq(op ReduceScanOp, expr Expr) Value {
 	accumulateRange(op, expr, 0, expr.Len())
 	return op.Generate()
-}
-
-// mustNumeric panics unless the expression yields numeric elements; shared
-// by drivers that need early type errors rather than mid-reduction panics.
-func mustNumeric(e Expr) {
-	k := e.ElemType().Kind
-	if k != KindInt && k != KindReal {
-		panic(fmt.Sprintf("chapel: numeric reduction over %s", e.ElemType()))
-	}
-}
-
-// SumReduce is the convenience form of `+ reduce expr`.
-func SumReduce(expr Expr, tasks int) Value {
-	mustNumeric(expr)
-	return Reduce(NewSumOp(), expr, tasks)
-}
-
-// MinReduce is the convenience form of `min reduce expr`.
-func MinReduce(expr Expr, tasks int) Value {
-	mustNumeric(expr)
-	return Reduce(NewMinOp(), expr, tasks)
-}
-
-// MaxReduce is the convenience form of `max reduce expr`.
-func MaxReduce(expr Expr, tasks int) Value {
-	mustNumeric(expr)
-	return Reduce(NewMaxOp(), expr, tasks)
 }

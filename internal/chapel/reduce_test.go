@@ -7,13 +7,19 @@ import (
 	"testing/quick"
 )
 
+// sumReduce, minReduce and maxReduce are `+ reduce`, `min reduce` and
+// `max reduce` over e.
+func sumReduce(e Expr, tasks int) Value { return Reduce(NewSumOp(), e, tasks) }
+func minReduce(e Expr, tasks int) Value { return Reduce(NewMinOp(), e, tasks) }
+func maxReduce(e Expr, tasks int) Value { return Reduce(NewMaxOp(), e, tasks) }
+
 func TestSumReduceIntAndReal(t *testing.T) {
 	ints := Over(IntArray(1, 2, 3, 4, 5))
-	if got := SumReduce(ints, 4).(*Int).Val; got != 15 {
+	if got := sumReduce(ints, 4).(*Int).Val; got != 15 {
 		t.Fatalf("int sum = %d", got)
 	}
 	reals := Over(RealArray(0.5, 1.5, 2.0))
-	if got := SumReduce(reals, 2).(*Real).Val; got != 4.0 {
+	if got := sumReduce(reals, 2).(*Real).Val; got != 4.0 {
 		t.Fatalf("real sum = %v", got)
 	}
 	// Mixed: int op combined with reals widens to real.
@@ -23,118 +29,47 @@ func TestSumReduceIntAndReal(t *testing.T) {
 	if got := op.Generate().(*Real).Val; got != 2.5 {
 		t.Fatalf("mixed sum = %v", got)
 	}
-	mustPanic(t, "sum over bool", func() { SumReduce(Over(NewArray(ArrayType(BoolType(), 1, 2))), 1) })
+	mustPanic(t, "sum over bool", func() { sumReduce(Over(NewArray(ArrayType(BoolType(), 1, 2))), 1) })
 	mustPanic(t, "sum accumulate string", func() { NewSumOp().Accumulate(NewString(StringType(2), "a")) })
-}
-
-func TestProdOp(t *testing.T) {
-	got := Reduce(NewProdOp(), Over(IntArray(2, 3, 4)), 2)
-	if got.(*Int).Val != 24 {
-		t.Fatalf("prod = %v", got)
-	}
-	got = Reduce(NewProdOp(), Over(RealArray(2, 0.5)), 2)
-	if got.(*Real).Val != 1.0 {
-		t.Fatalf("real prod = %v", got)
-	}
-	// Identity: empty input gives 1.
-	if got := Reduce(NewProdOp(), Over(IntArray()), 4).(*Int).Val; got != 1 {
-		t.Fatalf("empty prod = %v", got)
-	}
-	mustPanic(t, "prod over bool", func() { NewProdOp().Accumulate(&Bool{}) })
 }
 
 func TestMinMaxReduce(t *testing.T) {
 	e := Over(IntArray(5, -3, 9, 0))
-	if got := MinReduce(e, 3).(*Int).Val; got != -3 {
+	if got := minReduce(e, 3).(*Int).Val; got != -3 {
 		t.Fatalf("min = %d", got)
 	}
-	if got := MaxReduce(e, 3).(*Int).Val; got != 9 {
+	if got := maxReduce(e, 3).(*Int).Val; got != 9 {
 		t.Fatalf("max = %d", got)
 	}
 	r := Over(RealArray(2.5, -1.25, 7))
-	if got := MinReduce(r, 2).(*Real).Val; got != -1.25 {
+	if got := minReduce(r, 2).(*Real).Val; got != -1.25 {
 		t.Fatalf("real min = %v", got)
 	}
-	if got := MaxReduce(r, 2).(*Real).Val; got != 7 {
+	if got := maxReduce(r, 2).(*Real).Val; got != 7 {
 		t.Fatalf("real max = %v", got)
 	}
 	// Empty input: identity (±Inf as real).
-	if got := MinReduce(Over(RealArray()), 2).(*Real).Val; !math.IsInf(got, 1) {
+	if got := minReduce(Over(RealArray()), 2).(*Real).Val; !math.IsInf(got, 1) {
 		t.Fatalf("empty min = %v", got)
 	}
 	mustPanic(t, "min over bool", func() { NewMinOp().Accumulate(&Bool{}) })
 	mustPanic(t, "extremum foreign combine", func() { NewMinOp().Combine(NewSumOp()) })
 }
 
-func TestMinLocOp(t *testing.T) {
-	e := Over(RealArray(4, 1, 3, 1, 5))
-	got := Reduce(NewMinLocOp(), e, 3).(*Record)
-	if got.Field("value").(*Real).Val != 1 {
-		t.Fatalf("minloc value = %v", got.Field("value"))
-	}
-	// Ties resolve to the smallest index (0-based position 1).
-	if got.Field("idx").(*Int).Val != 1 {
-		t.Fatalf("minloc idx = %v", got.Field("idx"))
-	}
-	mustPanic(t, "plain accumulate", func() { NewMinLocOp().Accumulate(&Real{}) })
-}
-
-func TestLogicalOps(t *testing.T) {
-	mk := func(vals ...bool) Expr {
-		a := NewArray(ArrayType(BoolType(), 1, len(vals)))
-		for i, v := range vals {
-			a.SetAt(i+1, &Bool{Val: v})
-		}
-		return Over(a)
-	}
-	if !Reduce(NewLogicalAndOp(), mk(true, true, true), 2).(*Bool).Val {
-		t.Fatal("and of all-true")
-	}
-	if Reduce(NewLogicalAndOp(), mk(true, false, true), 2).(*Bool).Val {
-		t.Fatal("and with false")
-	}
-	if Reduce(NewLogicalOrOp(), mk(false, false), 2).(*Bool).Val {
-		t.Fatal("or of all-false")
-	}
-	if !Reduce(NewLogicalOrOp(), mk(false, true), 2).(*Bool).Val {
-		t.Fatal("or with true")
-	}
-}
-
-func TestBitOps(t *testing.T) {
-	e := Over(IntArray(0b1100, 0b1010))
-	if got := Reduce(NewBitAndOp(), e, 2).(*Int).Val; got != 0b1000 {
-		t.Fatalf("and = %b", got)
-	}
-	if got := Reduce(NewBitOrOp(), e, 2).(*Int).Val; got != 0b1110 {
-		t.Fatalf("or = %b", got)
-	}
-	if got := Reduce(NewBitXorOp(), e, 2).(*Int).Val; got != 0b0110 {
-		t.Fatalf("xor = %b", got)
-	}
-	// Identities on empty input.
-	if got := Reduce(NewBitAndOp(), Over(IntArray()), 1).(*Int).Val; got != -1 {
-		t.Fatalf("empty and = %d", got)
-	}
-	if got := Reduce(NewBitOrOp(), Over(IntArray()), 1).(*Int).Val; got != 0 {
-		t.Fatalf("empty or = %d", got)
-	}
-}
-
 func TestReduceOverZipExpr(t *testing.T) {
 	// The paper's §IV-B example: min reduce A+B.
 	a := RealArray(5, 2, 8)
 	b := RealArray(1, 9, -4)
-	got := MinReduce(Zip(OpPlus, Over(a), Over(b)), 2).(*Real).Val
+	got := minReduce(Zip(OpPlus, Over(a), Over(b)), 2).(*Real).Val
 	if got != 4 { // min(6, 11, 4)
 		t.Fatalf("min reduce A+B = %v", got)
 	}
 	// Int zips stay int.
 	ia, ib := IntArray(1, 2), IntArray(10, 20)
-	if got := SumReduce(Zip(OpTimes, Over(ia), Over(ib)), 1).(*Int).Val; got != 50 {
+	if got := sumReduce(Zip(OpTimes, Over(ia), Over(ib)), 1).(*Int).Val; got != 50 {
 		t.Fatalf("sum reduce A*B = %v", got)
 	}
-	if got := SumReduce(Zip(OpMinus, Over(ib), Over(ia)), 1).(*Int).Val; got != 27 {
+	if got := sumReduce(Zip(OpMinus, Over(ib), Over(ia)), 1).(*Int).Val; got != 27 {
 		t.Fatalf("sum reduce B-A = %v", got)
 	}
 	mustPanic(t, "length mismatch", func() { Zip(OpPlus, Over(RealArray(1)), Over(RealArray(1, 2))) })
@@ -161,7 +96,7 @@ func TestRangeExpr(t *testing.T) {
 	if (RangeExpr{Lo: 5, Hi: 4}).Len() != 0 {
 		t.Fatal("empty range")
 	}
-	if got := SumReduce(RangeExpr{Lo: 1, Hi: 100}, 4).(*Int).Val; got != 5050 {
+	if got := sumReduce(RangeExpr{Lo: 1, Hi: 100}, 4).(*Int).Val; got != 5050 {
 		t.Fatalf("sum 1..100 = %d", got)
 	}
 }
@@ -171,7 +106,7 @@ func TestMapExpr(t *testing.T) {
 		x := v.(*Int).Val
 		return &Int{Val: x * x}
 	})
-	if got := SumReduce(squares, 2).(*Int).Val; got != 55 {
+	if got := sumReduce(squares, 2).(*Int).Val; got != 55 {
 		t.Fatalf("sum of squares = %d", got)
 	}
 	mustPanic(t, "MapOver nil", func() { MapOver(RangeExpr{}, nil, nil) })
@@ -180,41 +115,11 @@ func TestMapExpr(t *testing.T) {
 func TestReduceTaskCountEdgeCases(t *testing.T) {
 	e := Over(IntArray(1, 2, 3))
 	// tasks > len collapses to len; tasks < 1 uses GOMAXPROCS.
-	if SumReduce(e, 100).(*Int).Val != 6 || SumReduce(e, 0).(*Int).Val != 6 {
+	if sumReduce(e, 100).(*Int).Val != 6 || sumReduce(e, 0).(*Int).Val != 6 {
 		t.Fatal("task clamping")
 	}
-	if SumReduce(Over(IntArray()), 4).(*Int).Val != 0 {
+	if sumReduce(Over(IntArray()), 4).(*Int).Val != 0 {
 		t.Fatal("empty reduce")
-	}
-}
-
-func TestScanSum(t *testing.T) {
-	e := Over(IntArray(1, 2, 3, 4, 5))
-	for _, tasks := range []int{1, 2, 3, 8} {
-		got := Scan(NewSumOp(), e, tasks)
-		want := []int64{1, 3, 6, 10, 15}
-		if len(got) != 5 {
-			t.Fatalf("tasks=%d: len %d", tasks, len(got))
-		}
-		for i := range want {
-			if got[i].(*Int).Val != want[i] {
-				t.Fatalf("tasks=%d: scan[%d] = %v want %d", tasks, i, got[i], want[i])
-			}
-		}
-	}
-	if len(Scan(NewSumOp(), Over(IntArray()), 4)) != 0 {
-		t.Fatal("empty scan")
-	}
-}
-
-func TestScanMax(t *testing.T) {
-	e := Over(IntArray(3, 1, 4, 1, 5, 9, 2, 6))
-	want := []int64{3, 3, 4, 4, 5, 9, 9, 9}
-	got := Scan(NewMaxOp(), e, 3)
-	for i := range want {
-		if got[i].(*Int).Val != want[i] {
-			t.Fatalf("scan max[%d] = %v want %d", i, got[i], want[i])
-		}
 	}
 }
 
@@ -299,46 +204,5 @@ func TestPropertyReduceMatchesSequential(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(11))}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: scan's last element equals the reduction, for sums of ints.
-func TestPropertyScanConsistentWithReduce(t *testing.T) {
-	f := func(seed int64, nRaw uint16, tasksRaw uint8) bool {
-		n := int(nRaw%500) + 1
-		tasks := int(tasksRaw%8) + 1
-		rng := rand.New(rand.NewSource(seed))
-		vals := make([]int64, n)
-		for i := range vals {
-			vals[i] = int64(rng.Intn(100))
-		}
-		e := Over(IntArray(vals...))
-		scan := Scan(NewSumOp(), e, tasks)
-		red := Reduce(NewSumOp(), e, tasks)
-		return DeepEqual(scan[n-1], red)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(13))}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMaxLocOp(t *testing.T) {
-	e := Over(RealArray(4, 9, 3, 9, 5))
-	got := Reduce(NewMaxLocOp(), e, 3).(*Record)
-	if got.Field("value").(*Real).Val != 9 {
-		t.Fatalf("maxloc value = %v", got.Field("value"))
-	}
-	// Ties resolve to the smallest index (0-based position 1).
-	if got.Field("idx").(*Int).Val != 1 {
-		t.Fatalf("maxloc idx = %v", got.Field("idx"))
-	}
-	mustPanic(t, "plain accumulate", func() { NewMaxLocOp().Accumulate(&Real{}) })
-	// Combining an uninitialized clone is a no-op.
-	op := NewMaxLocOp()
-	op.AccumulateAt(&Real{Val: 2}, 7)
-	op.Combine(NewMaxLocOp())
-	out := op.Generate().(*Record)
-	if out.Field("idx").(*Int).Val != 7 {
-		t.Fatal("combine with identity changed state")
 	}
 }

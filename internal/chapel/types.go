@@ -156,17 +156,6 @@ func (t *Type) Len() int {
 	return t.Hi - t.Lo + 1
 }
 
-// IsPrimitive reports whether the type is one of Chapel's primitive types
-// (numeric, bool, string, enumerated), per §IV-B of the paper.
-func (t *Type) IsPrimitive() bool {
-	switch t.Kind {
-	case KindInt, KindReal, KindBool, KindString, KindEnum:
-		return true
-	default:
-		return false
-	}
-}
-
 // FieldIndex returns the position of the named field in a record type, or
 // -1 if absent.
 func (t *Type) FieldIndex(name string) int {

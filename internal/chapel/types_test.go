@@ -19,16 +19,6 @@ func TestPrimitiveSingletons(t *testing.T) {
 	if IntType() != IntType() || RealType() != RealType() || BoolType() != BoolType() {
 		t.Fatal("primitive types should be singletons")
 	}
-	for _, ty := range []*Type{IntType(), RealType(), BoolType(), StringType(8), EnumType("e", "a")} {
-		if !ty.IsPrimitive() {
-			t.Fatalf("%s should be primitive", ty)
-		}
-	}
-	arr := ArrayType(RealType(), 1, 3)
-	rec := RecordType("r", Field{Name: "x", Type: IntType()})
-	if arr.IsPrimitive() || rec.IsPrimitive() {
-		t.Fatal("array/record are not primitive")
-	}
 }
 
 func TestKindStrings(t *testing.T) {

@@ -190,41 +190,6 @@ func Zero(ty *Type) Value {
 	}
 }
 
-// Clone deep-copies a value.
-func Clone(v Value) Value {
-	switch x := v.(type) {
-	case *Int:
-		c := *x
-		return &c
-	case *Real:
-		c := *x
-		return &c
-	case *Bool:
-		c := *x
-		return &c
-	case *String:
-		c := *x
-		return &c
-	case *Enum:
-		c := *x
-		return &c
-	case *Array:
-		elems := make([]Value, len(x.Elems))
-		for i, e := range x.Elems {
-			elems[i] = Clone(e)
-		}
-		return &Array{Ty: x.Ty, Elems: elems}
-	case *Record:
-		fields := make([]Value, len(x.Fields))
-		for i, f := range x.Fields {
-			fields[i] = Clone(f)
-		}
-		return &Record{Ty: x.Ty, Fields: fields}
-	default:
-		panic(fmt.Sprintf("chapel: Clone of unknown value %T", v))
-	}
-}
-
 // DeepEqual reports whether two values have equal types and contents.
 func DeepEqual(a, b Value) bool {
 	if !a.Type().Equal(b.Type()) {

@@ -104,24 +104,6 @@ func TestStringAndEnumConstruction(t *testing.T) {
 	mustPanic(t, "NewEnum non-enum", func() { NewEnum(IntType(), 0) })
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	data := fig6Data(2, 2, 2)
-	cp := Clone(data).(*Array)
-	if !DeepEqual(data, cp) {
-		t.Fatal("clone should equal original")
-	}
-	// Mutate a deeply nested element of the clone.
-	cp.At(1).(*Record).Field("b1").(*Array).At(1).(*Record).
-		Field("a1").(*Array).SetAt(1, &Real{Val: -1})
-	if DeepEqual(data, cp) {
-		t.Fatal("clone aliases original")
-	}
-	if data.At(1).(*Record).Field("b1").(*Array).At(1).(*Record).
-		Field("a1").(*Array).At(1).(*Real).Val != 111 {
-		t.Fatal("original mutated through clone")
-	}
-}
-
 func TestDeepEqual(t *testing.T) {
 	if !DeepEqual(&Int{Val: 3}, &Int{Val: 3}) || DeepEqual(&Int{Val: 3}, &Int{Val: 4}) {
 		t.Fatal("int equality")

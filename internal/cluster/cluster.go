@@ -208,9 +208,6 @@ func New(cfg Config) *Cluster {
 	return c
 }
 
-// Config returns the effective configuration.
-func (c *Cluster) Config() Config { return c.cfg }
-
 // nodeEngines returns the session's per-node engines, creating them on
 // first use.
 func (c *Cluster) nodeEngines() ([]*freeride.Engine, error) {
@@ -377,52 +374,6 @@ func offsetSpec(spec freeride.Spec, base int) freeride.Spec {
 	return spec
 }
 
-// RunContext executes the spec over the dataset across the simulated
-// cluster: block-partition, per-node multicore reduction, then global
-// combination over the configured transport. The spec's Finalize hook, if
-// any, runs once on the combined result, mirroring single-node semantics.
-// Every node's engine pass inherits ctx (so one cancellation stops all
-// nodes' workers), and a cancelled cluster run returns ctx.Err() without
-// entering global combination.
-func (c *Cluster) RunContext(ctx context.Context, spec freeride.Spec, src dataset.Source) (*Result, error) {
-	if src == nil {
-		return nil, errors.New("cluster: nil data source")
-	}
-	return c.runContext(ctx, spec, src.NumRows(), func(n, lo, hi int) (dataset.Source, func() error, error) {
-		return nodeSource(src, lo, hi), nil, nil
-	})
-}
-
-// RunFileContext executes the spec over a binary dataset file
-// (dataset.WriteFileLayout format), with RunContext's semantics: each
-// simulated node memory-maps the file locally and reduces over its block
-// partition, so row-major files feed every node's engine zero-copy — the
-// distributed analogue of handing the engine a dataset.MappedFile. This
-// mirrors how FREERIDE nodes read their own disks: the coordinator ships no
-// rows; each node opens its shard itself, and shared pages come from one
-// page-cache copy. Each node's mapping lives exactly as long as its engine
-// pass; when mapping is unavailable the node degrades to positional reads
-// with identical results.
-func (c *Cluster) RunFileContext(ctx context.Context, spec freeride.Spec, path string) (*Result, error) {
-	// Probe the header once for the partition row count; each node then
-	// opens its own mapping.
-	hdr, err := dataset.OpenFileSource(path)
-	if err != nil {
-		return nil, err
-	}
-	rows := hdr.NumRows()
-	if err := hdr.Close(); err != nil {
-		return nil, err
-	}
-	return c.runContext(ctx, spec, rows, func(n, lo, hi int) (dataset.Source, func() error, error) {
-		ms, err := dataset.OpenMappedSource(path)
-		if err != nil {
-			return nil, nil, fmt.Errorf("cluster: node %d: %w", n, err)
-		}
-		return nodeSource(ms, lo, hi), ms.Close, nil
-	})
-}
-
 // nodePass is one node's share of a cluster pass: the job id it ran under,
 // what its engine pass returned, and what the coordinator needs to merge its
 // spans and deltas. A pass keeps every node's in one slice.
@@ -436,12 +387,18 @@ type nodePass struct {
 	deltas []obs.MetricDelta
 }
 
-// runContext drives one cluster pass. openNode builds node n's local source
-// over global rows [lo, hi) — a view of a shared in-memory source, or a
-// freshly mapped file — plus an optional closer that runs when the node's
-// engine pass finishes (borrowed row views never outlive the pass, so
-// closing there is safe).
-func (c *Cluster) runContext(ctx context.Context, spec freeride.Spec, totalRows int, openNode func(n, lo, hi int) (dataset.Source, func() error, error)) (*Result, error) {
+// RunContext executes the spec over the dataset across the simulated
+// cluster: block-partition, per-node multicore reduction, then global
+// combination over the configured transport. The spec's Finalize hook, if
+// any, runs once on the combined result, mirroring single-node semantics.
+// Every node's engine pass inherits ctx (so one cancellation stops all
+// nodes' workers), and a cancelled cluster run returns ctx.Err() without
+// entering global combination.
+func (c *Cluster) RunContext(ctx context.Context, spec freeride.Spec, src dataset.Source) (*Result, error) {
+	if src == nil {
+		return nil, errors.New("cluster: nil data source")
+	}
+	totalRows := src.NumRows()
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -461,7 +418,6 @@ func (c *Cluster) runContext(ctx context.Context, spec freeride.Spec, totalRows 
 	job := obs.NextJobID()
 	passStart := time.Now()
 	tr := obs.NewTrace()
-	tr.SetJob(job)
 	runSpan := tr.Start("cluster-run")
 	finishTrace := func() {
 		runSpan.End()
@@ -529,17 +485,7 @@ func (c *Cluster) runContext(ctx context.Context, spec freeride.Spec, totalRows 
 			np.offset = tr.Elapsed()
 			defer nSpan.End()
 			lo, hi := parts[n][0], parts[n][1]
-			nsrc, closer, oerr := openNode(n, lo, hi)
-			if oerr != nil {
-				np.err = oerr
-				return
-			}
-			np.res, np.err = engines[n].RunContext(obs.WithJob(ctx, np.job), offsetSpec(spec, lo), nsrc)
-			if closer != nil {
-				if cerr := closer(); cerr != nil && np.err == nil {
-					np.err = cerr
-				}
-			}
+			np.res, np.err = engines[n].RunContext(obs.WithJob(ctx, np.job), offsetSpec(spec, lo), nodeSource(src, lo, hi))
 		}(n)
 	}
 	wg.Wait()

@@ -130,8 +130,12 @@ func TestClusterRunFileMatchesMemory(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, nodes := range []int{1, 2, 3} {
+			ms, err := dataset.OpenMappedSource(path)
+			if err != nil {
+				t.Fatal(err)
+			}
 			c := New(Config{Nodes: nodes, PerNode: freeride.Config{Threads: 2, SplitRows: 128}})
-			res, err := c.RunFileContext(context.Background(), histSpec(buckets), path)
+			res, err := c.RunContext(context.Background(), histSpec(buckets), ms)
 			if err != nil {
 				t.Fatalf("%v/nodes=%d: %v", layout, nodes, err)
 			}
@@ -147,15 +151,10 @@ func TestClusterRunFileMatchesMemory(t *testing.T) {
 			if err := c.Close(); err != nil {
 				t.Fatal(err)
 			}
+			if err := ms.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-}
-
-func TestClusterRunFileMissing(t *testing.T) {
-	c := New(Config{Nodes: 2})
-	defer c.Close()
-	if _, err := c.RunFileContext(context.Background(), histSpec(2), filepath.Join(t.TempDir(), "nope.frds")); err == nil {
-		t.Fatal("missing file: want error")
 	}
 }
 
@@ -239,8 +238,8 @@ func TestClusterValidation(t *testing.T) {
 
 func TestClusterDefaults(t *testing.T) {
 	c := New(Config{})
-	if c.Config().Nodes != 2 {
-		t.Fatalf("default nodes = %d", c.Config().Nodes)
+	if c.cfg.Nodes != 2 {
+		t.Fatalf("default nodes = %d", c.cfg.Nodes)
 	}
 	if InProcess.String() != "in-process" || TCP.String() != "tcp" {
 		t.Fatal("transport strings")

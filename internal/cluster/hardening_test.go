@@ -73,15 +73,15 @@ func TestClusterRecoversThroughRetrySource(t *testing.T) {
 }
 
 func TestClusterTimeoutDefaults(t *testing.T) {
-	cfg := New(Config{}).Config()
+	cfg := New(Config{}).cfg
 	if cfg.DialTimeout != 2*time.Second || cfg.DialRetries != 2 || cfg.IOTimeout != 10*time.Second {
 		t.Fatalf("defaults: %+v", cfg)
 	}
-	cfg = New(Config{DialRetries: -1}).Config()
+	cfg = New(Config{DialRetries: -1}).cfg
 	if cfg.DialRetries != 0 {
 		t.Fatalf("negative DialRetries should mean none, got %d", cfg.DialRetries)
 	}
-	cfg = New(Config{DialTimeout: time.Second, DialRetries: 5, IOTimeout: 3 * time.Second}).Config()
+	cfg = New(Config{DialTimeout: time.Second, DialRetries: 5, IOTimeout: 3 * time.Second}).cfg
 	if cfg.DialTimeout != time.Second || cfg.DialRetries != 5 || cfg.IOTimeout != 3*time.Second {
 		t.Fatalf("explicit values overridden: %+v", cfg)
 	}

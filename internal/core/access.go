@@ -9,9 +9,9 @@ import (
 	"chapelfreeride/internal/verify"
 )
 
-// AccessPlan is the translator's pluggable addressing model: the thing that
-// knows how an executor finds the reduction target and gather source for
-// each element of its iteration domain. Two implementations exist:
+// The translator has two addressing models, each knowing how an executor
+// finds the reduction target and gather source for every element of its
+// iteration domain:
 //
 //   - AffinePlan — the paper's closed-form dense addressing
 //     off(i,k) = U0·i + Off0 + U1·k, proven safe by the verifier's
@@ -26,17 +26,6 @@ import (
 // The split mirrors the inspector–executor compilation of irregular PGAS
 // accesses: pay an analysis pass once at translate time so the per-pass
 // executor runs without bounds checks or mapping arithmetic.
-type AccessPlan interface {
-	// Kind names the addressing model: "affine" or "inspector".
-	Kind() string
-	// Domain is the executor's iteration-domain length: top-level data
-	// elements for affine plans, materialized nonzeros for inspector plans.
-	Domain() int
-	// Verify appends the plan's proof obligations to a verifier plan:
-	// affine plans contribute the closed-form data Access, inspector plans
-	// contribute their materialized TableAccess entries.
-	Verify(p *verify.Plan)
-}
 
 // AffinePlan is the closed-form dense addressing model: element i's real
 // run starts at U0*i + Off0 and holds Inner elements with stride U1. The
@@ -68,11 +57,8 @@ func AffinePlanFromMeta(meta *Meta, rows, wordLen int) AffinePlan {
 	}
 }
 
-// Kind implements AccessPlan.
+// Kind names the addressing model.
 func (a AffinePlan) Kind() string { return "affine" }
-
-// Domain implements AccessPlan.
-func (a AffinePlan) Domain() int { return a.NumRows }
 
 // access lowers the plan into the verifier's closed-form Access form.
 func (a AffinePlan) access(name string) verify.Access {
@@ -89,7 +75,7 @@ func (a AffinePlan) access(name string) verify.Access {
 	}
 }
 
-// Verify implements AccessPlan: the plan's proof obligation is the
+// Verify appends the plan's proof obligation to a verifier plan: the
 // closed-form data access map.
 func (a AffinePlan) Verify(p *verify.Plan) {
 	acc := a.access("data")
@@ -361,17 +347,14 @@ func colDigit(c int32, shift int) int {
 	return int(uint32(c)^(1<<31)) >> shift & 0xff
 }
 
-// Kind implements AccessPlan.
+// Kind names the addressing model.
 func (p *InspectorPlan) Kind() string { return "inspector" }
 
-// Domain implements AccessPlan: the executor iterates the nonzeros.
-func (p *InspectorPlan) Domain() int { return p.nnz }
-
-// Verify implements AccessPlan: the proof obligations are the materialized
-// tables themselves, bounded by the logical matrix shape. Callers that bind
-// the plan to a class additionally check the object and hot-vector shapes
-// match that logical shape (VerifySparse), so in-bounds here means in
-// bounds for the executor.
+// Verify appends the plan's proof obligations to a verifier plan: the
+// materialized tables themselves, bounded by the logical matrix shape.
+// Callers that bind the plan to a class additionally check the object and
+// hot-vector shapes match that logical shape (VerifySparse), so in-bounds
+// here means in bounds for the executor.
 func (p *InspectorPlan) Verify(vp *verify.Plan) {
 	vp.Tables = append(vp.Tables,
 		verify.TableAccess{Name: "rowPtr", Domain: p.nnz, Entries: p.rowPtr, Bound: p.rows},
@@ -384,9 +367,6 @@ func (p *InspectorPlan) Rows() int { return p.rows }
 
 // Cols reports the logical column count (gather-vector length).
 func (p *InspectorPlan) Cols() int { return p.cols }
-
-// NNZ reports the nonzero count.
-func (p *InspectorPlan) NNZ() int { return p.nnz }
 
 // BuildTime reports how long the inspector spent sorting and materializing
 // tables — the O(nnz + Rows) translate-time cost the bench report

@@ -24,7 +24,7 @@ func withBlockKernel(cls *ReductionClass, k, dim int) *ReductionClass {
 		}
 		acc := args.Acc()
 		for i := 0; i < args.NumRows; i++ {
-			pt := view.Run(args.Begin + i)
+			pt := view.Words[view.RowStride*(args.Begin+i)+view.RunOff:][:view.RunLen]
 			best, bestDist := 0, math.Inf(1)
 			for c := 0; c < k; c++ {
 				cc := cents[c*dim : c*dim+dim]

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -153,8 +154,8 @@ func TestInspectorPlanOutOfRangeRowsLast(t *testing.T) {
 // hasDiag reports whether err is a *verify.Error with a code diagnostic
 // whose message contains msg.
 func hasDiag(err error, code verify.Code, msg string) bool {
-	verr := verify.AsError(err)
-	if verr == nil {
+	var verr *verify.Error
+	if !errors.As(err, &verr) {
 		return false
 	}
 	for _, d := range verr.Diags {

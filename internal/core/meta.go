@@ -179,9 +179,6 @@ func (m *Meta) BaseIndex(outer ...int) int {
 // innermost elements after strength reduction.
 func (m *Meta) Stride() int { return m.UnitSize[m.Levels-1] }
 
-// WordUnits reports whether the metadata is expressed in 8-byte words.
-func (m *Meta) WordUnits() bool { return m.wordUnits }
-
 // Words returns a copy of the metadata with all sizes and offsets divided
 // by 8, for use against a []float64 view of the linearized storage. It
 // fails unless every size and offset is word-aligned and the leaf is a

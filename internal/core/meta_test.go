@@ -258,7 +258,7 @@ func TestWords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !w.WordUnits() || meta.WordUnits() {
+	if !w.wordUnits || meta.wordUnits {
 		t.Fatal("word-unit flags")
 	}
 	if w.UnitSize[0] != 4 || w.UnitSize[1] != 1 {

@@ -18,8 +18,6 @@
 package core
 
 import (
-	"fmt"
-
 	"chapelfreeride/internal/chapel"
 )
 
@@ -92,22 +90,6 @@ func ComputeLinearizeSize(v chapel.Value) int {
 // `isIterative` branch): the expression's length times its element size.
 func ExprLinearizeSize(e chapel.Expr) int {
 	return e.Len() * SizeOf(e.ElemType())
-}
-
-// FieldOffset returns the byte offset of field index f within the
-// linearized layout of record type ty.
-func FieldOffset(ty *chapel.Type, f int) int {
-	if ty.Kind != chapel.KindRecord {
-		panic("core: FieldOffset on non-record " + ty.String())
-	}
-	if f < 0 || f >= len(ty.Fields) {
-		panic(fmt.Sprintf("core: field index %d out of range for %s", f, ty))
-	}
-	off := 0
-	for i := 0; i < f; i++ {
-		off += SizeOf(ty.Fields[i].Type)
-	}
-	return off
 }
 
 // FieldOffsets returns the byte offsets of every field of record type ty —

@@ -163,15 +163,8 @@ func TranslateSparse(class *SparseClass, coo *SparseCOO, opt OptLevel) (*SparseT
 	return tr, nil
 }
 
-// Opt reports the translation's optimization level.
-func (t *SparseTranslation) Opt() OptLevel { return t.opt }
-
 // Plan exposes the inspector plan (tables, build cost, logical shape).
 func (t *SparseTranslation) Plan() *InspectorPlan { return t.plan }
-
-// AccessPlan returns the translation's addressing model — always the
-// inspector plan for sparse translations.
-func (t *SparseTranslation) AccessPlan() AccessPlan { return t.plan }
 
 // RefreshHot re-linearizes the gather vector after its boxed source changed
 // (no-op below opt-2, whose gather is live through the boxed array). Call

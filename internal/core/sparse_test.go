@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -95,8 +96,8 @@ func TestInspectorPlanCSROrder(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewInspectorPlan: %v", err)
 	}
-	if plan.Kind() != "inspector" || plan.Domain() != 5 {
-		t.Fatalf("kind=%s domain=%d", plan.Kind(), plan.Domain())
+	if plan.Kind() != "inspector" || plan.nnz != 5 {
+		t.Fatalf("kind=%s domain=%d", plan.Kind(), plan.nnz)
 	}
 	// CSR order: (0,0,1) (0,1,2) (1,3,7) (2,0,5) (2,2,4).
 	wantOut := []int32{0, 0, 1, 2, 2}
@@ -199,8 +200,8 @@ func TestTranslateSparseRejections(t *testing.T) {
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := TranslateSparse(tc.class(), tc.coo(t), Opt1)
-			verr := verify.AsError(err)
-			if verr == nil {
+			var verr *verify.Error
+			if !errors.As(err, &verr) {
 				t.Fatalf("want *verify.Error, got %v", err)
 			}
 			found := false
@@ -210,7 +211,7 @@ func TestTranslateSparseRejections(t *testing.T) {
 				}
 			}
 			if !found {
-				t.Fatalf("want code %s, got:\n%s", tc.code, verr.Diags.Render())
+				t.Fatalf("want code %s, got:\n%s", tc.code, verr.Diags)
 			}
 		})
 	}
@@ -427,7 +428,7 @@ func TestSparseOpt3WritesThrough(t *testing.T) {
 			defer eng.Close()
 			res, err := eng.RunContext(context.Background(), tr.Spec(), tr.Source())
 			if err != nil {
-				t.Fatalf("%v %s: %v", strategy, tr.Opt(), err)
+				t.Fatalf("%v %s: %v", strategy, tr.opt, err)
 			}
 			return res
 		}

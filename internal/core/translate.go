@@ -399,12 +399,6 @@ type BlockView struct {
 	RunLen int
 }
 
-// Run returns global element i's contiguous real run.
-func (v BlockView) Run(i int) []float64 {
-	base := v.RowStride*i + v.RunOff
-	return v.Words[base : base+v.RunLen]
-}
-
 // BlockKernel is the fused split-granular accumulate body used at Opt3: one
 // call processes args' whole split, reading elements through view (or
 // args.Data) and hot variables preferably through StateVec.Dense, and
@@ -451,7 +445,6 @@ type ReductionClass struct {
 // plus the linearized input it runs over.
 type Translation struct {
 	class *ReductionClass
-	opt   OptLevel
 
 	words []float64
 	meta  *Meta // word units, for the data
@@ -460,8 +453,9 @@ type Translation struct {
 
 	hot []*StateVec
 
-	// spec is the executor for opt, bound once when the translation is built:
-	// every pass of an iterative job runs the same closures.
+	// spec is the executor for the opt level, bound once when the
+	// translation is built: every pass of an iterative job runs the same
+	// closures.
 	spec freeride.Spec
 
 	// LinearizeTime is the cost of the input linearization (the first
@@ -502,7 +496,7 @@ func TranslateWith(class *ReductionClass, data *chapel.Array, opt OptLevel, _ Tr
 	if err != nil {
 		return nil, err
 	}
-	tr := &Translation{class: class, opt: opt, meta: wmeta, rows: data.Len()}
+	tr := &Translation{class: class, meta: wmeta, rows: data.Len()}
 	tr.cols = SizeOf(data.Ty.Elem) / 8
 
 	// Linearize the input dataset (Ft: Dv → Ds).
@@ -532,21 +526,11 @@ func TranslateWith(class *ReductionClass, data *chapel.Array, opt OptLevel, _ Tr
 	return tr, nil
 }
 
-// Opt reports the translation's optimization level.
-func (t *Translation) Opt() OptLevel { return t.opt }
-
 // Words exposes the linearized dataset (word view).
 func (t *Translation) Words() []float64 { return t.words }
 
 // Meta exposes the dataset's mapping metadata (word units).
 func (t *Translation) Meta() *Meta { return t.meta }
-
-// AccessPlan returns the translation's addressing model — always the
-// closed-form affine plan for dense translations (sparse translations carry
-// an InspectorPlan; see TranslateSparse).
-func (t *Translation) AccessPlan() AccessPlan {
-	return AffinePlanFromMeta(t.meta, t.rows, len(t.words))
-}
 
 // Source returns the linearized dataset as a FREERIDE data source: one row
 // per top-level element.

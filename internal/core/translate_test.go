@@ -499,13 +499,10 @@ func TestTranslationAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Opt() != Opt1 {
-		t.Fatal("Opt accessor")
-	}
 	if len(tr.Words()) != 20 {
 		t.Fatalf("words len %d", len(tr.Words()))
 	}
-	if tr.Meta().Levels != 2 || !tr.Meta().WordUnits() {
+	if tr.Meta().Levels != 2 || !tr.Meta().wordUnits {
 		t.Fatal("meta accessor")
 	}
 	if tr.LinearizeTime < 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -219,7 +220,7 @@ func TestVerifyErrorRendering(t *testing.T) {
 			t.Errorf("error %q missing %q", err, frag)
 		}
 	}
-	if verify.AsError(err) == nil {
+	if verr := (*verify.Error)(nil); !errors.As(err, &verr) {
 		t.Fatal("verifier errors must unwrap to *verify.Error for structured consumers")
 	}
 }

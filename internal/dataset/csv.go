@@ -57,6 +57,19 @@ func countFields(line []byte) int {
 	return bytes.Count(line, []byte{','}) + 1
 }
 
+// scanLF splits on \n alone and keeps a \r before it, so a line's length
+// plus one is its byte span in the file (bufio.ScanLines drops the \r, and
+// the row offsets of a CRLF file would drift by a byte a line).
+func scanLF(data []byte, atEOF bool) (int, []byte, error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
+}
+
 // trimEOL strips a trailing \r (Windows line endings) from a line already
 // split on \n.
 func trimEOL(line []byte) []byte {
@@ -64,56 +77,6 @@ func trimEOL(line []byte) []byte {
 		return line[:n-1]
 	}
 	return line
-}
-
-// ReadCSV parses a rectangular numeric CSV into a matrix. When skipHeader
-// is set the first record is discarded. Every remaining record must have
-// the same number of numeric fields. Blank lines are skipped, matching
-// encoding/csv. The parse reuses one line buffer and one per-row float
-// scratch across all rows instead of allocating field strings — on big
-// inputs the only growth is the result matrix itself.
-func ReadCSV(r io.Reader, skipHeader bool) (*Matrix, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
-	var (
-		data []float64
-		row  []float64 // reused per-row parse scratch
-		cols int
-		rows int
-		line int
-	)
-	for sc.Scan() {
-		line++
-		rec := trimEOL(sc.Bytes())
-		if skipHeader && line == 1 {
-			continue
-		}
-		if len(rec) == 0 {
-			continue
-		}
-		if cols == 0 {
-			cols = countFields(rec)
-			row = make([]float64, cols)
-		}
-		n, err := parseFloatRow(rec, row)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: csv line %d: %w", line, err)
-		}
-		if n != cols {
-			return nil, fmt.Errorf("dataset: csv line %d has %d fields, want %d", line, n, cols)
-		}
-		data = append(data, row...)
-		rows++
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("dataset: csv line %d: %w", line, err)
-	}
-	if rows == 0 || cols == 0 {
-		return nil, fmt.Errorf("dataset: csv contained no data rows")
-	}
-	m := NewMatrix(rows, cols)
-	copy(m.Data, data)
-	return m, nil
 }
 
 // WriteCSV serializes the matrix as numeric CSV, optionally with a header
@@ -174,6 +137,7 @@ func OpenCSVFileSource(path string, skipHeader bool) (*CSVFileSource, error) {
 	s := &CSVFileSource{f: f}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
+	sc.Split(scanLF)
 	var off int64
 	line := 0
 	for sc.Scan() {
@@ -253,9 +217,10 @@ func (s *CSVFileSource) ReadRows(begin, end int, dst []float64) error {
 		lo := s.offsets[r] - s.offsets[begin]
 		hi := s.offsets[r+1] - s.offsets[begin]
 		rec := buf[lo:hi]
-		// Strip the EOL the index left on every line but possibly the last.
-		if n := len(rec); n > 0 && rec[n-1] == '\n' {
-			rec = rec[:n-1]
+		// Cut at the EOL the index left on every line but possibly the
+		// last; the span also holds the blank lines the index skipped.
+		if i := bytes.IndexByte(rec, '\n'); i >= 0 {
+			rec = rec[:i]
 		}
 		rec = trimEOL(rec)
 		n, err := parseFloatRow(rec, sc.row)

@@ -5,35 +5,44 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 )
 
+// readCSVText writes text to a file and reads every row back through
+// CSVFileSource.
+func readCSVText(t *testing.T, text string, skipHeader bool) (*Matrix, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "t.csv")
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src, err := OpenCSVFileSource(path, skipHeader)
+	if err != nil {
+		return nil, err
+	}
+	defer src.Close()
+	m := NewMatrix(src.NumRows(), src.Cols())
+	if err := src.ReadRows(0, m.Rows, m.Data); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
 func TestCSVRoundTrip(t *testing.T) {
 	m := UniformMatrix(17, 4, 5, -100, 100)
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, m, []string{"a", "b", "c", "d"}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Equal(got) {
-		t.Fatal("csv round trip mismatch")
-	}
-	// Without header.
-	buf.Reset()
-	if err := WriteCSV(&buf, m, nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err = ReadCSV(&buf, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Equal(got) {
-		t.Fatal("headerless round trip mismatch")
+	for _, header := range [][]string{{"a", "b", "c", "d"}, nil} {
+		var buf bytes.Buffer
+		if err := WriteCSV(&buf, m, header); err != nil {
+			t.Fatal(err)
+		}
+		got, err := readCSVText(t, buf.String(), header != nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !m.Equal(got) {
+			t.Fatalf("round trip mismatch (header %v)", header)
+		}
 	}
 }
 
@@ -46,7 +55,7 @@ func TestCSVErrors(t *testing.T) {
 	}
 	for name, src := range cases {
 		skip := name == "header only"
-		if _, err := ReadCSV(strings.NewReader(src), skip); err == nil {
+		if _, err := readCSVText(t, src, skip); err == nil {
 			t.Errorf("%s: want error", name)
 		}
 	}
@@ -59,7 +68,7 @@ func TestCSVErrors(t *testing.T) {
 
 func TestCSVParsesPlainFile(t *testing.T) {
 	src := "x,y,label\n1.5,2,0\n-3,4e2,1\n"
-	m, err := ReadCSV(strings.NewReader(src), true)
+	m, err := readCSVText(t, src, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +76,7 @@ func TestCSVParsesPlainFile(t *testing.T) {
 		t.Fatalf("parsed %v", m.Data)
 	}
 	// CRLF line endings and interior blank lines parse like encoding/csv.
-	m, err = ReadCSV(strings.NewReader("1,2\r\n\r\n3,4\r\n"), false)
+	m, err = readCSVText(t, "1,2\r\n\r\n3,4\r\n", false)
 	if err != nil {
 		t.Fatal(err)
 	}

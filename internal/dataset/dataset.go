@@ -140,31 +140,26 @@ func KMeansPointsForBytes(targetBytes int64, dim int) int {
 	return int(n)
 }
 
-// Binary on-disk format (FRDS). Two versions are readable; v2 is written:
+// Binary on-disk format (FRDS, version 2):
 //
-//	v1: magic "FRDS", version uint32 1, rows int64, cols int64,
-//	    data rows*cols float64 little-endian row-major (24-byte header)
-//	v2: magic "FRDS", version uint32 2, layout uint32 (0 row-major /
-//	    1 column-major), reserved uint32, rows int64, cols int64,
-//	    data rows*cols float64 little-endian in the declared layout
+//	magic "FRDS", version uint32 2, layout uint32 (0 row-major /
+//	1 column-major), reserved uint32, rows int64, cols int64,
+//	data rows*cols float64 little-endian in the declared layout
 //
-// The v2 header is 32 bytes, a multiple of 8, so the float64 payload of an
+// The header is 32 bytes, a multiple of 8, so the float64 payload of an
 // mmap'd file is 8-byte aligned and can be viewed in place as []float64
 // (MappedSource relies on this).
 var magic = [4]byte{'F', 'R', 'D', 'S'}
 
-const (
-	formatVersion1 = 1
-	formatVersion2 = 2
-)
+const formatVersion2 = 2
 
-// Header sizes per format version; the data payload starts right after.
-const (
-	headerSizeV1 = 4 + 4 + 8 + 8
-	headerSizeV2 = 4 + 4 + 4 + 4 + 8 + 8
-)
+// headerSizeV2 is the header's size; the data payload starts right after.
+const headerSizeV2 = 4 + 4 + 4 + 4 + 8 + 8
 
-// Layout declares how a v2 file's float64 payload is ordered on disk.
+// maxCells bounds a header's rows, cols and rows*cols.
+const maxCells = 1 << 40
+
+// Layout declares how a file's float64 payload is ordered on disk.
 type Layout uint32
 
 const (
@@ -192,7 +187,7 @@ func (l Layout) String() string {
 // ErrBadFormat reports a malformed or truncated dataset file.
 var ErrBadFormat = errors.New("dataset: bad file format")
 
-// fileHeader is a parsed FRDS header, either version.
+// fileHeader is a parsed FRDS header.
 type fileHeader struct {
 	layout     Layout
 	rows, cols int
@@ -209,43 +204,32 @@ func parseHeader(r io.Reader) (fileHeader, error) {
 	if [4]byte(fixed[0:4]) != magic {
 		return h, fmt.Errorf("%w: bad magic %q", ErrBadFormat, fixed[0:4])
 	}
-	version := binary.LittleEndian.Uint32(fixed[4:8])
-	switch version {
-	case formatVersion1:
-		h.dataOff = headerSizeV1
-	case formatVersion2:
-		var lay [8]byte // layout + reserved
-		if _, err := io.ReadFull(r, lay[:]); err != nil {
-			return h, fmt.Errorf("%w: %v", ErrBadFormat, err)
-		}
-		h.layout = Layout(binary.LittleEndian.Uint32(lay[0:4]))
-		if h.layout != RowMajor && h.layout != ColMajor {
-			return h, fmt.Errorf("%w: unknown layout %d", ErrBadFormat, uint32(h.layout))
-		}
-		h.dataOff = headerSizeV2
-	default:
+	if version := binary.LittleEndian.Uint32(fixed[4:8]); version != formatVersion2 {
 		return h, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, version)
 	}
+	var lay [8]byte // layout + reserved
+	if _, err := io.ReadFull(r, lay[:]); err != nil {
+		return h, fmt.Errorf("%w: %v", ErrBadFormat, err)
+	}
+	h.layout = Layout(binary.LittleEndian.Uint32(lay[0:4]))
+	if h.layout != RowMajor && h.layout != ColMajor {
+		return h, fmt.Errorf("%w: unknown layout %d", ErrBadFormat, uint32(h.layout))
+	}
+	h.dataOff = headerSizeV2
 	var shape [16]byte
 	if _, err := io.ReadFull(r, shape[:]); err != nil {
 		return h, fmt.Errorf("%w: %v", ErrBadFormat, err)
 	}
 	rows := int64(binary.LittleEndian.Uint64(shape[0:8]))
 	cols := int64(binary.LittleEndian.Uint64(shape[8:16]))
-	if rows < 0 || cols < 0 || (cols > 0 && rows > (1<<40)/cols) {
+	if rows < 0 || cols < 0 || rows > maxCells || cols > maxCells || (cols > 0 && rows > maxCells/cols) {
 		return h, fmt.Errorf("%w: implausible shape %dx%d", ErrBadFormat, rows, cols)
 	}
 	h.rows, h.cols = int(rows), int(cols)
 	return h, nil
 }
 
-// Write serializes the matrix to w in the current (v2) binary format,
-// row-major.
-func Write(w io.Writer, m *Matrix) error {
-	return WriteLayout(w, m, RowMajor)
-}
-
-// WriteLayout serializes the matrix to w in the v2 binary format with the
+// WriteLayout serializes the matrix to w in the binary format with the
 // given payload layout.
 func WriteLayout(w io.Writer, m *Matrix, layout Layout) error {
 	if layout != RowMajor && layout != ColMajor {
@@ -285,46 +269,7 @@ func WriteLayout(w io.Writer, m *Matrix, layout Layout) error {
 	return bw.Flush()
 }
 
-// Read deserializes a matrix written by Write or WriteLayout (either format
-// version, either layout; column-major payloads are transposed into the
-// row-major Matrix).
-func Read(r io.Reader) (*Matrix, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	h, err := parseHeader(br)
-	if err != nil {
-		return nil, err
-	}
-	m := NewMatrix(h.rows, h.cols)
-	var buf [8]byte
-	next := func() (float64, error) {
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return 0, fmt.Errorf("%w: truncated data: %v", ErrBadFormat, err)
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(buf[:])), nil
-	}
-	if h.layout == ColMajor {
-		for j := 0; j < h.cols; j++ {
-			for i := 0; i < h.rows; i++ {
-				v, err := next()
-				if err != nil {
-					return nil, err
-				}
-				m.Data[i*h.cols+j] = v
-			}
-		}
-		return m, nil
-	}
-	for i := range m.Data {
-		v, err := next()
-		if err != nil {
-			return nil, err
-		}
-		m.Data[i] = v
-	}
-	return m, nil
-}
-
-// WriteFile serializes the matrix to a file (v2 format, row-major).
+// WriteFile serializes the matrix to a file, row-major.
 func WriteFile(path string, m *Matrix) error {
 	return WriteFileLayout(path, m, RowMajor)
 }
@@ -340,16 +285,6 @@ func WriteFileLayout(path string, m *Matrix, layout Layout) error {
 		return err
 	}
 	return f.Close()
-}
-
-// ReadFile deserializes a matrix from a file.
-func ReadFile(path string) (*Matrix, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Read(f)
 }
 
 // Source abstracts row access for the FREERIDE engine: "the data instances
@@ -411,9 +346,8 @@ type RowSlicer interface {
 // ContextSource is an optional Source extension for cancellation: sources
 // that can abandon an in-flight read when the caller's context is cancelled
 // implement it. The engine reads through ReadRowsContext, so layered sources
-// (fault injection, retry, prefetch) propagate cancellation all the way down
-// to the slow operation — a sleeping backoff, an injected latency, a
-// background fetch.
+// (fault injection, retry) propagate cancellation all the way down to the
+// slow operation — a sleeping backoff, an injected latency.
 type ContextSource interface {
 	Source
 	// ReadRowsContext is ReadRows honoring ctx: it returns ctx.Err() (or an
@@ -437,10 +371,9 @@ func ReadRowsContext(ctx context.Context, src Source, begin, end int, dst []floa
 
 // FileSource serves rows from a dataset file using positional reads, which
 // simulates FREERIDE reading data instances from disk. It is safe for
-// concurrent ReadRows calls (each uses ReadAt). Both format versions and
-// both v2 layouts are served; column-major files gather each requested row
-// with one positional read per column, so forward scans over them should go
-// through a PrefetchSource (whose blocks amortize the gathers).
+// concurrent ReadRows calls (each uses ReadAt). Both layouts are served; a
+// column-major read gathers the requested rows with one positional read per
+// column.
 type FileSource struct {
 	f      *os.File
 	rows   int

@@ -2,6 +2,9 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -134,53 +137,96 @@ func TestKMeansPointsForBytesPanicsOnBadDim(t *testing.T) {
 	KMeansPointsForBytes(100, 0)
 }
 
+// frdsBytes serializes m in the given layout.
+func frdsBytes(t *testing.T, m *Matrix, layout Layout) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteLayout(&buf, m, layout); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// opens are the two ways a dataset file is opened.
+var opens = map[string]func(string) (Source, error){
+	"file":   func(p string) (Source, error) { return OpenFileSource(p) },
+	"mapped": func(p string) (Source, error) { return OpenMappedSource(p) },
+}
+
+// readBack writes b to a file, opens it with open and reads every row.
+func readBack(t *testing.T, b []byte, open func(string) (Source, error)) (*Matrix, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "d.frds")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src, err := open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer src.(io.Closer).Close()
+	m := NewMatrix(src.NumRows(), src.Cols())
+	if err := src.ReadRows(0, m.Rows, m.Data); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	m := UniformMatrix(37, 11, 3, -100, 100)
 	m.Set(0, 0, math.Inf(1))
 	m.Set(1, 1, math.NaN())
-	var buf bytes.Buffer
-	if err := Write(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Equal(got) {
-		t.Fatal("round trip mismatch")
+	for name, open := range opens {
+		got, err := readBack(t, frdsBytes(t, m, RowMajor), open)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !m.Equal(got) {
+			t.Fatalf("%s: round trip mismatch", name)
+		}
 	}
 }
 
+// header builds a 32-byte FRDS header.
+func header(version, layout uint32, rows, cols int64) []byte {
+	b := append([]byte("FRDS"), make([]byte, 28)...)
+	binary.LittleEndian.PutUint32(b[4:], version)
+	binary.LittleEndian.PutUint32(b[8:], layout)
+	putInt64LE(b[16:], rows)
+	putInt64LE(b[24:], cols)
+	return b
+}
+
 func TestReadRejectsGarbage(t *testing.T) {
-	cases := map[string][]byte{
-		"empty":     {},
-		"bad magic": []byte("NOPE00000000000000000000"),
-		"truncated": append([]byte("FRDS"), 1, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0),
+	// A version-1 file: 24-byte header without layout, then the payload.
+	v1 := append([]byte("FRDS"), make([]byte, 20)...)
+	v1[4] = 1
+	putInt64LE(v1[8:], 2)
+	putInt64LE(v1[16:], 1)
+	v1 = append(v1, make([]byte, 16)...)
+	wrongVersion := frdsBytes(t, NewMatrix(1, 1), RowMajor)
+	wrongVersion[4] = 9
+	headers := map[string][]byte{
+		"empty":            {},
+		"bad magic":        []byte("NOPE0000000000000000000000000000"),
+		"truncated":        append([]byte("FRDS"), 2, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0),
+		"wrong version":    wrongVersion,
+		"version 1":        v1,
+		"unknown layout":   header(2, 7, 1, 1),
+		"negative rows":    header(2, 0, -1, 1),
+		"2^62 rows 0 cols": header(2, 0, 1<<62, 0),
+		"2^41 cells":       header(2, 0, 1<<21, 1<<20),
 	}
-	for name, b := range cases {
-		if _, err := Read(bytes.NewReader(b)); err == nil {
-			t.Errorf("%s: want error", name)
+	for open, openFn := range opens {
+		for name, b := range headers {
+			if _, err := readBack(t, b, openFn); !errors.Is(err, ErrBadFormat) {
+				t.Errorf("%s %s: err = %v, want ErrBadFormat", open, name, err)
+			}
 		}
-	}
-	// Wrong version.
-	m := NewMatrix(1, 1)
-	var buf bytes.Buffer
-	if err := Write(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
-	b[4] = 9 // bump version
-	if _, err := Read(bytes.NewReader(b)); err == nil {
-		t.Error("wrong version: want error")
-	}
-	// Truncated payload.
-	buf.Reset()
-	if err := Write(&buf, UniformMatrix(4, 4, 1, 0, 1)); err != nil {
-		t.Fatal(err)
-	}
-	b = buf.Bytes()[:buf.Len()-8]
-	if _, err := Read(bytes.NewReader(b)); err == nil {
-		t.Error("truncated payload: want error")
+		b := frdsBytes(t, UniformMatrix(4, 4, 1, 0, 1), RowMajor)
+		if _, err := readBack(t, b[:len(b)-8], openFn); err == nil {
+			t.Errorf("%s truncated payload: want error", open)
+		}
 	}
 }
 
@@ -191,14 +237,6 @@ func TestFileRoundTripAndFileSource(t *testing.T) {
 	if err := WriteFile(path, m); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Equal(got) {
-		t.Fatal("file round trip mismatch")
-	}
-
 	src, err := OpenFileSource(path)
 	if err != nil {
 		t.Fatal(err)
@@ -281,16 +319,17 @@ func TestMemorySource(t *testing.T) {
 	}
 }
 
-// Property: Write→Read is the identity for arbitrary small matrices.
+// Property: WriteLayout then OpenFileSource is the identity for arbitrary
+// small matrices in both layouts.
 func TestPropertyRoundTrip(t *testing.T) {
-	f := func(seed int64, r, c uint8) bool {
+	f := func(seed int64, r, c uint8, colMajor bool) bool {
 		rows, cols := int(r%20)+1, int(c%20)+1
 		m := UniformMatrix(rows, cols, seed, -1e6, 1e6)
-		var buf bytes.Buffer
-		if err := Write(&buf, m); err != nil {
-			return false
+		layout := RowMajor
+		if colMajor {
+			layout = ColMajor
 		}
-		got, err := Read(&buf)
+		got, err := readBack(t, frdsBytes(t, m, layout), opens["file"])
 		if err != nil {
 			return false
 		}

@@ -1,8 +1,6 @@
 package dataset
 
 import (
-	"bytes"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,63 +11,14 @@ import (
 func TestWriteLayoutRoundTrip(t *testing.T) {
 	m := UniformMatrix(53, 7, 13, -5, 5)
 	for _, layout := range []Layout{RowMajor, ColMajor} {
-		var buf bytes.Buffer
-		if err := WriteLayout(&buf, m, layout); err != nil {
-			t.Fatal(err)
-		}
-		got, err := Read(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !m.Equal(got) {
-			t.Fatalf("%v round trip mismatch", layout)
-		}
-	}
-}
-
-func TestReadAcceptsV1Header(t *testing.T) {
-	// Hand-build a v1 file (24-byte header, row-major payload); Read and
-	// OpenFileSource must still accept the old layout-less format.
-	m := UniformMatrix(6, 2, 3, 0, 1)
-	var buf bytes.Buffer
-	buf.WriteString("FRDS")
-	hdr := make([]byte, 20)
-	hdr[0] = 1 // version, little-endian uint32
-	putInt64LE(hdr[4:], int64(m.Rows))
-	putInt64LE(hdr[12:], int64(m.Cols))
-	buf.Write(hdr)
-	pay := make([]byte, 8)
-	for _, v := range m.Data {
-		putFloat64LE(pay, v)
-		buf.Write(pay)
-	}
-	got, err := Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Equal(got) {
-		t.Fatal("v1 round trip mismatch")
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "v1.frds")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fs, err := OpenFileSource(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	if fs.Layout() != RowMajor {
-		t.Fatalf("v1 layout = %v, want RowMajor", fs.Layout())
-	}
-	dst := make([]float64, len(m.Data))
-	if err := fs.ReadRows(0, m.Rows, dst); err != nil {
-		t.Fatal(err)
-	}
-	for i := range dst {
-		if dst[i] != m.Data[i] {
-			t.Fatalf("v1 source mismatch at %d", i)
+		for name, open := range opens {
+			got, err := readBack(t, frdsBytes(t, m, layout), open)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !m.Equal(got) {
+				t.Fatalf("%v %s: round trip mismatch", layout, name)
+			}
 		}
 	}
 }
@@ -293,8 +242,4 @@ func putInt64LE(b []byte, v int64) {
 	for i := 0; i < 8; i++ {
 		b[i] = byte(v >> (8 * i))
 	}
-}
-
-func putFloat64LE(b []byte, f float64) {
-	putInt64LE(b, int64(math.Float64bits(f)))
 }

@@ -4,10 +4,8 @@ import "context"
 
 // Reader resolves a Source's optional capabilities — the RowSlicer zero-copy
 // fast path and the ContextSource cancellation path — once, instead of
-// type-asserting on every read. The engine's worker loop, the cluster's node
-// sources, and the prefetch layer previously each carried their own copy of
-// that type-assertion dance (which is how PR 2's subSource panic happened);
-// they now all read through a Reader.
+// type-asserting on every read. The engine's worker loop and the cluster's
+// node sources both read through a Reader.
 //
 // A Reader is a small value; copy it freely. Its methods are safe for
 // concurrent use when the underlying source's are.
@@ -30,17 +28,11 @@ func NewReader(src Source) Reader {
 	return r
 }
 
-// Source returns the wrapped source.
-func (r Reader) Source() Source { return r.src }
-
 // NumRows reports the source's row count.
 func (r Reader) NumRows() int { return r.src.NumRows() }
 
 // Cols reports the source's feature count.
 func (r Reader) Cols() int { return r.cols }
-
-// Slices reports whether reads are served zero-copy through RowSlicer.
-func (r Reader) Slices() bool { return r.slicer != nil }
 
 // Read returns rows [begin, end) row-major: a slice aliasing the source's
 // storage when it supports zero-copy, otherwise a copy into *buf, which is

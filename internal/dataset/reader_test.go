@@ -42,7 +42,7 @@ func testMatrix() *Matrix {
 func TestReaderZeroCopy(t *testing.T) {
 	m := testMatrix()
 	r := NewReader(NewMemorySource(m))
-	if !r.Slices() {
+	if r.slicer == nil {
 		t.Fatal("MemorySource not detected as RowSlicer")
 	}
 	var buf []float64
@@ -66,7 +66,7 @@ func TestReaderZeroCopy(t *testing.T) {
 func TestReaderCopyPathGrowsBuf(t *testing.T) {
 	m := testMatrix()
 	r := NewReader(plainSource{NewMemorySource(m)})
-	if r.Slices() {
+	if r.slicer != nil {
 		t.Fatal("plain source misdetected as RowSlicer")
 	}
 	var buf []float64

@@ -49,16 +49,10 @@ type BlockArgs struct {
 	acc           []float64
 }
 
-// Groups reports the reduction object's group count.
-func (a *BlockArgs) Groups() int { return a.groups }
-
-// Elems reports the reduction object's elements per group.
-func (a *BlockArgs) Elems() int { return a.elems }
-
-// Acc returns the worker-local accumulation buffer: Groups()×Elems() cells,
-// group-major, identity-valued on entry to the kernel. Specialized kernels
-// update it directly (acc[group*Elems()+elem]) to skip Accumulate's bounds
-// check and operator dispatch.
+// Acc returns the worker-local accumulation buffer: the spec's
+// Groups×Elems cells, group-major, identity-valued on entry to the kernel.
+// Specialized kernels update it directly (acc[group*Elems+elem]) to skip
+// Accumulate's bounds check and operator dispatch.
 func (a *BlockArgs) Acc() []float64 { return a.acc }
 
 // Accumulate folds v into local cell (group, elem) under the object's

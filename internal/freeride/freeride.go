@@ -195,9 +195,6 @@ func (a *ReductionArgs) Row(i int) []float64 {
 	return a.Data[i*a.Cols : (i+1)*a.Cols]
 }
 
-// Worker reports the id of the worker thread processing this split.
-func (a *ReductionArgs) Worker() int { return a.worker }
-
 // Accumulate updates element (group, elem) of the reduction object with v,
 // mirroring FREERIDE's accumulate(int, int, void* value).
 func (a *ReductionArgs) Accumulate(group, elem int, v float64) {

@@ -233,23 +233,3 @@ func TestRunRecoversThroughRetrySource(t *testing.T) {
 		t.Fatalf("err = %v, want permanent fault", err)
 	}
 }
-
-// TestRunContextThroughPrefetch: cancellation propagates through the
-// prefetch layer's fetches.
-func TestRunContextThroughPrefetch(t *testing.T) {
-	m := dataset.UniformMatrix(50_000, 2, 9, 0, 1)
-	slow := dataset.NewFaultSource(dataset.NewMemorySource(m),
-		dataset.FaultConfig{Latency: 5 * time.Millisecond})
-	pf := dataset.NewPrefetchSource(slow, 256, 4)
-	eng := New(Config{Threads: 2, SplitRows: 256})
-	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
-	defer cancel()
-	t0 := time.Now()
-	_, err := eng.RunContext(ctx, sumSpec(), pf)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-	if elapsed := time.Since(t0); elapsed > 500*time.Millisecond {
-		t.Fatalf("cancel through prefetch took %v", elapsed)
-	}
-}

@@ -231,7 +231,6 @@ func (e *Engine) RunContext(ctx context.Context, spec Spec, src dataset.Source) 
 	res.Stats.Job = jobID
 	passStart := time.Now()
 	tr := obs.NewTrace()
-	tr.SetJob(jobID)
 	runSpan := tr.Start("run")
 	// fail finishes the run on an error path: any still-open child spans are
 	// ended, the run span closes, and the partial trace is flushed to obs.Log

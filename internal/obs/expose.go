@@ -4,7 +4,6 @@ import (
 	"expvar"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	httppprof "net/http/pprof"
 	"strconv"
@@ -144,32 +143,4 @@ func NewMux() *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
 	return mux
-}
-
-// MetricsServer is a running observability endpoint.
-type MetricsServer struct {
-	// Addr is the bound address (useful with ":0").
-	Addr string
-	ln   net.Listener
-	srv  *http.Server
-}
-
-// Serve starts the observability endpoint on addr (e.g. ":9090" or
-// "127.0.0.1:0") and serves it in a background goroutine until Close.
-func Serve(addr string) (*MetricsServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s := &MetricsServer{Addr: ln.Addr().String(), ln: ln, srv: &http.Server{Handler: NewMux()}}
-	go func() { _ = s.srv.Serve(ln) }()
-	return s, nil
-}
-
-// Close stops the endpoint.
-func (s *MetricsServer) Close() error {
-	if s == nil {
-		return nil
-	}
-	return s.srv.Close()
 }

@@ -1,9 +1,9 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -52,14 +52,11 @@ func TestLabelQuoting(t *testing.T) {
 
 func TestServeEndpoints(t *testing.T) {
 	Default.Counter("obs_test_endpoint_total", "endpoint test counter").Add(3)
-	srv, err := Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := httptest.NewServer(NewMux())
 	defer srv.Close()
 
 	get := func(path string) string {
-		resp, err := http.Get(fmt.Sprintf("http://%s%s", srv.Addr, path))
+		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}

@@ -91,14 +91,6 @@ func NewJobMetrics(id JobID) *JobMetrics {
 	return j
 }
 
-// ID reports the job this set is scoped to (0 for a nil receiver).
-func (j *JobMetrics) ID() JobID {
-	if j == nil {
-		return 0
-	}
-	return j.id
-}
-
 // Add accumulates n into the job's delta for name+labels. The entry count is
 // small and bounded (one per engine counter family), so lookup is a linear
 // scan comparing name and labels as they are — no map, no rendered key, and
@@ -140,21 +132,6 @@ func (j *JobMetrics) Finish() []MetricDelta {
 	defer j.mu.Unlock()
 	out := j.ds
 	j.ds, j.keys = nil, nil
-	return out
-}
-
-// Snapshot returns the job's deltas as a CounterSnapshot, so job-scoped and
-// registry-scoped readings diff with the same API.
-func (j *JobMetrics) Snapshot() CounterSnapshot {
-	if j == nil {
-		return CounterSnapshot{}
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make(CounterSnapshot, len(j.ds))
-	for i, d := range j.ds {
-		out[j.keys[i]] = d.Value
-	}
 	return out
 }
 

@@ -37,7 +37,7 @@ func TestJobMetricsDeltas(t *testing.T) {
 	jm.Add("phase_ns_total", 50, Label{Key: "phase", Value: "split"})
 	jm.Add("noop_total", 0) // zero increments record nothing
 
-	snap := jm.Snapshot()
+	snap := jobSnapshot(jm)
 	if snap["rows_total"] != 8 {
 		t.Errorf("rows_total = %d, want 8", snap["rows_total"])
 	}
@@ -53,13 +53,13 @@ func TestJobMetricsDeltas(t *testing.T) {
 			t.Errorf("deltas not sorted: %q before %q", ds[i-1].Key(), ds[i].Key())
 		}
 	}
-	if len(jm.Snapshot()) != 0 {
+	if len(jobSnapshot(jm)) != 0 {
 		t.Error("Finish left the deltas in the set")
 	}
 
 	var nilJM *JobMetrics
 	nilJM.Add("x_total", 1) // must not panic
-	if nilJM.Finish() != nil || nilJM.ID() != 0 {
+	if nilJM.Finish() != nil {
 		t.Error("nil JobMetrics not a no-op")
 	}
 }
@@ -79,7 +79,7 @@ func TestJobMetricsConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	snap := jm.Snapshot()
+	snap := jobSnapshot(jm)
 	if snap["shared_total"] != workers*per {
 		t.Errorf("shared_total = %d, want %d", snap["shared_total"], workers*per)
 	}
@@ -171,4 +171,19 @@ func TestMergeNodeSpans(t *testing.T) {
 			t.Errorf("merged spans not sorted at %d", i)
 		}
 	}
+}
+
+// jobSnapshot returns the job's deltas as a CounterSnapshot, so job-scoped and
+// registry-scoped readings diff with the same API.
+func jobSnapshot(j *JobMetrics) CounterSnapshot {
+	if j == nil {
+		return CounterSnapshot{}
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	out := make(CounterSnapshot, len(j.ds))
+	for i, d := range j.ds {
+		out[j.keys[i]] = d.Value
+	}
+	return out
 }

@@ -93,7 +93,9 @@ func TestReportSkipsZeroAndGroups(t *testing.T) {
 	r.Counter("alpha_ops_total", "ops").Add(3)
 	r.Counter("alpha_idle_ns_total", "idle").Add(1500)
 	r.Counter("beta_zero_total", "never incremented")
-	out := Report(r)
+	var b strings.Builder
+	WriteReport(&b, r)
+	out := b.String()
 	if !strings.Contains(out, "alpha_ops_total") || !strings.Contains(out, "alpha:") {
 		t.Fatalf("report missing alpha group:\n%s", out)
 	}

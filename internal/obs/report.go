@@ -93,10 +93,3 @@ func writeHistReport(w io.Writer, hists []HistSample) {
 func secondsDuration(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second)).Round(time.Microsecond)
 }
-
-// Report returns WriteReport's output as a string.
-func Report(r *Registry) string {
-	var b strings.Builder
-	WriteReport(&b, r)
-	return b.String()
-}

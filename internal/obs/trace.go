@@ -35,11 +35,9 @@ type SpanRecord struct {
 // any goroutine. A nil *Trace is a valid no-op receiver, as is a nil *Span,
 // so tracing call sites never branch.
 type Trace struct {
-	begin   time.Time
-	limit   int
-	job     JobID
-	next    atomic.Int64
-	dropped atomic.Int64
+	begin time.Time
+	limit int
+	next  atomic.Int64
 
 	mu   sync.Mutex
 	recs []SpanRecord
@@ -61,22 +59,6 @@ func NewTrace() *Trace {
 	t := &Trace{begin: time.Now(), limit: traceSpanLimit}
 	t.recs = t.inline[:0]
 	return t
-}
-
-// SetJob attributes the trace (and every run-log entry flushed from it) to a
-// job. Call before Finish.
-func (t *Trace) SetJob(id JobID) {
-	if t != nil {
-		t.job = id
-	}
-}
-
-// Job reports the job the trace is attributed to (0 when unattributed).
-func (t *Trace) Job() JobID {
-	if t == nil {
-		return 0
-	}
-	return t.job
 }
 
 // Elapsed reports the time since the trace's clock began — the offset a
@@ -163,7 +145,6 @@ func (s *Span) End() {
 	if len(t.recs) < t.limit {
 		t.recs = append(t.recs, rec)
 	} else {
-		t.dropped.Add(1)
 		mTraceDropped.Inc()
 	}
 	t.mu.Unlock()
@@ -197,31 +178,6 @@ func sortSpans(recs []SpanRecord) {
 	})
 }
 
-// Dropped reports how many spans exceeded the trace's retention limit.
-func (t *Trace) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped.Load()
-}
-
-// PhaseTotal sums the duration of every span with the given name that the
-// trace still holds (none once Finish has handed them over).
-func (t *Trace) PhaseTotal(name string) time.Duration {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var sum time.Duration
-	for _, r := range t.recs {
-		if r.Name == name {
-			sum += r.Dur
-		}
-	}
-	return sum
-}
-
 // EventLog is a process-wide ring of recent traces (one entry per engine
 // pass), exported as JSON from the metrics endpoint's /trace. The ring is
 // allocated once: adding a run overwrites the oldest slot in place.
@@ -250,10 +206,6 @@ func NewEventLog(limit int) *EventLog {
 
 // Log is the process-wide event log the engine appends every pass to.
 var Log = NewEventLog(512)
-
-// Add appends one run's span records and returns its run id. When the ring
-// is full the oldest run is dropped (and its span events counted as lost).
-func (l *EventLog) Add(spans []SpanRecord) int64 { return l.AddRun(0, spans) }
 
 // AddRun is Add with a job attribution, so the exported event log maps runs
 // back to the jobs that produced them.

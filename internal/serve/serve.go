@@ -149,9 +149,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Config returns the effective configuration.
-func (s *Server) Config() Config { return s.cfg }
-
 // Start launches the runner pool. Idempotent.
 func (s *Server) Start() {
 	if !s.started.CompareAndSwap(false, true) {
@@ -253,9 +250,6 @@ func (s *Server) Job(id string) (Status, bool) {
 	}
 	return j.status(), true
 }
-
-// QueueDepth reports the current admitted-but-unclaimed job count.
-func (s *Server) QueueDepth() int { return s.queue.depth() }
 
 // RetryAfter estimates how long a rejected client should back off before
 // resubmitting: the queued backlog divided by the runner slots, floored at

@@ -122,7 +122,7 @@ func (a Access) maxTouched() int {
 // bounds, the index map is total and injective over the split domain, the
 // reduction-object shape is allocatable, and the requested optimization
 // level is legal for the class — which is what lets the hot-path accessors
-// (Meta.ComputeIndex, robj cell addressing, BlockView.Run) stay
+// (Meta.ComputeIndex, robj cell addressing, the opt-3 BlockView) stay
 // panic-free-by-proof instead of re-checking bounds per element.
 func CheckPlan(p *Plan) Diagnostics {
 	ds := append(Diagnostics(nil), p.Pre...)

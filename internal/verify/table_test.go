@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -24,7 +25,7 @@ func goodTablePlan() *Plan {
 func TestCheckPlanTablesClean(t *testing.T) {
 	ds := CheckPlan(goodTablePlan())
 	if len(ds) != 0 {
-		t.Fatalf("clean table plan produced diagnostics:\n%s", ds.Render())
+		t.Fatalf("clean table plan produced diagnostics:\n%s", ds)
 	}
 }
 
@@ -35,7 +36,7 @@ func TestCheckPlanTablesAliasedTargetsLegal(t *testing.T) {
 	p := goodTablePlan()
 	p.Tables[0].Entries = []int32{0, 0, 0, 6, 6}
 	if ds := CheckPlan(p); len(ds) != 0 {
-		t.Fatalf("fully aliased scatter table must be legal, got:\n%s", ds.Render())
+		t.Fatalf("fully aliased scatter table must be legal, got:\n%s", ds)
 	}
 }
 
@@ -51,7 +52,7 @@ func TestCheckPlanEmptyTableClean(t *testing.T) {
 	} {
 		p.Tables = []TableAccess{rowPtr, {Name: "in", Domain: 0, Entries: nil, Bound: 0}}
 		if ds := CheckPlan(p); len(ds) != 0 {
-			t.Fatalf("empty tables %v must be legal, got:\n%s", rowPtr.Entries, ds.Render())
+			t.Fatalf("empty tables %v must be legal, got:\n%s", rowPtr.Entries, ds)
 		}
 	}
 }
@@ -145,10 +146,10 @@ func TestCheckPlanTableRejections(t *testing.T) {
 			tc.mutate(p)
 			ds := CheckPlan(p)
 			if !hasCode(ds, tc.code, SeverityError) {
-				t.Fatalf("want error %s, got:\n%s", tc.code, ds.Render())
+				t.Fatalf("want error %s, got:\n%s", tc.code, ds)
 			}
-			if !strings.Contains(ds.Render(), tc.msgPart) {
-				t.Errorf("diagnostics missing %q:\n%s", tc.msgPart, ds.Render())
+			if !strings.Contains(fmt.Sprint(ds), tc.msgPart) {
+				t.Errorf("diagnostics missing %q:\n%s", tc.msgPart, ds)
 			}
 		})
 	}

@@ -16,7 +16,6 @@ package verify
 
 import (
 	"fmt"
-	"strings"
 )
 
 // Severity grades a diagnostic. Errors reject the plan (Translate and
@@ -198,15 +197,6 @@ func (ds Diagnostics) Warnings() Diagnostics {
 	return out
 }
 
-// Render formats all diagnostics, one per line, compiler-style.
-func (ds Diagnostics) Render() string {
-	lines := make([]string, len(ds))
-	for i, d := range ds {
-		lines[i] = d.String()
-	}
-	return strings.Join(lines, "\n")
-}
-
 // Err returns an *Error carrying the diagnostics when any has error
 // severity, and nil otherwise. Warnings alone never produce an error.
 func (ds Diagnostics) Err() error {
@@ -234,15 +224,6 @@ func (e *Error) Error() string {
 		return errs[0].String()
 	}
 	return fmt.Sprintf("%s (and %d more diagnostics)", errs[0], len(e.Diags)-1)
-}
-
-// AsError extracts the structured diagnostics from an error returned by a
-// verifier-gated entry point, or nil when err carries none.
-func AsError(err error) *Error {
-	if e, ok := err.(*Error); ok { //nolint:errorlint — Error is never wrapped by this package
-		return e
-	}
-	return nil
 }
 
 // errorf appends an error diagnostic.

@@ -1,6 +1,8 @@
 package verify
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -41,7 +43,7 @@ func hasCode(ds Diagnostics, c Code, sev Severity) bool {
 func TestCheckPlanClean(t *testing.T) {
 	ds := CheckPlan(goodPlan())
 	if len(ds) != 0 {
-		t.Fatalf("clean plan produced diagnostics:\n%s", ds.Render())
+		t.Fatalf("clean plan produced diagnostics:\n%s", ds)
 	}
 }
 
@@ -159,7 +161,7 @@ func TestCheckPlanRejections(t *testing.T) {
 			tc.mutate(p)
 			ds := CheckPlan(p)
 			if !hasCode(ds, tc.code, tc.sev) {
-				t.Fatalf("want %s at %s, got %v:\n%s", tc.code, tc.sev, codes(ds), ds.Render())
+				t.Fatalf("want %s at %s, got %v:\n%s", tc.code, tc.sev, codes(ds), ds)
 			}
 			found := false
 			for _, d := range ds {
@@ -168,7 +170,7 @@ func TestCheckPlanRejections(t *testing.T) {
 				}
 			}
 			if !found {
-				t.Fatalf("no %s diagnostic mentions %q:\n%s", tc.code, tc.msgPart, ds.Render())
+				t.Fatalf("no %s diagnostic mentions %q:\n%s", tc.code, tc.msgPart, ds)
 			}
 			wantErr := tc.sev == SeverityError
 			if gotErr := ds.Err() != nil; gotErr != wantErr {
@@ -183,14 +185,14 @@ func TestCheckPlanBoxedHotSkipsLinearChecks(t *testing.T) {
 	p.Opt, p.OptName = 1, "opt-1"
 	p.Hot = []Access{{Name: "hot[0]", Boxed: true}}
 	if ds := CheckPlan(p); len(ds) != 0 {
-		t.Fatalf("boxed hot var at opt-1 should be clean, got:\n%s", ds.Render())
+		t.Fatalf("boxed hot var at opt-1 should be clean, got:\n%s", ds)
 	}
 }
 
 func TestCheckSpec(t *testing.T) {
 	good := SpecPlan{HasReduction: true, Object: Shape{Groups: 2, Elems: 3}}
 	if ds := CheckSpec(good); len(ds) != 0 {
-		t.Fatalf("clean spec produced diagnostics:\n%s", ds.Render())
+		t.Fatalf("clean spec produced diagnostics:\n%s", ds)
 	}
 	tests := []struct {
 		name    string
@@ -233,10 +235,10 @@ func TestCheckSpec(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ds := CheckSpec(tc.plan)
 			if !hasCode(ds, tc.code, SeverityError) {
-				t.Fatalf("want %s, got %v:\n%s", tc.code, codes(ds), ds.Render())
+				t.Fatalf("want %s, got %v:\n%s", tc.code, codes(ds), ds)
 			}
-			if !strings.Contains(ds.Render(), tc.msgPart) {
-				t.Fatalf("diagnostics do not mention %q:\n%s", tc.msgPart, ds.Render())
+			if !strings.Contains(fmt.Sprint(ds), tc.msgPart) {
+				t.Fatalf("diagnostics do not mention %q:\n%s", tc.msgPart, ds)
 			}
 		})
 	}
@@ -259,8 +261,8 @@ func TestDiagnosticRendering(t *testing.T) {
 		d,
 		{Pos: "kmeans", Severity: SeverityWarning, Code: CodeOpt3NoBlockKernel, Msg: "fallback"},
 	}
-	if got := ds.Render(); !strings.Contains(got, "error[FRV010]") || !strings.Contains(got, "warning[FRV030]") {
-		t.Fatalf("Render() = %q", got)
+	if got := fmt.Sprint(ds); !strings.Contains(got, "error[FRV010]") || !strings.Contains(got, "warning[FRV030]") {
+		t.Fatalf("diagnostics = %q", got)
 	}
 	err := ds.Err()
 	if err == nil {
@@ -269,12 +271,9 @@ func TestDiagnosticRendering(t *testing.T) {
 	if !strings.Contains(err.Error(), "FRV010") || !strings.Contains(err.Error(), "1 more diagnostic") {
 		t.Fatalf("Error() = %q", err.Error())
 	}
-	ve := AsError(err)
-	if ve == nil || len(ve.Diags) != 2 {
-		t.Fatalf("AsError lost diagnostics: %+v", ve)
-	}
-	if AsError(nil) != nil {
-		t.Fatal("AsError(nil) != nil")
+	var ve *Error
+	if !errors.As(err, &ve) || len(ve.Diags) != 2 {
+		t.Fatalf("Err() lost diagnostics: %+v", ve)
 	}
 	if (Diagnostics{{Severity: SeverityWarning}}).Err() != nil {
 		t.Fatal("warnings alone must not produce an error")
