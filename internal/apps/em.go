@@ -220,9 +220,7 @@ func EMSession(ctx context.Context, eng *freeride.Engine, src dataset.Source, in
 						emAccumulate(row, resp, k, dim, local, cur)
 					}
 					for c := 0; c < k; c++ {
-						for e := 0; e < dim+2; e++ {
-							args.Accumulate(c, e, local[c*(dim+2)+e])
-						}
+						args.AccumulateRange(c, 0, local[c*(dim+2):(c+1)*(dim+2)])
 					}
 					return nil
 				},

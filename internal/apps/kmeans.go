@@ -273,9 +273,7 @@ func KMeansClass(k, dim int, centroids *chapel.Array) *core.ReductionClass {
 			// With linearized centroids (opt-2) this is the same call manual
 			// FREERIDE makes.
 			best := nearest(pt, cents, k, dim)
-			for j := 0; j < dim; j++ {
-				args.Accumulate(best, j, pt[j])
-			}
+			args.AccumulateRange(best, 0, pt)
 			args.Accumulate(best, dim, 1)
 		},
 		// The opt-3 fused body: one call per split, walking the linearized
@@ -391,9 +389,7 @@ func KMeansSession(ctx context.Context, eng *freeride.Engine, src dataset.Source
 					for i := 0; i < args.NumRows; i++ {
 						row := args.Row(i)
 						c := nearest(row, flat, k, dim)
-						for j := 0; j < dim; j++ {
-							args.Accumulate(c, j, row[j])
-						}
+						args.AccumulateRange(c, 0, row)
 						args.Accumulate(c, dim, 1)
 					}
 					return nil

@@ -74,9 +74,7 @@ func KMeansCluster(points, init *dataset.Matrix, cfg KMeansClusterConfig) (*KMea
 			for i := 0; i < args.NumRows; i++ {
 				row := args.Row(i)
 				c := nearest(row, flat, k, dim)
-				for j := 0; j < dim; j++ {
-					args.Accumulate(c, j, row[j])
-				}
+				args.AccumulateRange(c, 0, row)
 				args.Accumulate(c, dim, 1)
 			}
 			return nil

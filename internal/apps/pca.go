@@ -99,10 +99,7 @@ func PCAMeanClass(dim int) *core.ReductionClass {
 		Name:   "pca-mean",
 		Object: freeride.ObjectSpec{Groups: 1, Elems: dim, Op: robj.OpAdd},
 		Kernel: func(elem *core.Vec, _ []*core.StateVec, args *freeride.ReductionArgs) {
-			row := elem.Row(args.Scratch(0, dim))
-			for j := 0; j < dim; j++ {
-				args.Accumulate(0, j, row[j])
-			}
+			args.AccumulateRange(0, 0, elem.Row(args.Scratch(0, dim)))
 		},
 		// Opt-3 fused body: sum the whole split's rows straight off the
 		// linearized words into the worker-local buffer.
@@ -147,11 +144,13 @@ func PCACovClass(dim int, mean *chapel.Array) *core.ReductionClass {
 			for j := 0; j < dim; j++ {
 				centered[j] = row[j] - mv[j]
 			}
+			prod := args.Scratch(3, dim)
 			for a := 0; a < dim; a++ {
 				ca := centered[a]
 				for b := 0; b < dim; b++ {
-					args.Accumulate(a, b, ca*centered[b])
+					prod[b] = ca * centered[b]
 				}
+				args.AccumulateRange(a, 0, prod)
 			}
 		},
 		// Opt-3 fused body: center each row once into scratch, then rank-one
@@ -296,10 +295,7 @@ func PCASession(ctx context.Context, eng *freeride.Engine, src dataset.Source) (
 					Object: freeride.ObjectSpec{Groups: 1, Elems: dim, Op: robj.OpAdd},
 					Reduction: func(args *freeride.ReductionArgs) error {
 						for i := 0; i < args.NumRows; i++ {
-							row := args.Row(i)
-							for j := 0; j < dim; j++ {
-								args.Accumulate(0, j, row[j])
-							}
+							args.AccumulateRange(0, 0, args.Row(i))
 						}
 						return nil
 					},
@@ -309,6 +305,7 @@ func PCASession(ctx context.Context, eng *freeride.Engine, src dataset.Source) (
 				Object: freeride.ObjectSpec{Groups: dim, Elems: dim, Op: robj.OpAdd},
 				Reduction: func(args *freeride.ReductionArgs) error {
 					centered := args.Scratch(0, dim)
+					prod := args.Scratch(1, dim)
 					for i := 0; i < args.NumRows; i++ {
 						row := args.Row(i)
 						for j := 0; j < dim; j++ {
@@ -317,8 +314,9 @@ func PCASession(ctx context.Context, eng *freeride.Engine, src dataset.Source) (
 						for a := 0; a < dim; a++ {
 							ca := centered[a]
 							for b := 0; b < dim; b++ {
-								args.Accumulate(a, b, ca*centered[b])
+								prod[b] = ca * centered[b]
 							}
+							args.AccumulateRange(a, 0, prod)
 						}
 					}
 					return nil

@@ -11,11 +11,12 @@ import (
 // element in the fallbacks) inline into it, so the strength-reduced loads are
 // plain slice arithmetic in the kernel body and only the generated/boxed slow
 // bodies cost a call. The same holds for the operator the opt-3 sparse
-// executor folds every nonzero into its row run with (robj.Op.Apply), and
-// for the split handle's Row, Acc and Accumulate that fused kernels call
-// once per row, and for the reduction object's cell check, which keeps the
-// replicated Accumulate free of calls. The compiler's own -m report is the
-// oracle; an edit that pushes one of them past the inliner's budget fails
+// executor folds every nonzero into its row run with (robj.Op.Apply), for
+// the split handle's Row, Acc and Accumulate that fused kernels call once
+// per row, for the split handle's AccumulateRange that the k-means, PCA and
+// EM kernels call once per row, and for the reduction object's cell check,
+// which keeps the replicated Accumulate free of calls. The compiler's own
+// -m report is the oracle; an edit that pushes one of them past the inliner's budget fails
 // here instead of showing up as a silent 1.5× on kmeans_translated,
 // ingest_fused or spmv_power.
 func TestHotPathInlines(t *testing.T) {
@@ -38,6 +39,7 @@ func TestHotPathInlines(t *testing.T) {
 		"(*StateVec).Dense",
 		"(*ReductionArgs).Scratch",
 		"(*ReductionArgs).Accumulate",
+		"(*ReductionArgs).AccumulateRange",
 		"(*ReductionArgs).Row",
 		"(*BlockArgs).Accumulate",
 		"(*BlockArgs).Acc",

@@ -21,6 +21,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"unsafe"
 
 	"chapelfreeride/internal/obs"
 )
@@ -406,7 +407,10 @@ func (s *FileSource) Cols() int { return s.cols }
 // Layout reports the on-disk payload layout.
 func (s *FileSource) Layout() Layout { return s.layout }
 
-// ReadRows implements Source with positional reads.
+// ReadRows implements Source with positional reads. A row-major payload is
+// read into dst without an intermediate buffer; a column-major one goes
+// through one column buffer per call. On error dst's contents are
+// unspecified.
 func (s *FileSource) ReadRows(begin, end int, dst []float64) error {
 	if begin < 0 || end > s.rows || begin > end {
 		return fmt.Errorf("dataset: ReadRows range [%d,%d) out of [0,%d)", begin, end, s.rows)
@@ -427,8 +431,11 @@ func (s *FileSource) ReadRows(begin, end int, dst []float64) error {
 				dst[i*s.cols+j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
 			}
 		}
-	} else {
-		raw := make([]byte, n*8)
+	} else if n > 0 {
+		// Read the payload straight into dst's bytes, then decode in place:
+		// each 8-byte slot is read before it is written, so this is correct
+		// on either byte order and a no-op rewrite on little-endian hosts.
+		raw := unsafe.Slice((*byte)(unsafe.Pointer(&dst[0])), n*8)
 		off := s.off + int64(begin)*int64(s.cols)*8
 		if _, err := s.f.ReadAt(raw, off); err != nil {
 			return err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -260,7 +261,7 @@ func TestFileRoundTripAndFileSource(t *testing.T) {
 			}
 			for i := range dst {
 				if dst[i] != m.Data[begin*5+i] {
-					errs[w] = err
+					errs[w] = fmt.Errorf("rows [%d,%d): value %d = %v, want %v", begin, end, i, dst[i], m.Data[begin*5+i])
 					return
 				}
 			}

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -241,5 +242,47 @@ func TestPropertyMappedEquivalence(t *testing.T) {
 func putInt64LE(b []byte, v int64) {
 	for i := 0; i < 8; i++ {
 		b[i] = byte(v >> (8 * i))
+	}
+}
+
+// TestFileSourceReadRowsInPlace pins ReadRows' buffers: a row-major read
+// decodes straight into dst with no allocation and round-trips WriteFile bit
+// for bit (NaN payloads, signed zero, subnormals, infinities); a
+// column-major read round-trips too and allocates one column buffer per call.
+func TestFileSourceReadRowsInPlace(t *testing.T) {
+	m := UniformMatrix(48, 5, 3, -1, 1)
+	for i, b := range []uint64{0x7ff8000000000001, 0x8000000000000000, 1, 0x7ff0000000000000, 0xfff0000000000000} {
+		m.Data[7*i+2] = math.Float64frombits(b)
+	}
+	for _, c := range []struct {
+		layout    Layout
+		maxAllocs float64
+	}{{RowMajor, 0}, {ColMajor, 1}} {
+		path := filepath.Join(t.TempDir(), "rt.frds")
+		if err := WriteFileLayout(path, m, c.layout); err != nil {
+			t.Fatal(err)
+		}
+		fs, err := OpenFileSource(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fs.Close()
+		dst := make([]float64, len(m.Data))
+		if err := fs.ReadRows(0, m.Rows, dst); err != nil {
+			t.Fatal(err)
+		}
+		for i := range dst {
+			if math.Float64bits(dst[i]) != math.Float64bits(m.Data[i]) {
+				t.Fatalf("%v: cell %d reads %#x, wrote %#x", c.layout, i, math.Float64bits(dst[i]), math.Float64bits(m.Data[i]))
+			}
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := fs.ReadRows(3, 40, dst); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > c.maxAllocs {
+			t.Errorf("%v: ReadRows allocates %v times per call, want at most %v", c.layout, allocs, c.maxAllocs)
+		}
 	}
 }

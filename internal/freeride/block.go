@@ -67,6 +67,20 @@ func (a *BlockArgs) Accumulate(group, elem int, v float64) {
 	a.acc[i] = a.op.Apply(a.acc[i], v)
 }
 
+// AccumulateRange folds vals into local elements elem0 … elem0+len(vals)-1
+// of group, with the range check of BlockArgs.Accumulate. It shadows
+// ReductionArgs.AccumulateRange, which would write through to the shared
+// object and break the one synchronization per split.
+func (a *BlockArgs) AccumulateRange(group, elem0 int, vals []float64) {
+	if group < 0 || group >= a.groups || elem0 < 0 || elem0 > a.elems-len(vals) {
+		panic("freeride: BlockArgs.AccumulateRange out of range")
+	}
+	acc := a.acc[group*a.elems+elem0:][:len(vals)]
+	for k, v := range vals {
+		acc[k] = a.op.Apply(acc[k], v)
+	}
+}
+
 func fillIdentity(s []float64, id float64) {
 	for i := range s {
 		s[i] = id

@@ -20,7 +20,7 @@
 //	finalize_t              → Spec.Finalize (optional)
 //	splitter_t              → Spec.Splitter (optional; default splitter provided)
 //	reduction_object_alloc  → Spec.Object{Groups,Elems,Op} allocated by the engine
-//	accumulate              → ReductionArgs.Accumulate
+//	accumulate              → ReductionArgs.Accumulate (AccumulateRange for a run of a group)
 //	get_intermediate_result → Result.Object.Get / Result.Object.Snapshot
 //
 // The package is organized as a persistent execution service: an Engine is a
@@ -199,6 +199,15 @@ func (a *ReductionArgs) Row(i int) []float64 {
 // mirroring FREERIDE's accumulate(int, int, void* value).
 func (a *ReductionArgs) Accumulate(group, elem int, v float64) {
 	a.object.Accumulate(a.worker, group, elem, v)
+}
+
+// AccumulateRange folds vals into elements elem0 … elem0+len(vals)-1 of
+// group with one call: the updates of one Accumulate per value, in order
+// (robj.Object.AccumulateRange). A kernel whose row updates a whole run of
+// a group — a point into its cluster, a covariance row — calls it once per
+// row.
+func (a *ReductionArgs) AccumulateRange(group, elem0 int, vals []float64) {
+	a.object.AccumulateRange(a.worker, group, elem0, vals)
 }
 
 // ObjectSpec describes the reduction object to allocate for a run,

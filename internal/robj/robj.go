@@ -313,8 +313,8 @@ func (o *Object) cell(group, elem int) int {
 	return group*o.elems + elem
 }
 
-// rangeError is cell's panic value: an out-of-range coordinate and the
-// object's shape.
+// rangeError is the panic value of cell and AccumulateRange: an
+// out-of-range coordinate and the object's shape.
 type rangeError struct{ group, elem, groups, elems int }
 
 func (e rangeError) Error() string {
@@ -348,6 +348,48 @@ func (o *Object) Accumulate(w, group, elem int, v float64) {
 		return
 	}
 	o.accumulateShared(w, group, elem, v)
+}
+
+// AccumulateRange folds vals into the run of cells (group, elem0) …
+// (group, elem0+len(vals)-1) on behalf of worker w: the same updates as one
+// Accumulate per value, in order, for one call and one range check. A row
+// that updates a whole run of a group — a k-means point into its cluster, a
+// covariance row — pays Accumulate's call once per row instead of once per
+// cell. FullReplication folds the run into a reslice of worker w's replica;
+// the shared-copy strategies take one lock or CAS loop per cell, exactly as
+// len(vals) Accumulate calls would, so their synchronization events and
+// counters are unchanged. A run that leaves the group panics before any
+// cell is touched, naming its first out-of-range element.
+func (o *Object) AccumulateRange(w, group, elem0 int, vals []float64) {
+	if group < 0 || group >= o.groups || elem0 < 0 || elem0 > o.elems-len(vals) {
+		panic(o.runError(group, elem0))
+	}
+	if o.strategy == FullReplication {
+		i := group*o.elems + elem0
+		r := o.replicas[w][i : i+len(vals)]
+		op := o.op
+		for k, v := range vals {
+			r[k] = op.Apply(r[k], v)
+		}
+		o.updates[w].n += int64(len(vals))
+		return
+	}
+	for k, v := range vals {
+		o.accumulateShared(w, group, elem0+k, v)
+	}
+}
+
+// runError is AccumulateRange's panic value: the run's first element that
+// lies outside the object. It runs only on a refused run, so it stays out
+// of line and AccumulateRange's body carries just the check.
+//
+//go:noinline
+func (o *Object) runError(group, elem0 int) rangeError {
+	elem := elem0
+	if group >= 0 && group < o.groups && elem0 >= 0 && elem0 < o.elems {
+		elem = o.elems // the run starts inside the group and overruns its end
+	}
+	return rangeError{group, elem, o.groups, o.elems}
 }
 
 // accumulateShared is Accumulate for the strategies that share one copy of

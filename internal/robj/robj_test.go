@@ -186,8 +186,9 @@ func TestPanicsOnMisuse(t *testing.T) {
 }
 
 // TestAccumulateOutOfRangeMessage pins, for every strategy, that an
-// out-of-range Accumulate panics before touching the object and that the
-// panic still reads as it did when cell formatted the message itself.
+// out-of-range Accumulate or AccumulateRange panics before touching the
+// object and that the panic still reads as it did when cell formatted the
+// message itself.
 func TestAccumulateOutOfRangeMessage(t *testing.T) {
 	for _, st := range Strategies() {
 		o, _ := Alloc(st, OpAdd, 2, 3, 2)
@@ -211,6 +212,37 @@ func TestAccumulateOutOfRangeMessage(t *testing.T) {
 					}
 				}()
 				o.Accumulate(1, c.group, c.elem, 1)
+			}()
+		}
+		// A run is refused whole, before any of its cells is touched, and
+		// the message names its first out-of-range element.
+		for _, c := range []struct {
+			group, elem0, n int
+			want            string
+		}{
+			{2, 0, 2, "robj: accumulate out of range: group=2 elem=0 shape=2x3"},
+			{-1, 1, 1, "robj: accumulate out of range: group=-1 elem=1 shape=2x3"},
+			{0, -2, 3, "robj: accumulate out of range: group=0 elem=-2 shape=2x3"},
+			{1, 1, 3, "robj: accumulate out of range: group=1 elem=3 shape=2x3"},
+			{0, 0, 4, "robj: accumulate out of range: group=0 elem=3 shape=2x3"},
+			{1, 4, 1, "robj: accumulate out of range: group=1 elem=4 shape=2x3"},
+			{0, 4, 0, "robj: accumulate out of range: group=0 elem=4 shape=2x3"},
+		} {
+			vals := make([]float64, c.n)
+			for k := range vals {
+				vals[k] = 1
+			}
+			func() {
+				defer func() {
+					r := recover()
+					if r == nil {
+						t.Fatalf("%v: AccumulateRange(1, %d, %d, %d values) did not panic", st, c.group, c.elem0, c.n)
+					}
+					if got := fmt.Sprint(r); got != c.want {
+						t.Errorf("%v: panic %q, want %q", st, got, c.want)
+					}
+				}()
+				o.AccumulateRange(1, c.group, c.elem0, vals)
 			}()
 		}
 		o.Merge()

@@ -35,6 +35,9 @@ var reachKeep = map[string]string{
 	"internal/core.Vec.At":             "kernel API: one component of the element; TestHotPathInlines pins it inlinable",
 	"internal/core.StateVec.At":        "kernel API: one component of a hot variable; TestHotPathInlines pins it inlinable",
 
+	// The fused split handle's shadow of a per-element call.
+	"internal/freeride.BlockArgs.AccumulateRange": "kernel API: keeps a fused kernel's range in its worker-local buffer, one synchronization per split; no block kernel calls it, TestAccumulateRangeBlockArgsStaysLocal pins it",
+
 	// Sequential references the all-versions tests compare against, and
 	// the runners that execute a class no command runs.
 	"internal/apps.PCASeq":           "sequential reference of TestPCAAllVersionsAgree and TestPropertyPCAMatchesSeq",
