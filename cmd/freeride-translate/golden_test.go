@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"chapelfreeride/internal/verify"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
@@ -101,92 +99,4 @@ func TestMetaRefusals(t *testing.T) {
 			}
 		})
 	}
-}
-
-// render runs the analysis and returns its transcript.
-func render(t *testing.T, targets []analysisTarget, threads int, asJSON bool) (string, int) {
-	t.Helper()
-	var out, errw bytes.Buffer
-	code := runAnalysis(targets, threads, asJSON, &out, &errw)
-	return transcript(&out, &errw), code
-}
-
-// TestAnalyzeGoldenAll pins the -analyze report for every built-in app at
-// fixed parameters. The sparse targets run the seeded synthetic inspector,
-// so the conflict histograms (and hence the advice) are deterministic.
-func TestAnalyzeGoldenAll(t *testing.T) {
-	targets, err := analysisTargets("all", 4, 3, 100, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, code := render(t, targets, 8, false)
-	if code != 0 {
-		t.Fatalf("clean built-in plans exited %d:\n%s", code, got)
-	}
-	checkGolden(t, "analyze_all", got)
-}
-
-// TestAnalyzeGoldenJSON pins the -analyze-json machine shape for one dense
-// and one sparse class.
-func TestAnalyzeGoldenJSON(t *testing.T) {
-	kmeans, err := analysisTargets("kmeans", 4, 3, 100, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	degree, err := analysisTargets("degree", 4, 3, 100, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, code := render(t, append(kmeans, degree...), 4, true)
-	if code != 0 {
-		t.Fatalf("JSON analysis exited %d:\n%s", code, got)
-	}
-	checkGolden(t, "analyze_json", got)
-}
-
-// TestAnalyzeGoldenDiagnostics pins the multi-diagnostic transcript:
-// verifier errors and warnings interleaved with the FRV050+ analysis
-// advisories, per target in encounter order (verifier findings first, then
-// the profile's), across multiple targets in input order.
-func TestAnalyzeGoldenDiagnostics(t *testing.T) {
-	// Target 1: a plan that is simultaneously out of bounds (FRV013, error),
-	// word-count inconsistent (FRV014, error), and whose 512x512 object
-	// blows the cache budget (FRV051, warning).
-	broken := &verify.Plan{
-		Class: "broken-loop", Opt: 2, OptName: "opt-2", HasKernel: true,
-		Object: verify.Shape{Groups: 512, Elems: 512},
-		Data: &verify.Access{
-			Name: "data", Elems: 100, InnerLen: 4,
-			U0: 4, U1: 1, WordLen: 350, Levels: 2, AllReal: true,
-		},
-	}
-	// Target 2: structurally fine, but opt-3 without a block kernel
-	// (FRV030, warning) reducing into a single cell (FRV050, warning).
-	hotspot := &verify.Plan{
-		Class: "hotspot", Opt: 3, OptName: "opt-3", HasKernel: true,
-		Object: verify.Shape{Groups: 1, Elems: 1},
-		Data: &verify.Access{
-			Name: "data", Elems: 100, InnerLen: 4,
-			U0: 4, U1: 1, WordLen: 400, Levels: 2, AllReal: true,
-		},
-	}
-	// Target 3: CSR row pointers that place only 3 of the 4 entries
-	// (FRV014, error); the profile still folds the 3 rows they do place.
-	badTable := &verify.Plan{
-		Class: "bad-table", Opt: 3, OptName: "opt-3", HasKernel: true, HasBlockKernel: true,
-		Object: verify.Shape{Groups: 8, Elems: 1},
-		Tables: []verify.TableAccess{
-			{Name: "rowPtr", Domain: 4, Entries: []int32{0, 1, 2, 3, 3, 3, 3, 3, 3}, Bound: 8},
-		},
-	}
-	targets := []analysisTarget{
-		{name: "broken-loop", plan: broken},
-		{name: "hotspot", plan: hotspot},
-		{name: "bad-table", plan: badTable},
-	}
-	got, code := render(t, targets, 8, false)
-	if code != 1 {
-		t.Fatalf("plans with error diagnostics exited %d, want 1:\n%s", code, got)
-	}
-	checkGolden(t, "analyze_diagnostics", got)
 }

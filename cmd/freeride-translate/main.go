@@ -32,28 +32,15 @@ import (
 
 func main() {
 	var (
-		className = flag.String("class", "kmeans", "reduction class: kmeans | pca-mean | pca-cov (with -analyze also em | spmv | degree | all)")
+		className = flag.String("class", "kmeans", "reduction class: kmeans | pca-mean | pca-cov")
 		k         = flag.Int("k", 8, "k-means cluster count")
 		dim       = flag.Int("dim", 4, "feature dimensionality")
 		declFile  = flag.String("decl", "", "Chapel declaration file; with -var/-path, show its mapping metadata")
 		varName   = flag.String("var", "", "declared variable to analyze (with -decl)")
 		pathFlag  = flag.String("path", "", "comma-separated field path through the variable (with -decl)")
-		doAnalyze = flag.Bool("analyze", false, "run the translate-time cost/contention analysis and print the plan profile + advice")
-		doJSON    = flag.Bool("analyze-json", false, "like -analyze, but emit a JSON array for tooling")
-		threads   = flag.Int("threads", 8, "worker count the advisor plans for (with -analyze)")
-		rows      = flag.Int("rows", 1000, "dataset rows (dense) / matrix rows (sparse) the analysis assumes (with -analyze)")
-		nnz       = flag.Int("nnz", 4096, "synthetic nonzero count for sparse classes (with -analyze)")
 	)
 	flag.Parse()
 
-	if *doAnalyze || *doJSON {
-		targets, err := analysisTargets(*className, *k, *dim, *rows, *nnz)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "freeride-translate:", err)
-			os.Exit(2)
-		}
-		os.Exit(runAnalysis(targets, *threads, *doJSON, os.Stdout, os.Stderr))
-	}
 	req := metaRequest{class: *className, k: *k, dim: *dim, decl: *declFile, varName: *varName, path: *pathFlag}
 	os.Exit(runMeta(req, os.Stdout, os.Stderr))
 }
@@ -130,6 +117,15 @@ func runMeta(req metaRequest, w, errw io.Writer) int {
 
 func zeroMatrix(rows, cols int) *dataset.Matrix {
 	return dataset.NewMatrix(rows, cols)
+}
+
+func pointArrayType(dim, rows int) *chapel.Type {
+	return chapel.ArrayType(chapel.RecordType("Point",
+		chapel.Field{Name: "coords", Type: chapel.ArrayType(chapel.RealType(), 1, dim)}), 1, rows)
+}
+
+func realMatrixType(dim, rows int) *chapel.Type {
+	return chapel.ArrayType(chapel.ArrayType(chapel.RealType(), 1, dim), 1, rows)
 }
 
 // declMeta parses a Chapel declaration file and prints the Fig. 6

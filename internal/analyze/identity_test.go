@@ -11,13 +11,12 @@ import (
 	"chapelfreeride/internal/sched"
 )
 
-// TestAdvisedRunBitIdentical pins the second half of the acceptance
-// property: the advisor only moves execution knobs (strategy, scheduler,
-// chunk), never numerics — so a run under the advised configuration is
-// bit-identical to the same workload under any hand-picked configuration.
-// Pinned at one worker, where the accumulation order is the sequential
-// split order for every strategy and scheduler; at higher thread counts
-// floating-point merge order is scheduler-dependent by design.
+// TestAdvisedRunBitIdentical: the advice only moves execution knobs
+// (strategy, scheduler, chunk), never numerics, so a run under the advised
+// configuration is bit-identical to the same workload under any hand-picked
+// configuration. Pinned at one worker, where the accumulation order is the
+// sequential split order for every strategy and scheduler; at higher thread
+// counts floating-point merge order is scheduler-dependent by design.
 func TestAdvisedRunBitIdentical(t *testing.T) {
 	const k, iters = 4, 3
 	points, _ := dataset.GaussianMixture(2048, 6, k, 42)

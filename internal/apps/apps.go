@@ -1,7 +1,7 @@
 // Package apps implements the paper's evaluation applications — k-means
 // clustering and Principal Component Analysis — in every version the paper
-// compares (§V), plus expectation-maximization and the sparse SpMV and
-// degree reductions that exercise the same generalized reduction structure.
+// compares (§V), plus expectation-maximization and the sparse SpMV reduction
+// that exercise the same generalized reduction structure.
 //
 // Versions per application:
 //

@@ -76,13 +76,3 @@ func runSpMV(v Version, data *dataset.Matrix, cfg SpMVConfig) (*SpMVResult, erro
 	}
 	return nil, fmt.Errorf("no spmv version %v", v)
 }
-
-func runDegree(v Version, edges *dataset.Matrix, cfg DegreeConfig) (*DegreeResult, error) {
-	if opt, ok := levels[v]; ok {
-		return DegreeTranslated(edges, opt, cfg)
-	}
-	if v == Seq {
-		return DegreeSeq(edges, cfg)
-	}
-	return nil, fmt.Errorf("no degree-histogram version %v", v)
-}

@@ -17,7 +17,7 @@ import (
 // the result is accumulated into the cell of the entry's row. The executor
 // owns the table walk, the gather, and the accumulate — the kernel is pure
 // arithmetic, which is what lets one kernel serve every optimization level
-// (SpMV: v*g; PageRank push: v*g over contributions; degree count: 1).
+// (SpMV: v*g; PageRank push: v*g over contributions; a row count: 1).
 type SparseKernel func(v, g float64) float64
 
 // SparseClass is the sparse analog of ReductionClass: a push reduction over
@@ -33,7 +33,7 @@ type SparseClass struct {
 	// vector).
 	Object freeride.ObjectSpec
 	// Hot is the optional gather vector ([lo..hi] real, one element per
-	// matrix column). nil for gather-free reductions (degree counting).
+	// matrix column). nil for gather-free reductions (row counting).
 	Hot *chapel.Array
 	// Kernel is the per-entry accumulate body.
 	Kernel SparseKernel
@@ -77,8 +77,7 @@ func VerifySparse(class *SparseClass, plan *InspectorPlan, opt OptLevel) verify.
 
 // SparsePlanFor lowers a sparse class bound to an inspector plan into the
 // verifier IR — the sparse analog of PlanFor. VerifySparse checks the
-// result; internal/analyze profiles it (the materialized tables carry the
-// exact scatter histogram the cost analysis folds).
+// result.
 func SparsePlanFor(class *SparseClass, plan *InspectorPlan, opt OptLevel) *verify.Plan {
 	p := &verify.Plan{Opt: int(opt), OptName: opt.String()}
 	if class == nil {

@@ -4,16 +4,17 @@ import (
 	"net/http"
 	"testing"
 
-	"chapelfreeride/internal/apps"
 	"chapelfreeride/internal/dataset"
 	"chapelfreeride/internal/freeride"
 	"chapelfreeride/internal/robj"
+	"chapelfreeride/internal/sched"
 )
 
-// TestAdvisedJobStatus: an unpinned job gets the plan advisor's execution
-// configuration, and the status explains the pick.
+// TestAdvisedJobStatus: an unpinned built-in job runs full replication
+// under dynamic scheduling with the chunk rule's split size, and its status
+// echoes the configuration; a custom kernel runs the base configuration.
 func TestAdvisedJobStatus(t *testing.T) {
-	_, ts := testServer(t, Config{Engines: 1, Engine: freeride.Config{Threads: 2, SplitRows: 128}})
+	s, ts := testServer(t, Config{Engines: 1, Engine: freeride.Config{Threads: 2, SplitRows: 128}})
 	postJSON(t, ts.URL+"/v1/datasets", gaussianSpec("adv"), nil)
 
 	var st Status
@@ -24,21 +25,36 @@ func TestAdvisedJobStatus(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || st.State != "done" {
 		t.Fatalf("job = %d %q (%s)", resp.StatusCode, st.State, st.Error)
 	}
-	if !st.Advised {
-		t.Fatalf("unpinned job not marked advised: %+v", st)
+	if st.Strategy != "replication" || st.Scheduler != "dynamic" {
+		t.Fatalf("unpinned job ran %s/%s, want replication/dynamic", st.Strategy, st.Scheduler)
 	}
-	if st.Strategy == "" || st.Scheduler == "" {
-		t.Fatalf("advised status missing execution config: %+v", st)
+
+	// The serve_mixed shapes at 2 threads: kmeans 100,000×10, pca
+	// 10,000×32, spmv 200,000 triples.
+	for _, c := range []struct {
+		kernel     string
+		rows, cols int
+		split      int
+	}{
+		{"kmeans", 100000, 10, 4096},
+		{"pca", 10000, 32, 512},
+		{"spmv", 200000, 3, 8192},
+	} {
+		src := dataset.NewMemorySource(dataset.NewMatrix(c.rows, c.cols))
+		cfg := s.planConfig(&job{Kernel: c.kernel}, src)
+		if cfg.Strategy != robj.FullReplication || cfg.Scheduler != sched.Dynamic || cfg.SplitRows != c.split || cfg.Threads != 2 {
+			t.Fatalf("%s over %d rows: config %+v, want replication/dynamic/%d on 2 threads", c.kernel, c.rows, cfg, c.split)
+		}
 	}
-	if len(st.AdviceTrace) == 0 {
-		t.Fatalf("advised status carries no trace: %+v", st)
+	src := dataset.NewMemorySource(dataset.NewMatrix(100000, 10))
+	if cfg := s.planConfig(&job{Kernel: "custom-thing"}, src); cfg != s.engines[0].Config() {
+		t.Fatalf("custom kernel config %+v, want the base %+v", cfg, s.engines[0].Config())
 	}
 }
 
-// TestPinnedJobOverridesAdvisor: request pins take precedence per knob and
-// fully pinned jobs are not marked advised.
+// TestPinnedJobOverridesAdvisor: request pins take precedence per knob.
 func TestPinnedJobOverridesAdvisor(t *testing.T) {
-	_, ts := testServer(t, Config{Engines: 1, Engine: freeride.Config{Threads: 2, SplitRows: 128}})
+	s, ts := testServer(t, Config{Engines: 1, Engine: freeride.Config{Threads: 2, SplitRows: 128}})
 	postJSON(t, ts.URL+"/v1/datasets", gaussianSpec("pin"), nil)
 
 	var st Status
@@ -50,11 +66,19 @@ func TestPinnedJobOverridesAdvisor(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || st.State != "done" {
 		t.Fatalf("job = %d %q (%s)", resp.StatusCode, st.State, st.Error)
 	}
-	if st.Advised {
-		t.Fatalf("fully pinned job marked advised: %+v", st)
-	}
 	if st.Strategy != "atomic" || st.Scheduler != "worksteal" {
 		t.Fatalf("pins not honored: ran %s/%s", st.Strategy, st.Scheduler)
+	}
+
+	// One pinned knob leaves the other to the chunk rule's advice.
+	src := dataset.NewMemorySource(dataset.NewMatrix(100000, 10))
+	cfg := s.planConfig(&job{Kernel: "kmeans", Params: Params{Strategy: "atomic"}}, src)
+	if cfg.Strategy != robj.AtomicCAS || cfg.Scheduler != sched.Dynamic || cfg.SplitRows != 4096 {
+		t.Fatalf("strategy pin: config %+v, want atomic/dynamic/4096", cfg)
+	}
+	cfg = s.planConfig(&job{Kernel: "kmeans", Params: Params{Scheduler: "guided"}}, src)
+	if cfg.Strategy != robj.FullReplication || cfg.Scheduler != sched.Guided || cfg.SplitRows != 4096 {
+		t.Fatalf("scheduler pin: config %+v, want replication/guided/4096", cfg)
 	}
 }
 
@@ -80,30 +104,6 @@ func TestPinValidation(t *testing.T) {
 		if body.Error == "" {
 			t.Fatalf("bad pin %+v rejected without an error message", p)
 		}
-	}
-}
-
-// TestBuiltinProfiles: admission-time profiles are shape-only (no rows
-// read) and cover every built-in kernel, the em profile sized to
-// apps.EMClass's object; custom kernels profile as nil and fall back to the
-// server defaults with a trace note.
-func TestBuiltinProfiles(t *testing.T) {
-	src := dataset.NewMemorySource(dataset.NewMatrix(128, 6))
-	for _, kernel := range []string{"kmeans", "pca", "em"} {
-		pr := builtinProfile(kernel, src, Params{K: 4})
-		if pr == nil || pr.Domain != 128 {
-			t.Fatalf("%s profile = %+v", kernel, pr)
-		}
-	}
-	em := apps.EMClass(4, 6, nil, nil).Object
-	if pr := builtinProfile("em", src, Params{K: 4}); pr.Writes.Cells != em.Groups*em.Elems {
-		t.Fatalf("em profile sizes a %d-cell object, apps.EMClass's has %d", pr.Writes.Cells, em.Groups*em.Elems)
-	}
-	if pr := builtinProfile("kmeans", src, Params{}); pr != nil {
-		t.Fatalf("kmeans without K must not profile, got %+v", pr)
-	}
-	if pr := builtinProfile("custom-thing", src, Params{}); pr != nil {
-		t.Fatalf("custom kernel must not profile, got %+v", pr)
 	}
 }
 

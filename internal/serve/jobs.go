@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"chapelfreeride/internal/freeride"
 	"chapelfreeride/internal/obs"
 )
 
@@ -41,16 +42,18 @@ type job struct {
 	started   time.Time
 	finished  time.Time
 	engineJob obs.JobID
-	exec      Execution
+	strategy  string
+	scheduler string
 	result    any
 	errMsg    string
 }
 
-// setExecution records the resolved engine configuration (and whether the
-// advisor picked it) before the kernel starts.
-func (j *job) setExecution(e Execution) {
+// setExecution records the resolved engine configuration before the kernel
+// starts.
+func (j *job) setExecution(cfg freeride.Config) {
 	j.mu.Lock()
-	j.exec = e
+	j.strategy = cfg.Strategy.String()
+	j.scheduler = cfg.Scheduler.String()
 	j.mu.Unlock()
 }
 
@@ -92,14 +95,11 @@ type Status struct {
 	// key into /trace for this job's span timeline.
 	EngineJob uint64 `json:"engine_job,omitempty"`
 	// Strategy and Scheduler echo the execution configuration the job ran
-	// with; Advised marks them as the plan advisor's pick (vs request pins)
-	// and AdviceTrace carries the advisor's explanation.
-	Strategy    string   `json:"strategy,omitempty"`
-	Scheduler   string   `json:"scheduler,omitempty"`
-	Advised     bool     `json:"advised,omitempty"`
-	AdviceTrace []string `json:"advice_trace,omitempty"`
-	Result      any      `json:"result,omitempty"`
-	Error       string   `json:"error,omitempty"`
+	// with.
+	Strategy  string `json:"strategy,omitempty"`
+	Scheduler string `json:"scheduler,omitempty"`
+	Result    any    `json:"result,omitempty"`
+	Error     string `json:"error,omitempty"`
 }
 
 // status snapshots the job's current view.
@@ -107,17 +107,15 @@ func (j *job) status() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	s := Status{
-		ID:          j.ID,
-		Tenant:      j.Tenant,
-		Kernel:      j.Kernel,
-		Dataset:     j.Dataset,
-		State:       j.state,
-		Strategy:    j.exec.Strategy,
-		Scheduler:   j.exec.Scheduler,
-		Advised:     j.exec.Advised,
-		AdviceTrace: j.exec.Trace,
-		Error:       j.errMsg,
-		Result:      j.result,
+		ID:        j.ID,
+		Tenant:    j.Tenant,
+		Kernel:    j.Kernel,
+		Dataset:   j.Dataset,
+		State:     j.state,
+		Strategy:  j.strategy,
+		Scheduler: j.scheduler,
+		Error:     j.errMsg,
+		Result:    j.result,
 	}
 	s.EngineJob = uint64(j.engineJob)
 	switch j.state {

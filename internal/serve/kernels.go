@@ -21,11 +21,13 @@ type Params struct {
 	Rows int `json:"rows,omitempty"`
 	Cols int `json:"cols,omitempty"`
 	// Strategy pins the reduction-object sharing strategy ("replication",
-	// "full-locking", "opt-locking", "fixed-locking", "atomic"). Empty lets
-	// the plan advisor pick one from the job's static profile.
+	// "full-locking", "opt-locking", "fixed-locking", "atomic"). Empty runs
+	// full replication (a built-in kernel) or the server's configured
+	// strategy (a custom kernel).
 	Strategy string `json:"strategy,omitempty"`
 	// Scheduler pins the split scheduling policy ("static", "dynamic",
-	// "guided", "worksteal"). Empty lets the plan advisor pick.
+	// "guided", "worksteal"). Empty runs dynamic (a built-in kernel) or the
+	// server's configured policy (a custom kernel).
 	Scheduler string `json:"scheduler,omitempty"`
 }
 

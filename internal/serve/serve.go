@@ -98,7 +98,7 @@ type Server struct {
 	engines []*freeride.Engine
 	nextEng atomic.Uint64
 
-	// altEngines caches sessions for advisor- or pin-derived configurations
+	// altEngines caches sessions for chunk-rule- or pin-derived configurations
 	// that differ from the base pool's (engine configs are session-fixed, so
 	// a different strategy/scheduler needs its own session). Bounded key
 	// space; see engineFor.
@@ -289,10 +289,9 @@ func (s *Server) runJob(j *job) {
 	src, err := s.data.source(j.Dataset)
 	if err == nil {
 		// Resolve the execution configuration before the first row is
-		// read: request pins win, unpinned knobs come from the plan
-		// advisor's static profile of this kernel/dataset pair.
-		cfg, exec := s.planConfig(j, src)
-		j.setExecution(exec)
+		// read: request pins win, unpinned knobs come from the chunk rule.
+		cfg := s.planConfig(j, src)
+		j.setExecution(cfg)
 		eng := s.engineFor(cfg)
 		t0 := time.Now()
 		out, err = j.kernel(s.ctx, eng, src, j.Params)

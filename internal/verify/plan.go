@@ -38,9 +38,6 @@ type Shape struct {
 	Groups, Elems int
 }
 
-// Cells returns the total cell count.
-func (s Shape) Cells() int { return s.Groups * s.Elems }
-
 // Access describes one linearized two-level access pattern: the loop nest
 // touches word offsets
 //

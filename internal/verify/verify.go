@@ -21,7 +21,7 @@ import (
 // Severity grades a diagnostic. Errors reject the plan (Translate and
 // engine runs refuse to proceed); warnings document legal-but-degraded
 // shapes (e.g. opt-3 without a block kernel falls back to the opt-2
-// execution shape); infos are advisory.
+// execution shape).
 type Severity int
 
 const (
@@ -30,8 +30,6 @@ const (
 	// SeverityWarning flags a legal plan that will not behave as the
 	// requested optimization level suggests.
 	SeverityWarning
-	// SeverityInfo is advisory.
-	SeverityInfo
 )
 
 // String returns the compiler-style severity name.
@@ -41,8 +39,6 @@ func (s Severity) String() string {
 		return "error"
 	case SeverityWarning:
 		return "warning"
-	case SeverityInfo:
-		return "info"
 	default:
 		return fmt.Sprintf("severity(%d)", int(s))
 	}
@@ -101,29 +97,6 @@ const (
 	CodeOpt3NoBlockKernel Code = "FRV030"
 )
 
-// Analysis codes (internal/analyze): statically-provable cost/contention
-// pathologies found by the translate-time plan analysis. None reject the
-// plan — they document execution shapes the advisor steers around.
-const (
-	// CodeWriteHotspot (warning): every split's writes land on one object
-	// cell (a 1-cell object, or an inspector scatter table whose hottest
-	// cell absorbs most entries). Per-cell locks and CAS serialize on that
-	// cell; full replication is the only strategy with no per-update
-	// synchronization to contend on.
-	CodeWriteHotspot Code = "FRV050"
-	// CodeFootprintBudget (warning): the per-worker write-set footprint
-	// (replication mirror / dense fused-flush buffer) exceeds the
-	// configured cache budget, so replicated copies thrash and every
-	// dense flush sweeps more state than the cache holds.
-	CodeFootprintBudget Code = "FRV051"
-	// CodeDegenerateSkew (info): an inspector scatter table shows
-	// degenerate alias skew — a few cells absorb most writes while the
-	// touched set stays far smaller than the object (4096 cells or more).
-	// Split costs are then uneven, which the advisor answers with work
-	// stealing.
-	CodeDegenerateSkew Code = "FRV052"
-)
-
 // Spec-level codes (FREERIDE specs submitted to the engine).
 const (
 	// CodeNoReduction: the spec has neither Reduction nor BlockReduction.
@@ -132,7 +105,9 @@ const (
 	// without LocalCombine) and FRV043 (BlockReduction with LocalInit)
 	// named a per-worker side channel the engine no longer has; FRV042
 	// (BlockReduction without an object) and FRV044 (Combine without an
-	// object) are special cases of FRV045.
+	// object) are special cases of FRV045. FRV050–FRV052 are retired the
+	// same way: they were the plan advisor's write-hotspot, cache-budget
+	// and alias-skew warnings, which no longer exist.
 
 	// CodeNoState: the spec declares no reduction object (a zero shape),
 	// the only state a pass carries.

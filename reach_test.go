@@ -40,14 +40,12 @@ var reachKeep = map[string]string{
 
 	// Sequential references the all-versions tests compare against, and
 	// the runners that execute a class no command runs.
-	"internal/apps.PCASeq":           "sequential reference of TestPCAAllVersionsAgree and TestPropertyPCAMatchesSeq",
-	"internal/apps.EMSeq":            "sequential reference of TestEMAllVersionsAgree",
-	"internal/apps.SpMVSeq":          "sequential densified reference of TestPropertySpMVMatchesDensified",
-	"internal/apps.DegreeSeq":        "sequential densified reference of TestPropertyDegreeMatchesDensified",
-	"internal/apps.EMTranslated":     "runs EMClass at generated/opt-1/opt-2 for TestEMAllVersionsAgree",
-	"internal/apps.SpMVTranslated":   "runs SpMVClass over boxed triples at every level for TestPropertySpMVMatchesDensified",
-	"internal/apps.DegreeTranslated": "runs DegreeClass at every level for TestPropertyDegreeMatchesDensified",
-	"internal/chapel.ReduceSeq":      "sequential reference of TestPropertyReduceMatchesSequential and TestUserDefinedReduction",
+	"internal/apps.PCASeq":         "sequential reference of TestPCAAllVersionsAgree and TestPropertyPCAMatchesSeq",
+	"internal/apps.EMSeq":          "sequential reference of TestEMAllVersionsAgree",
+	"internal/apps.SpMVSeq":        "sequential densified reference of TestPropertySpMVMatchesDensified",
+	"internal/apps.EMTranslated":   "runs EMClass at generated/opt-1/opt-2 for TestEMAllVersionsAgree",
+	"internal/apps.SpMVTranslated": "runs SpMVClass over boxed triples at every level for TestPropertySpMVMatchesDensified",
+	"internal/chapel.ReduceSeq":    "sequential reference of TestPropertyReduceMatchesSequential and TestUserDefinedReduction",
 
 	// Fault injection.
 	"internal/dataset.NewFaultSource":       "fault injection: the read-error and cancellation tests of dataset and freeride",
